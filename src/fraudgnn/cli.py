@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import itertools
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -180,29 +181,46 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _csv_rows(path: str, header: list[str], what: str) -> list[list[str]]:
+    """Comma-split non-blank rows after a header that must start with `header`."""
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {what} {path}: {reason}") from None
+    if not lines or lines[0].split(",")[:len(header)] != header:
+        raise InputError(f"{path}: expected {what} starting {','.join(header)}")
+    return [ln.split(",") for ln in lines[1:]]
+
+
+def _bad_row(path: str, n: int, want: str, parts: list[str]) -> InputError:
+    return InputError(f"{path}: row {n}: expected {want}, got {','.join(parts)!r}")
+
+
 def _read_scores(path: str) -> tuple[list[int], np.ndarray]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].split(",")[:2] != ["id", "p_fraud"]:
-        raise InputError(f"{path}: expected scores CSV with id,p_fraud header")
     ids, probs = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        ids.append(int(parts[0]))
-        probs.append(float(parts[1]))
+    rows = _csv_rows(path, ["id", "p_fraud"], "scores CSV")
+    for n, parts in enumerate(rows, start=1):
+        try:
+            ids.append(int(parts[0]))
+            probs.append(float(parts[1]))
+        except (ValueError, IndexError):
+            raise _bad_row(path, n, "an integer id and a numeric p_fraud",
+                           parts) from None
+        if not math.isfinite(probs[-1]):
+            raise _bad_row(path, n, "a finite p_fraud", parts)
     return ids, np.array(probs)
 
 
 def _read_labels(path: str) -> dict[int, int]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    if header[:3] != ["id", "timestamp", "label"]:
-        raise InputError(f"{path}: expected data CSV starting id,timestamp,label")
     out = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        out[int(parts[0])] = int(parts[2])
+    rows = _csv_rows(path, ["id", "timestamp", "label"], "data CSV")
+    for n, parts in enumerate(rows, start=1):
+        try:
+            out[int(parts[0])] = int(parts[2])
+        except (ValueError, IndexError):
+            raise _bad_row(path, n, "an integer id and label", parts) from None
     return out
 
 

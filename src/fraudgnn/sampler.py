@@ -4,6 +4,8 @@ Each neighbor's selection probability is proportional to (strongest edge
 weight between the pair) x (exponential cosine similarity of the feature
 vectors). Top-z keeps the highest-probability neighbors; fraud nodes can
 additionally pull in non-adjacent fraud nodes with similar behavior.
+score_edges computes every edge's probability in one pass; the per-node
+functions slice their node's row from it when given ``scores=``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .tgraph import TransactionGraph, TransactionRecord, max_edge_weight
+from .tgraph import TransactionGraph, TransactionRecord
 
 # exp(0.5): cosine >= 0.5 once pushed through the exponential similarity
 DEFAULT_SIMILARITY_FLOOR = math.exp(0.5)
@@ -72,15 +74,65 @@ def similarity(a: TransactionRecord, b: TransactionRecord) -> float:
     return float(np.exp(np.dot(_unit(a.attrs), _unit(b.attrs))))
 
 
-def unit_features(g: TransactionGraph) -> np.ndarray:
-    """Row-normalized feature matrix (zero rows preserved); cached on the graph."""
-    cached = getattr(g, "_unit_features", None)
-    if cached is None:
-        x = g.features()
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        cached = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
-        g._unit_features = cached
-    return cached
+# Edges per gather in _edge_scores: bounds the two (chunk, l) temporaries
+# instead of materialising u[src] and u[dst] for every edge at once.
+_SCORE_CHUNK = 4096
+
+
+def _edge_scores(u: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                 weight: np.ndarray) -> np.ndarray:
+    """Unnormalized score weight x exp(u[src] . u[dst]) of each edge.
+
+    Every edge gets the bits that scoring it alone with np.dot and math.exp
+    gives, however the edges are batched: np.vecdot reduces each pair with
+    np.dot's kernel, where einsum and (a * b).sum(1) round differently, and
+    np.exp's vectorized kernel differs from math.exp in the last bit on a
+    few percent of values.
+    """
+    sims = np.empty(len(src))
+    for lo in range(0, len(src), _SCORE_CHUNK):
+        hi = lo + _SCORE_CHUNK
+        dots = np.vecdot(u[src[lo:hi]], u[dst[lo:hi]])
+        sims[lo:hi] = [math.exp(d) for d in dots.tolist()]
+    return weight * sims
+
+
+def score_edges(g: TransactionGraph) -> np.ndarray:
+    """Selection probability of every entry of ``g.csr``, in its order.
+
+    The entries of node row i, ``g.csr.span(i)``, hold
+    ``selection_probabilities`` of that node in ascending neighbor id order,
+    bit for bit. Each row is normalized by the sum of its own contiguous
+    slice, which np.add.reduceat does not reproduce. Pass the result as
+    ``scores=`` to the per-node samplers to score the graph once per pass.
+    """
+    csr = g.csr
+    src = np.repeat(np.arange(g.n_nodes), np.diff(csr.indptr))
+    raw = _edge_scores(g.unit_features, src, csr.rows, csr.weight)
+    probs = np.empty_like(raw)
+    for lo, hi in zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist()):
+        probs[lo:hi] = raw[lo:hi] / raw[lo:hi].sum()
+    return probs
+
+
+def _row(g: TransactionGraph, v: int,
+         scores: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor ids of v, ascending, and their selection probabilities.
+
+    Slices ``scores`` (from score_edges) when given, else scores v's
+    neighbors alone.
+    """
+    row = g.index_of(v)
+    csr = g.csr
+    span = csr.span(row)
+    if scores is None:
+        raw = _edge_scores(g.unit_features, np.full(span.stop - span.start, row),
+                           csr.rows[span], csr.weight[span])
+        return csr.ids[span], raw / raw.sum()
+    if len(scores) != len(csr.ids):
+        raise InputError(f"scores cover {len(scores)} edges but the graph "
+                         f"has {len(csr.ids)}; pass score_edges(g)")
+    return csr.ids[span], scores[span]
 
 
 def selection_probabilities(g: TransactionGraph, v: int) -> dict[int, float]:
@@ -89,21 +141,18 @@ def selection_probabilities(g: TransactionGraph, v: int) -> dict[int, float]:
     Isolated nodes get an empty map; callers fall back to a self-only
     neighborhood.
     """
-    nbrs = g.neighbors(v)
-    if not nbrs:
-        return {}
-    u = unit_features(g)
-    vi = g.index_of(v)
-    scores = np.empty(len(nbrs))
-    for j, nb in enumerate(nbrs):
-        w = max_edge_weight(g, v, nb)
-        scores[j] = w * math.exp(float(np.dot(u[vi], u[g.index_of(nb)])))
-    total = scores.sum()
-    return {nb: float(s / total) for nb, s in zip(nbrs, scores)}
+    ids, p = _row(g, v, None)
+    return dict(zip(ids.tolist(), p.tolist()))
 
 
 def _node_rng(cfg: SamplerConfig, v: int) -> np.random.Generator:
-    # per-node stream keyed by (seed, node id) so ordering/concurrency is irrelevant
+    """Per-node stream keyed by (seed, node id), so order is irrelevant.
+
+    The key deliberately leaves out the layer: in weighted mode, layers with
+    equal z_hat draw the same neighborhood of a node within one pass. Only
+    the seed, which the trainer salts per epoch, changes the draw. Keying by
+    layer as well would change every weighted-mode output.
+    """
     return np.random.default_rng((cfg.seed & _SEED_MASK, v & _SEED_MASK))
 
 
@@ -112,26 +161,24 @@ def combine_seed(seed: int, salt: int) -> int:
     return (seed * 1_000_003 + salt) & _SEED_MASK
 
 
-def sample_topz(g: TransactionGraph, v: int, k: int, cfg: SamplerConfig) -> list[int]:
+def sample_topz(g: TransactionGraph, v: int, k: int, cfg: SamplerConfig,
+                scores: np.ndarray | None = None) -> list[int]:
     """Select up to z_hat[k] neighbors of v by selection probability.
 
     Deterministic mode keeps the top probabilities (ties broken by ascending
     id); weighted mode draws without replacement proportionally to them.
+    ``scores`` is score_edges(g); without it v's neighbors are scored here.
     """
-    probs = selection_probabilities(g, v)
-    if not probs:
-        return []
+    ids, p = _row(g, v, scores)
     z = cfg.z_hat[k]
-    ids = np.array(sorted(probs))
-    p = np.array([probs[i] for i in ids])
     if len(ids) <= z:
-        return [int(i) for i in ids]
+        return ids.tolist()
     if cfg.mode == "deterministic_topz":
         order = np.lexsort((ids, -p))[:z]
-        return sorted(int(ids[i]) for i in order)
+        return sorted(ids[order].tolist())
     rng = _node_rng(cfg, v)
     chosen = rng.choice(ids, size=z, replace=False, p=p / p.sum())
-    return sorted(int(i) for i in chosen)
+    return sorted(chosen.tolist())
 
 
 def oversample_fraud(
@@ -157,7 +204,7 @@ def oversample_fraud(
     cand = [c for c in fraud_pool if c not in excluded and g.record(c).label == 1]
     if not cand:
         return list(base)
-    u = unit_features(g)
+    u = g.unit_features
     uv = u[g.index_of(v)]
     sims = np.array([math.exp(float(np.dot(uv, u[g.index_of(c)]))) for c in cand])
     keep = sims >= cfg.similarity_floor
@@ -177,14 +224,19 @@ def sample_neighborhood(
     cfg: SamplerConfig,
     oversample: bool = False,
     fraud_pool: list[int] | None = None,
+    scores: np.ndarray | None = None,
 ) -> SampledNeighborhood:
-    """Full per-node sampling: top-z filtering plus optional fraud over-sampling."""
-    probs = selection_probabilities(g, v)
-    selected = sample_topz(g, v, k, cfg)
+    """Full per-node sampling: top-z filtering plus optional fraud over-sampling.
+
+    ``scores`` is score_edges(g), shared by every node and layer of a pass.
+    """
+    ids, p = _row(g, v, scores)
+    chosen = sample_topz(g, v, k, cfg, scores=scores)
+    probabilities = p[np.searchsorted(ids, chosen)].tolist()
+    selected = chosen
     if oversample and g.record(v).label == 1:
-        selected = oversample_fraud(g, v, selected, cfg, fraud_pool=fraud_pool)
-    return SampledNeighborhood(
-        node=v,
-        selected=selected,
-        probabilities=[probs.get(s, 0.0) for s in selected],
-    )
+        selected = oversample_fraud(g, v, chosen, cfg, fraud_pool=fraud_pool)
+    # over-sampled extras are appended after the top-z picks
+    probabilities += [0.0] * (len(selected) - len(chosen))
+    return SampledNeighborhood(node=v, selected=selected,
+                               probabilities=probabilities)

@@ -9,6 +9,8 @@ weight used later by the neighbor sampler.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -75,18 +77,40 @@ def evaluate_proposition(p: Proposition, a: TransactionRecord, b: TransactionRec
     return abs(a.timestamp - b.timestamp) <= p.window_seconds
 
 
+@dataclass(frozen=True, eq=False)
+class NeighborCSR:
+    """Distinct-neighbor view of a multigraph in compressed sparse rows.
+
+    Node row i (record order) owns entries ``indptr[i]:indptr[i + 1]``.
+    Within a row, entries are sorted by ascending neighbor *id* (not row
+    position) with parallel edges collapsed. ``rows`` and ``ids`` hold the
+    neighbor's row position and id; ``weight`` the largest weight among the
+    propositions linking the pair.
+    """
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    ids: np.ndarray
+    weight: np.ndarray
+
+    def span(self, row: int) -> slice:
+        """The entries of node row ``row``."""
+        return slice(int(self.indptr[row]), int(self.indptr[row + 1]))
+
+
 @dataclass
 class TransactionGraph:
     """Immutable-after-build multigraph over transaction records.
 
     ``adj`` maps node id -> list of (neighbor id, proposition index),
     canonically sorted; the edge multiset is symmetric and self-edge free.
+    ``csr`` and ``unit_features`` are derived from it on first use and
+    cached, which is only sound because the graph is not edited after build.
     """
 
     records: list[TransactionRecord]
     propositions: list[Proposition]
     adj: dict[int, list[tuple[int, int]]]
-    _pair_weight: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _index: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -109,7 +133,44 @@ class TransactionGraph:
 
     def neighbors(self, node_id: int) -> list[int]:
         """Distinct neighbor ids, ascending (parallel edges collapsed)."""
-        return sorted({nbr for nbr, _ in self.adj[node_id]})
+        csr = self.csr
+        return csr.ids[csr.span(self._index[node_id])].tolist()
+
+    @functools.cached_property
+    def csr(self) -> NeighborCSR:
+        """The adjacency as a NeighborCSR, built from ``adj`` once."""
+        n = len(self.records)
+        counts = np.array([len(self.adj[r.id]) for r in self.records],
+                          dtype=np.int64)
+        pairs = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(self.adj[r.id] for r in self.records))
+        flat = np.fromiter(pairs, dtype=np.int64,
+                           count=2 * int(counts.sum())).reshape(-1, 2)
+        src = np.repeat(np.arange(n, dtype=np.int64), counts)
+        order = np.lexsort((flat[:, 0], src))
+        src, nbr, prop = src[order], flat[order, 0], flat[order, 1]
+        prop_weight = np.array([p.weight for p in self.propositions])
+        first = np.ones(len(src), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (nbr[1:] != nbr[:-1])
+        starts = np.flatnonzero(first)
+        weight = (np.maximum.reduceat(prop_weight[prop], starts)
+                  if len(starts) else prop_weight[:0])
+        node_ids = np.array([r.id for r in self.records], dtype=np.int64)
+        by_id = np.argsort(node_ids)
+        nbr = nbr[starts]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[starts], minlength=n), out=indptr[1:])
+        return NeighborCSR(
+            indptr=indptr,
+            rows=by_id[np.searchsorted(node_ids[by_id], nbr)],
+            ids=nbr, weight=weight)
+
+    @functools.cached_property
+    def unit_features(self) -> np.ndarray:
+        """Row-normalized feature matrix; all-zero rows stay zero."""
+        x = self.features()
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
     def features(self) -> np.ndarray:
         """(n, l) float64 feature matrix in record order."""
@@ -129,8 +190,10 @@ def max_edge_weight(g: TransactionGraph, v: int, v_prime: int) -> int:
     """Largest weight among the parallel edges linking v and v_prime; 0 if none."""
     if v not in g._index or v_prime not in g._index:
         raise InputError(f"unknown node id in ({v}, {v_prime})")
-    key = (v, v_prime) if v <= v_prime else (v_prime, v)
-    return g._pair_weight.get(key, 0)
+    csr = g.csr
+    span = csr.span(g._index[v])
+    j = span.start + int(np.searchsorted(csr.ids[span], v_prime))
+    return csr.weight[j].item() if j < span.stop and csr.ids[j] == v_prime else 0
 
 
 def build_graph(records: list[TransactionRecord], props: list[Proposition]) -> TransactionGraph:
@@ -154,7 +217,6 @@ def build_graph(records: list[TransactionRecord], props: list[Proposition]) -> T
         raise InputError(f"records carry inconsistent attr lengths: {sorted(lengths)}")
 
     adj: dict[int, list[tuple[int, int]]] = {r.id: [] for r in records}
-    pair_weight: dict[tuple[int, int], int] = {}
 
     for pi, prop in enumerate(props):
         buckets: dict[object, list[TransactionRecord]] = {}
@@ -178,16 +240,11 @@ def build_graph(records: list[TransactionRecord], props: list[Proposition]) -> T
                     rk = group[k]
                     adj[rk.id].append((rj.id, pi))
                     adj[rj.id].append((rk.id, pi))
-                    key = (rk.id, rj.id) if rk.id <= rj.id else (rj.id, rk.id)
-                    w = pair_weight.get(key, 0)
-                    if prop.weight > w:
-                        pair_weight[key] = prop.weight
 
     for node_id in adj:
         adj[node_id].sort()
 
-    g = TransactionGraph(records=list(records), propositions=list(props), adj=adj,
-                         _pair_weight=pair_weight)
+    g = TransactionGraph(records=list(records), propositions=list(props), adj=adj)
     logger.debug("built graph: %d nodes, %d edges, %d propositions",
                  g.n_nodes, g.n_edges, len(props))
     return g

@@ -94,8 +94,12 @@ def batch_loss(params: ModelParams, features: np.ndarray,
 
 
 def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
-                   epoch: int, fraud_pool: list[int]) -> list[Neighborhoods]:
-    """One Neighborhoods object per layer for this epoch."""
+                   epoch: int, fraud_pool: list[int],
+                   scores: np.ndarray | None) -> list[Neighborhoods]:
+    """One Neighborhoods object per layer for this epoch.
+
+    ``scores`` is sampler.score_edges(graph); uniform sampling ignores it.
+    """
     out = []
     if cfg.random_sampling:
         for k in range(cfg.model.k_layers):
@@ -116,9 +120,15 @@ def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
             sampled.append(sampler_mod.sample_neighborhood(
                 graph, rec.id, k, scfg,
                 oversample=oversample_ok and rec.id in fraud_set,
-                fraud_pool=fraud_pool))
+                fraud_pool=fraud_pool, scores=scores))
         out.append(model_mod.pack_neighborhoods(graph, sampled))
     return out
+
+
+def _scores_for(graph: TransactionGraph,
+                cfg: TrainConfig) -> np.ndarray | None:
+    """Edge selection probabilities for _sample_layers; None when uniform."""
+    return None if cfg.random_sampling else sampler_mod.score_edges(graph)
 
 
 def _gates_for(cfg: ModelConfig, labels_eff: np.ndarray,
@@ -161,12 +171,14 @@ def train(graph: TransactionGraph, config: TrainConfig,
 
     deterministic = (not config.random_sampling
                      and config.sampler.mode == "deterministic_topz")
+    scores = _scores_for(graph, config)
     neighborhoods = None
     history: list[float] = []
 
     for epoch in range(1, config.epochs + 1):
         if neighborhoods is None or not deterministic:
-            neighborhoods = _sample_layers(graph, config, epoch, fraud_pool)
+            neighborhoods = _sample_layers(graph, config, epoch, fraud_pool,
+                                           scores)
         gates = _gates_for(config.model, labels_eff, neighborhoods[0])
 
         rng = np.random.default_rng(np.random.SeedSequence(
@@ -220,7 +232,7 @@ def predict(graph: TransactionGraph, params: ModelParams,
     cfg = TrainConfig(model=params.config, sampler=sampler_cfg,
                       epochs=0, seed=seed,
                       random_sampling=random_sampling, oversample=False)
-    neighborhoods = _sample_layers(graph, cfg, 0, [])
+    neighborhoods = _sample_layers(graph, cfg, 0, [], _scores_for(graph, cfg))
 
     labels = graph.labels()
     known = np.zeros(len(graph.records), dtype=bool)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from fraudgnn.sampler import SampledNeighborhood, oversample_fraud
 from fraudgnn.tgraph import (Proposition, TransactionGraph, TransactionRecord,
                              evaluate_proposition)
 
@@ -67,6 +68,62 @@ def naive_topz(probs: dict, z: int) -> list:
     """Sort by probability descending, ids ascending, keep z, return sorted ids."""
     ranked = sorted(probs.items(), key=lambda kv: (-kv[1], kv[0]))
     return sorted(u for u, _ in ranked[:z])
+
+
+def loop_selection_probabilities(g: TransactionGraph, v) -> dict:
+    """The sampler's scoring before score_edges: one neighbor at a time.
+
+    Reads neighbors and pair weights straight off ``g.adj`` and keeps the
+    library's arithmetic (np.dot of unit rows, math.exp, numpy row sum), so
+    the vectorized path must match it bit for bit.
+    """
+    best_w = {}
+    for nb, pi in g.adj[v]:
+        best_w[nb] = max(best_w.get(nb, 0), g.propositions[pi].weight)
+    nbrs = sorted(best_w)
+    if not nbrs:
+        return {}
+    x = g.features()
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    u = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
+    vi = g.index_of(v)
+    scores = np.empty(len(nbrs))
+    for j, nb in enumerate(nbrs):
+        scores[j] = best_w[nb] * math.exp(float(np.dot(u[vi], u[g.index_of(nb)])))
+    total = scores.sum()
+    return {nb: float(s / total) for nb, s in zip(nbrs, scores)}
+
+
+def loop_sample_topz(g: TransactionGraph, v, k: int, cfg) -> list:
+    """Top-z (or weighted draw) over loop_selection_probabilities."""
+    probs = loop_selection_probabilities(g, v)
+    if not probs:
+        return []
+    z = cfg.z_hat[k]
+    ids = np.array(sorted(probs))
+    p = np.array([probs[i] for i in ids])
+    if len(ids) <= z:
+        return [int(i) for i in ids]
+    if cfg.mode == "deterministic_topz":
+        order = np.lexsort((ids, -p))[:z]
+        return sorted(int(ids[i]) for i in order)
+    mask = (1 << 63) - 1
+    rng = np.random.default_rng((cfg.seed & mask, v & mask))
+    chosen = rng.choice(ids, size=z, replace=False, p=p / p.sum())
+    return sorted(int(i) for i in chosen)
+
+
+def loop_sample_neighborhood(g: TransactionGraph, v, k: int, cfg,
+                             oversample: bool = False, fraud_pool=None,
+                             scores=None):
+    """sample_neighborhood over the loop scorer; ``scores`` is ignored."""
+    probs = loop_selection_probabilities(g, v)
+    selected = loop_sample_topz(g, v, k, cfg)
+    if oversample and g.record(v).label == 1:
+        selected = oversample_fraud(g, v, selected, cfg, fraud_pool=fraud_pool)
+    return SampledNeighborhood(
+        node=v, selected=selected,
+        probabilities=[probs.get(s, 0.0) for s in selected])
 
 
 def reference_layer_forward(graph: TransactionGraph, h_prev: np.ndarray,

@@ -189,6 +189,54 @@ class TestExitCodes:
         assert code == 1
         assert "no positive" in capsys.readouterr().err
 
+    def evaluate_error(self, tmp_path, capsys, scores_text, data_text):
+        """Exit code and stderr of evaluate on the given file contents;
+        None writes no file at all."""
+        paths = {}
+        for name, text in (("scores.csv", scores_text), ("data.csv", data_text)):
+            paths[name] = tmp_path / name
+            if text is not None:
+                paths[name].write_text(text)
+        code = main(["evaluate", "--scores", str(paths["scores.csv"]),
+                     "--data", str(paths["data.csv"]),
+                     "--out", str(tmp_path / "r.txt")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    DATA = "id,timestamp,label,device,ip,f0\n0,0,0,d,i,0.0\n1,1,1,d,i,1.0\n"
+
+    def test_non_numeric_p_fraud_exits_one(self, tmp_path, capsys):
+        code, err = self.evaluate_error(
+            tmp_path, capsys, "id,p_fraud,label_pred\n0,0.3,0\n1,high,1\n",
+            self.DATA)
+        assert code == 1
+        assert err.startswith("error: ") and "row 2" in err
+
+    def test_nan_p_fraud_exits_one(self, tmp_path, capsys):
+        code, err = self.evaluate_error(
+            tmp_path, capsys, "id,p_fraud,label_pred\n0,nan,0\n1,0.5,1\n",
+            self.DATA)
+        assert code == 1
+        assert err.startswith("error: ") and "finite" in err
+
+    def test_row_without_p_fraud_exits_one(self, tmp_path, capsys):
+        code, err = self.evaluate_error(
+            tmp_path, capsys, "id,p_fraud,label_pred\n0\n", self.DATA)
+        assert code == 1
+        assert err.startswith("error: ") and "row 1" in err
+
+    def test_empty_data_csv_exits_one(self, tmp_path, capsys):
+        code, err = self.evaluate_error(
+            tmp_path, capsys, "id,p_fraud,label_pred\n0,0.3,0\n", "")
+        assert code == 1
+        assert err.startswith("error: ") and "id,timestamp,label" in err
+
+    def test_missing_scores_file_exits_one(self, tmp_path, capsys):
+        code, err = self.evaluate_error(tmp_path, capsys, None, self.DATA)
+        assert code == 1
+        assert err.startswith("error: cannot read scores CSV")
+
     def test_scores_for_unknown_id_exits_one(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("id,p_fraud,label_pred\n99,0.3,0\n")

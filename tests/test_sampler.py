@@ -1,18 +1,24 @@
 """Neighbor selection: similarity scores, probabilities, top-z, over-sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fraudgnn import sampler as sampler_mod
+from fraudgnn.datagen import ScenarioConfig, generate, split_records
 from fraudgnn.errors import InputError
+from fraudgnn.model import ModelConfig, checkpoint_text
 from fraudgnn.sampler import (DEFAULT_SIMILARITY_FLOOR, SamplerConfig,
                               combine_seed, oversample_fraud,
-                              sample_neighborhood, sample_topz,
+                              sample_neighborhood, sample_topz, score_edges,
                               selection_probabilities, similarity)
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
+from fraudgnn.train import TrainConfig, _sample_layers, predict, train
 
-from reference import (naive_selection_probabilities, naive_topz,
+from reference import (loop_sample_neighborhood, loop_selection_probabilities,
+                       naive_selection_probabilities, naive_topz,
                        random_transaction_records)
 
 
@@ -275,3 +281,112 @@ class TestSampleNeighborhood:
                                      fraud_pool=fraud)
             assert len(nb.selected) <= 3 + 2
             assert len(nb.selected) == len(set(nb.selected))
+
+
+def permuted_instance(rng, n, grid):
+    """Random records under non-row-order ids 3x+7 and two propositions.
+
+    Windows include 0, so some nodes are isolated; grid features come from
+    {0, 1, 2}^3, which makes exact score ties (and zero rows) common.
+    """
+    records = random_transaction_records(rng, n, n_devices=max(2, n // 8),
+                                         n_ips=max(2, n // 6), span=5000,
+                                         dim=3, label_rate=0.4)
+    for r, x in zip(records, rng.permutation(n)):
+        r.id = int(3 * x + 7)
+        if grid:
+            r.attrs = rng.integers(0, 3, size=3).astype(np.float64)
+    props = [Proposition(name=f"p{i}", field=f, weight=int(rng.integers(1, 4)),
+                         window_seconds=float(rng.choice([0, 120, 900, 3600])))
+             for i, f in enumerate(("device", "ip"))]
+    return records, build_graph(records, props)
+
+
+def instances(seed, count=6, n=70):
+    rng = np.random.default_rng(seed)
+    return [permuted_instance(rng, n, grid=t % 2 == 0) for t in range(count)]
+
+
+class TestScoreEdgesMatchesLoopReference:
+    """score_edges and the scores= path against the per-node loop oracle,
+    compared exactly: no tolerance anywhere."""
+
+    def test_rows_are_the_loop_probabilities_bit_for_bit(self):
+        for _, g in instances(41):
+            scores = score_edges(g)
+            assert len(scores) == len(g.csr.ids)
+            for row, v in enumerate(g.node_ids()):
+                span = g.csr.span(row)
+                want = loop_selection_probabilities(g, v)
+                assert g.csr.ids[span].tolist() == sorted(want)
+                assert np.array_equal(scores[span],
+                                      np.array(list(want.values())))
+                assert selection_probabilities(g, v) == want
+
+    @pytest.mark.parametrize("mode", ["deterministic_topz",
+                                      "weighted_without_replacement"])
+    @pytest.mark.parametrize("z", [2, 40])
+    @pytest.mark.parametrize("oversample", [True, False])
+    def test_sample_layers_match_loop_reference(self, monkeypatch, mode, z,
+                                                oversample):
+        for records, g in instances(43, count=3):
+            cfg = TrainConfig(
+                model=ModelConfig(k_layers=2),
+                sampler=SamplerConfig(z_hat=(z, z + 1), mode=mode, seed=5,
+                                      oversample_count=3),
+                oversample=oversample)
+            pool = sorted(r.id for r in records[::2] if r.label == 1)
+            scores = score_edges(g)
+            new = _sample_layers(g, cfg, 3, pool, scores)
+            scfg = cfg.sampler
+            if mode != "deterministic_topz":  # _sample_layers salts by epoch
+                scfg = replace(scfg, seed=combine_seed(5, 3))
+            for k in range(2):
+                for v in g.node_ids():
+                    over = oversample and v in pool
+                    got = sample_neighborhood(g, v, k, scfg, over, pool,
+                                              scores=scores)
+                    want = loop_sample_neighborhood(g, v, k, scfg, over, pool)
+                    assert got.selected == want.selected
+                    assert got.probabilities == want.probabilities
+            with monkeypatch.context() as m:
+                m.setattr(sampler_mod, "sample_neighborhood",
+                          loop_sample_neighborhood)
+                ref = _sample_layers(g, cfg, 3, pool, None)
+            for a, b in zip(new, ref):
+                assert np.array_equal(a.idx, b.idx)
+                assert np.array_equal(a.mask, b.mask)
+                assert np.array_equal(a.dt, b.dt)
+
+    def test_training_checkpoint_matches_loop_reference(self, monkeypatch):
+        records = generate(ScenarioConfig(n_legit=70, n_fraud=30, n_devices=3,
+                                          n_ips=4, time_span_seconds=7200,
+                                          seed=2))
+        g = build_graph(records, [
+            Proposition(name="dev", field="device", weight=3,
+                        window_seconds=3600),
+            Proposition(name="ip", field="ip", window_seconds=3600)])
+        train_ids, test_ids = split_records(records, TrainConfig().split, 0)
+        cfg = TrainConfig(model=ModelConfig(k_layers=2, hidden_dim=4),
+                          sampler=SamplerConfig(z_hat=(5, 5)), epochs=3,
+                          lr=0.01, batch_size=32)
+
+        def run():
+            res = train(g, cfg, train_ids=train_ids)
+            preds = predict(g, res.params, sampler_cfg=cfg.sampler,
+                                      nodes=test_ids, known_ids=train_ids)
+            return checkpoint_text(res.params), [p.p_fraud for p in preds]
+
+        new = run()
+        with monkeypatch.context() as m:
+            m.setattr(sampler_mod, "sample_neighborhood",
+                      loop_sample_neighborhood)
+            ref = run()
+        assert new == ref
+
+    def test_scores_of_another_graph_rejected(self):
+        (_, g), (_, other) = instances(47, count=2)
+        wrong = np.ones(len(other.csr.ids) + 1)
+        with pytest.raises(InputError, match="score_edges"):
+            sample_topz(g, g.node_ids()[0], 0, SamplerConfig(z_hat=(2,)),
+                        scores=wrong)

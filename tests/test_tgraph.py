@@ -8,7 +8,8 @@ from fraudgnn.tgraph import (Proposition, TransactionRecord, build_graph,
                              evaluate_proposition, max_edge_weight,
                              serialize_graph)
 
-from reference import naive_build_graph, random_transaction_records
+from reference import (naive_build_graph, naive_max_weight,
+                       random_transaction_records)
 
 
 def rec(rid, ts, label=0, **raw):
@@ -174,6 +175,39 @@ class TestMaxEdgeWeight:
     def test_unknown_id_rejected(self, six_graph):
         with pytest.raises(InputError):
             max_edge_weight(six_graph, 1, 99)
+
+
+class TestNeighborCSR:
+    def test_rows_sorted_by_neighbor_id_with_max_weight(self):
+        rng = np.random.default_rng(13)
+        records = random_transaction_records(rng, n=50, span=3600)
+        for r, x in zip(records, rng.permutation(50)):
+            r.id = int(3 * x + 7)
+        props = [Proposition(name="dev", field="device", weight=3,
+                             window_seconds=900),
+                 Proposition(name="ip", field="ip", weight=2,
+                             window_seconds=1800)]
+        g = build_graph(records, props)
+        by_id = {r.id: r for r in records}
+        adj = naive_build_graph(records, props)
+        csr = g.csr
+        assert csr.indptr[-1] == len(csr.ids) == len(csr.rows)
+        for row, r in enumerate(records):
+            span = csr.span(row)
+            assert csr.ids[span].tolist() == sorted({u for u, _ in adj[r.id]})
+            assert [records[j].id for j in csr.rows[span]] == \
+                csr.ids[span].tolist()
+            assert csr.weight[span].tolist() == [
+                naive_max_weight(by_id, props, r.id, u) for u in csr.ids[span]]
+
+    def test_unit_features_normalize_rows_and_keep_zero_rows(self):
+        records = [rec(1, 0, ip="x"), rec(2, 10, ip="x")]
+        records[1].attrs = np.zeros(2)
+        g = build_graph(records, [Proposition(name="ip", field="ip")])
+        u = g.unit_features
+        assert u is g.unit_features
+        np.testing.assert_allclose(np.linalg.norm(u[0]), 1.0)
+        assert u[1].tolist() == [0.0, 0.0]
 
 
 class TestGraphAccessors:

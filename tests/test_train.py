@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from fraudgnn.errors import CheckpointError, ConfigError, TrainError
 from fraudgnn.model import ModelConfig, checkpoint_text, init_params
 from fraudgnn.nn import Tensor
-from fraudgnn.sampler import SamplerConfig
+from fraudgnn.sampler import SamplerConfig, score_edges
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
-from fraudgnn.train import TrainConfig, bce_loss, predict, train
+from fraudgnn.train import (TrainConfig, _sample_layers, bce_loss, predict,
+                            train)
 
 from conftest import make_two_cluster_records
 
@@ -165,6 +166,28 @@ class TestDeterminism:
             return train(g, cfg, train_ids=list(range(20))).loss_history
 
         assert run() == run()
+
+
+class TestWeightedModeLayers:
+    """The weighted sampler's stream is keyed by (seed, node), not layer."""
+
+    def layers(self, epoch, z_hat=(4, 4)):
+        g = cluster_graph()
+        cfg = small_config(k=len(z_hat), oversample=False)
+        cfg.sampler = SamplerConfig(z_hat=z_hat,
+                                    mode="weighted_without_replacement")
+        return _sample_layers(g, cfg, epoch, [], score_edges(g))
+
+    def test_equal_z_hat_layers_draw_identical_neighborhoods(self):
+        first, second = self.layers(epoch=1)
+        assert_array_equal(first.idx, second.idx)
+        assert_array_equal(first.mask, second.mask)
+        # 9 neighbors each, so a draw of 4 is a real choice
+        assert first.mask.sum(axis=1).tolist() == [4] * 20
+
+    def test_epoch_salt_changes_the_draw(self):
+        one, two = self.layers(epoch=1)[0], self.layers(epoch=2)[0]
+        assert not np.array_equal(one.idx, two.idx)
 
 
 class TestPredict:
