@@ -24,7 +24,7 @@ from . import __version__
 from .config import (RunConfig, dump_run_config, load_propositions,
                      load_run_config, load_scenario)
 from .datagen import csv_text, generate, ingest_csv
-from .errors import ConfigError, FraudGnnError, InputError
+from .errors import ConfigError, FraudGnnError, InputError, unreadable
 from .metrics import evaluate_scores, roc_points
 from .model import checkpoint_text, load_params
 from .tgraph import build_graph, serialize_graph
@@ -187,8 +187,7 @@ def _csv_rows(path: str, header: list[str], what: str) -> list[list[str]]:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise InputError(f"cannot read {what} {path}: {reason}") from None
+        raise unreadable(what, path, exc) from None
     if not lines or lines[0].split(",")[:len(header)] != header:
         raise InputError(f"{path}: expected {what} starting {','.join(header)}")
     return [ln.split(",") for ln in lines[1:]]

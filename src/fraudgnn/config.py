@@ -11,7 +11,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .datagen import DataSchema, ScenarioConfig, SplitSpec
-from .errors import ConfigError
+from .errors import ConfigError, unreadable
 from .model import ModelConfig
 from .sampler import DEFAULT_SIMILARITY_FLOOR, SamplerConfig
 from .tgraph import Proposition
@@ -39,9 +39,13 @@ def parse_kv(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _read_kv(path: str) -> dict[str, str]:
-    with open(path) as fh:
-        return parse_kv(fh.read(), source=path)
+def _read_kv(path: str, what: str) -> dict[str, str]:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(what, path, exc) from None
+    return parse_kv(text, source=path)
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -122,7 +126,7 @@ def load_run_config(path: str | None = None,
     Overrides use the same dotted keys as the file and win over it. The
     sampler seed defaults to the top-level seed unless set explicitly.
     """
-    kv = _read_kv(path) if path else {}
+    kv = _read_kv(path, "run config") if path else {}
     for key, value in (overrides or {}).items():
         kv[key] = value
     unknown = sorted(set(kv) - _RUN_KEYS)
@@ -235,7 +239,7 @@ def load_propositions(path: str) -> list[Proposition]:
     field is required per rule; weight defaults to 1 and window_seconds to
     1800. Rules keep file order, which fixes their edge type indices.
     """
-    kv = _read_kv(path)
+    kv = _read_kv(path, "propositions file")
     grouped: dict[str, dict[str, str]] = {}
     for key, value in kv.items():
         name, dot, suffix = key.rpartition(".")
@@ -262,7 +266,7 @@ def load_propositions(path: str) -> list[Proposition]:
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Read generator knobs; keys mirror ScenarioConfig field names."""
-    kv = _read_kv(path)
+    kv = _read_kv(path, "scenario file")
     fields = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
     unknown = sorted(set(kv) - set(fields))
     if unknown:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, InputError
+from .errors import ConfigError, IngestError, InputError, unreadable
 from .tgraph import TransactionRecord, UNLABELED
 
 log = logging.getLogger(__name__)
@@ -304,13 +304,14 @@ _FIXED_COLUMNS = ("id", "timestamp", "label")
 
 
 def _parse_rows(path: str, schema: DataSchema):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, header required") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable("data CSV", path, exc) from None
+    if not rows:
+        raise IngestError(f"{path}: empty file, header required")
+    header, rows = rows[0], rows[1:]
 
     if tuple(header[:3]) != _FIXED_COLUMNS:
         raise IngestError(

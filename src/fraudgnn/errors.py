@@ -31,3 +31,10 @@ class TrainError(FraudGnnError, RuntimeError):
 
 class CheckpointError(FraudGnnError, ValueError):
     """Checkpoint file is malformed or incompatible with the data."""
+
+
+def unreadable(what: str, path: str,
+               exc: OSError | UnicodeDecodeError) -> InputError:
+    """The error for an input file that cannot be opened or decoded."""
+    reason = getattr(exc, "strerror", None) or exc
+    return InputError(f"cannot read {what} {path}: {reason}")

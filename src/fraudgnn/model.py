@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError, unreadable
 from .nn import Tensor
 from .sampler import SampledNeighborhood
 from .tgraph import TransactionGraph
@@ -370,8 +370,11 @@ def _read_tensor(lines: list[str], pos: int, expect_name: str) -> tuple[Tensor, 
 
 
 def load_params(path: str) -> ModelParams:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable("checkpoint", path, exc) from None
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"not a model checkpoint: {path}")
     version = lines[0].split()[-1]

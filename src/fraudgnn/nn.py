@@ -9,6 +9,7 @@ a general autodiff library.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from .errors import FraudGnnError, ShapeError
 
@@ -185,6 +186,23 @@ def slice_cols(a, c0: int, c1: int) -> Tensor:
     return _record(out.copy(), (a,), vjp)
 
 
+def _scatter_rows(coef: np.ndarray, idx: np.ndarray, g: np.ndarray,
+                  m: int) -> np.ndarray:
+    """out[idx[i, j]] += coef[i, j] * g[i] for every (i, j), as (m, d).
+
+    Computed as A.T @ g with A[i, idx[i, j]] = coef[i, j]: scipy's
+    csc_matvecs adds the products to each target row in (i, j) order from
+    +0.0, so the result equals numpy's add.at of the same products bit for
+    bit, including which NaN survives when two meet. Zero-coefficient
+    padding entries stay in A, because dropping them drops their NaN/inf
+    terms.
+    """
+    n, z = idx.shape
+    a = scipy.sparse.csr_matrix(
+        (coef.ravel(), idx.ravel(), np.arange(0, n * z + 1, z)), shape=(n, m))
+    return a.T @ g
+
+
 def take_rows(a, idx) -> Tensor:
     """Gather rows by integer index (duplicates allowed)."""
     a = _wrap(a)
@@ -192,9 +210,8 @@ def take_rows(a, idx) -> Tensor:
     out = a.data[idx, :]
 
     def vjp(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, idx, g)
-        return (da,)
+        rows = idx.reshape(-1, 1)
+        return (_scatter_rows(np.ones(rows.shape), rows, g, a.rows),)
 
     return _record(out, (a,), vjp)
 
@@ -208,9 +225,10 @@ def gather(values, idx) -> Tensor:
     out = values.data[idx, 0]
 
     def vjp(g):
-        dv = np.zeros_like(values.data)
-        np.add.at(dv[:, 0], idx.ravel(), g.ravel())
-        return (dv,)
+        # bincount sums each bin in idx order from +0.0 and, like the 1-D
+        # add.at it replaces, keeps the running sum's NaN when two NaNs meet
+        dv = np.bincount(idx.ravel(), weights=g.ravel(), minlength=values.rows)
+        return (dv.reshape(-1, 1),)
 
     return _record(out, (values,), vjp)
 
@@ -229,9 +247,7 @@ def neighbor_sum(weights, values, idx) -> Tensor:
 
     def vjp(g):
         dw = np.einsum("nd,nzd->nz", g, gathered)
-        dv = np.zeros_like(values.data)
-        np.add.at(dv, idx, weights.data[:, :, None] * g[:, None, :])
-        return dw, dv
+        return dw, _scatter_rows(weights.data, idx, g, values.rows)
 
     return _record(out, (weights, values), vjp)
 

@@ -99,6 +99,10 @@ def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
     """One Neighborhoods object per layer for this epoch.
 
     ``scores`` is sampler.score_edges(graph); uniform sampling ignores it.
+    Adaptive sampling samples each distinct z_hat value once and shares the
+    result between the layers that have it: a layer index reaches the
+    sampler only through z_hat[k], and weighted draws are keyed by
+    (seed, node), so those layers would draw identical neighborhoods.
     """
     out = []
     if cfg.random_sampling:
@@ -114,14 +118,17 @@ def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
         scfg = replace(scfg, seed=combine_seed(scfg.seed, epoch))
     oversample_ok = cfg.oversample and scfg.oversample_count > 0
     fraud_set = set(fraud_pool)
+    by_z: dict[int, Neighborhoods] = {}
     for k in range(cfg.model.k_layers):
-        sampled = []
-        for rec in graph.records:
-            sampled.append(sampler_mod.sample_neighborhood(
+        z = scfg.z_hat[k]
+        if z not in by_z:
+            sampled = [sampler_mod.sample_neighborhood(
                 graph, rec.id, k, scfg,
                 oversample=oversample_ok and rec.id in fraud_set,
-                fraud_pool=fraud_pool, scores=scores))
-        out.append(model_mod.pack_neighborhoods(graph, sampled))
+                fraud_pool=fraud_pool, scores=scores)
+                for rec in graph.records]
+            by_z[z] = model_mod.pack_neighborhoods(graph, sampled)
+        out.append(by_z[z])
     return out
 
 

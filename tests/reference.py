@@ -9,10 +9,13 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from fraudgnn.sampler import SampledNeighborhood, oversample_fraud
+from fraudgnn.model import pack_neighborhoods
+from fraudgnn.sampler import (SampledNeighborhood, combine_seed,
+                              oversample_fraud, sample_neighborhood)
 from fraudgnn.tgraph import (Proposition, TransactionGraph, TransactionRecord,
                              evaluate_proposition)
 
@@ -124,6 +127,49 @@ def loop_sample_neighborhood(g: TransactionGraph, v, k: int, cfg,
     return SampledNeighborhood(
         node=v, selected=selected,
         probabilities=[probs.get(s, 0.0) for s in selected])
+
+
+def add_at_take_rows_vjp(shape, idx, g) -> np.ndarray:
+    """nn.take_rows' gradient before the sparse A.T @ g: np.add.at of g's
+    rows."""
+    da = np.zeros(shape)
+    np.add.at(da, np.asarray(idx, dtype=np.int64), g)
+    return da
+
+
+def add_at_gather_vjp(m: int, idx, g) -> np.ndarray:
+    """nn.gather's gradient before bincount: np.add.at into an (m, 1) column."""
+    dv = np.zeros((m, 1))
+    np.add.at(dv[:, 0], np.asarray(idx, dtype=np.int64).ravel(), g.ravel())
+    return dv
+
+
+def add_at_neighbor_sum_vjp(weights, m: int, idx, g) -> np.ndarray:
+    """nn.neighbor_sum's values gradient before the sparse A.T @ g:
+    np.add.at of every (n, z, d) product weights[i, j] * g[i]."""
+    dv = np.zeros((m, g.shape[1]))
+    np.add.at(dv, np.asarray(idx, dtype=np.int64),
+              weights[:, :, None] * g[:, None, :])
+    return dv
+
+
+def loop_sample_layers(graph: TransactionGraph, cfg, epoch: int,
+                       fraud_pool, scores) -> list:
+    """train._sample_layers' adaptive path before per-z reuse: every layer
+    samples every node itself."""
+    scfg = cfg.sampler
+    if scfg.mode == "weighted_without_replacement":
+        scfg = replace(scfg, seed=combine_seed(scfg.seed, epoch))
+    oversample_ok = cfg.oversample and scfg.oversample_count > 0
+    fraud_set = set(fraud_pool)
+    out = []
+    for k in range(cfg.model.k_layers):
+        sampled = [sample_neighborhood(
+            graph, rec.id, k, scfg,
+            oversample=oversample_ok and rec.id in fraud_set,
+            fraud_pool=fraud_pool, scores=scores) for rec in graph.records]
+        out.append(pack_neighborhoods(graph, sampled))
+    return out
 
 
 def reference_layer_forward(graph: TransactionGraph, h_prev: np.ndarray,

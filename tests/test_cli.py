@@ -331,6 +331,40 @@ class TestPredictVariants:
         assert "z_hat" in capsys.readouterr().err
 
 
+class TestMissingInputFiles:
+    """Each loader ends a command with one `error:` line, not a traceback."""
+
+    @pytest.mark.parametrize("command, flag, what", [
+        ("predict", "--ckpt", "checkpoint"),            # model.load_params
+        ("build-graph", "--data", "data CSV"),          # datagen.ingest_csv
+        ("build-graph", "--props", "propositions file"),  # load_propositions
+        ("train", "--config", "run config"),            # load_run_config
+        ("generate", "--scenario", "scenario file"),    # load_scenario
+    ])
+    def test_missing_file_exits_one(self, workspace, tmp_path, capsys,
+                                    command, flag, what):
+        args = {"--data": str(workspace / "data.csv"),
+                "--props": str(workspace / "props.cfg"),
+                "--config": str(workspace / "run.cfg"),
+                "--ckpt": str(workspace / "model.ckpt"),
+                "--scenario": str(workspace / "scenario.cfg")}
+        takes = {"generate": ("--scenario",),
+                 "build-graph": ("--data", "--props", "--config"),
+                 "train": ("--data", "--props", "--config"),
+                 "predict": ("--ckpt", "--data", "--props", "--config")}
+        missing = str(tmp_path / "missing.file")
+        args[flag] = missing
+        argv = [command, "--out", str(tmp_path / "out")]
+        for name in takes[command]:
+            argv += [name, args[name]]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: cannot read {what} {missing}: "
+                       "No such file or directory\n")
+        assert not os.path.exists(tmp_path / "out")
+
+
 class TestAblate:
     def test_grid_rows_and_output(self, workspace, tmp_path, capsys):
         out = tmp_path / "ablation.csv"

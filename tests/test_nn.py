@@ -10,7 +10,8 @@ from fraudgnn import nn
 from fraudgnn.errors import ShapeError
 from fraudgnn.nn import AdamState, Tensor, UsageError, backward
 
-from reference import fd_gradient
+from reference import (add_at_gather_vjp, add_at_neighbor_sum_vjp,
+                       add_at_take_rows_vjp, fd_gradient)
 
 
 def fd_check(loss_fn, params, rel=1e-4, floor=1e-7):
@@ -343,6 +344,92 @@ class TestFiniteDifferenceGradients:
         backward(forward())
         fd_check(lambda: forward().item(), [w1, b1, w2, b2],
                  rel=1e-3, floor=1e-6)
+
+
+SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def scatter_case(seed, n, z, m, d, dups=False, pad=False, specials=False):
+    """Index, weights and upstream gradients for the three scatter vjps.
+
+    dups draws every index from rows 0-2; pad turns each row's trailing
+    slots into padding (index 0, weight 0); specials plants -0.0, +-inf and
+    NaNs of both signs in the upstream gradients and -0.0 in the weights.
+    """
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, min(m, 3) if dups else m, size=(n, z))
+    w = rng.normal(size=(n, z))
+    if pad:
+        fill = rng.integers(0, z + 1, size=n)
+        padding = np.arange(z) >= fill[:, None]
+        idx[padding] = 0
+        w[padding] = 0.0
+    grads = [rng.normal(size=shape) for shape in ((n, d), (n, z), (n * z, d))]
+    if specials:
+        w[rng.random(w.shape) < 0.1] = -0.0
+        for g in grads:
+            hit = rng.random(g.shape) < 0.3
+            g[hit] = rng.choice(SPECIALS, size=hit.sum())
+    return idx, w, grads
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+SCATTER_CASES = {
+    "duplicates_and_padding": dict(n=6, z=5, m=6, d=3, dups=True, pad=True),
+    "specials": dict(n=8, z=4, m=5, d=4, dups=True, pad=True, specials=True),
+    "z_is_1": dict(n=7, z=1, m=7, d=2, pad=True, specials=True),
+    "more_rows_than_nodes": dict(n=3, z=4, m=9, d=3, dups=True),
+    "fewer_rows_than_nodes": dict(n=9, z=3, m=4, d=2, pad=True, specials=True),
+}
+
+
+class TestScattersMatchAddAt:
+    """The backward scatters equal np.add.at in every bit: same terms, same
+    per-row order, multiply then add from +0.0. Padding entries stay in."""
+
+    @pytest.fixture(autouse=True)
+    def quiet_specials(self):
+        # inf - inf and 0 * inf are the point of the specials cases
+        with np.errstate(invalid="ignore"):
+            yield
+
+    def check(self, seed, n, z, m, d, **kw):
+        idx, w, (g_sum, g_gather, g_take) = scatter_case(seed, n, z, m, d, **kw)
+        values = Tensor(np.ones((m, d)), requires_grad=True)
+        out = nn.neighbor_sum(Tensor(w, requires_grad=True), values, idx)
+        assert_bits_equal(out._vjp(g_sum)[1],
+                          add_at_neighbor_sum_vjp(w, m, idx, g_sum))
+
+        column = Tensor(np.ones((m, 1)), requires_grad=True)
+        (dv,) = nn.gather(column, idx)._vjp(g_gather)
+        assert_bits_equal(dv, add_at_gather_vjp(m, idx, g_gather))
+
+        rows = idx.ravel()
+        (da,) = nn.take_rows(values, rows)._vjp(g_take)
+        assert_bits_equal(da, add_at_take_rows_vjp((m, d), rows, g_take))
+
+    @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+    def test_named_case(self, case):
+        self.check(0, **SCATTER_CASES[case])
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(11)
+        for seed in range(200):
+            n, z, m, d = (int(x) for x in rng.integers(1, 9, size=4))
+            self.check(seed, n, z, m, d, dups=bool(seed % 2),
+                       pad=bool(seed % 3), specials=bool(seed % 5 < 3))
+
+    def test_specials_reach_the_result(self):
+        # the cases above must exercise inf, NaN and -0.0 sums, not only
+        # finite ones
+        idx, w, (g_sum, _, _) = scatter_case(0, **SCATTER_CASES["specials"])
+        dv = add_at_neighbor_sum_vjp(w, 5, idx, g_sum)
+        assert np.isnan(dv).any() and np.isinf(dv).any()
 
 
 class TestGlorotInit:

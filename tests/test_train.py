@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from fraudgnn import sampler as sampler_mod
+from fraudgnn.datagen import ScenarioConfig, generate
 from fraudgnn.errors import CheckpointError, ConfigError, TrainError
 from fraudgnn.model import ModelConfig, checkpoint_text, init_params
 from fraudgnn.nn import Tensor
-from fraudgnn.sampler import SamplerConfig, score_edges
+from fraudgnn.sampler import MODES, SamplerConfig, score_edges
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import (TrainConfig, _sample_layers, bce_loss, predict,
                             train)
 
 from conftest import make_two_cluster_records
+from reference import loop_sample_layers
 
 
 def cluster_graph(n=20, noise=0.05, seed=0):
@@ -188,6 +191,52 @@ class TestWeightedModeLayers:
     def test_epoch_salt_changes_the_draw(self):
         one, two = self.layers(epoch=1)[0], self.layers(epoch=2)[0]
         assert not np.array_equal(one.idx, two.idx)
+
+
+class TestDistinctZSampledOnce:
+    """Layers with equal z_hat share one sampling pass; the shared result is
+    what sampling every layer on its own gives."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        records = generate(ScenarioConfig(
+            n_legit=90, n_fraud=30, n_devices=4, n_ips=8, camouflage_rate=0.3,
+            time_span_seconds=21600, seed=2))
+        g = build_graph(records, [
+            Proposition(name="dev", field="device", weight=2,
+                        window_seconds=3600),
+            Proposition(name="ip", field="ip", window_seconds=3600)])
+        pool = sorted(r.id for r in records if r.label == 1)[::2]
+        return g, pool, score_edges(g)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_layers_share_per_z(self, scenario, mode, monkeypatch):
+        g, pool, scores = scenario
+        cfg = small_config(k=3)
+        cfg.sampler = SamplerConfig(z_hat=(8, 8, 4), oversample_count=3,
+                                    mode=mode, seed=9)
+        calls = []  # the layer index of every per-node sampling call
+        real = sampler_mod.sample_neighborhood
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler_mod, "sample_neighborhood", counting)
+        layers = _sample_layers(g, cfg, 3, pool, scores)
+        monkeypatch.undo()
+        assert calls == [0] * g.n_nodes + [2] * g.n_nodes
+        assert layers[0] is layers[1]
+        assert layers[2] is not layers[0]
+        expected = loop_sample_layers(g, cfg, 3, pool, scores)
+        for got, want in zip(layers, expected):
+            assert_array_equal(got.idx, want.idx)
+            assert_array_equal(got.mask, want.mask)
+            assert_array_equal(got.dt, want.dt)
+        # not a trivial case: fraud extras widen rows past z = 8, and
+        # layer 2's z = 4 keeps fewer neighbors
+        assert layers[0].mask.sum(axis=1).max() > 8
+        assert layers[2].mask.sum(axis=1).max() < layers[0].mask.sum(axis=1).max()
 
 
 class TestPredict:
