@@ -2,8 +2,10 @@
 
 The grid crosses neighbor sampling (adaptive top-z with fraud over-sampling
 versus uniform random), the diversity gate, and attention, and reports the
-held-out AUC of each combination on a camouflaged scenario. The same grid
-is available from the command line as `fraudgnn ablate`.
+held-out AUC of each combination on a camouflaged scenario. Every switch is
+plain config: `SamplerConfig.mode = "uniform"` with `oversample_count = 0`
+for the sampling arm, `ModelConfig.use_gate` and `use_attention` for the
+rest. The same grid is available from the command line as `fraudgnn ablate`.
 
 One seed keeps the demo near a minute; the acceptance suite repeats the
 full-versus-bare comparison across five seeds at this same scale. Margins
@@ -29,13 +31,14 @@ def run_cell(graph, truth, train_ids, test_ids, sampling, gate, att, seed):
     tc = TrainConfig(
         model=ModelConfig(k_layers=2, hidden_dim=8, tau_seconds=21600.0,
                           use_gate=gate, use_attention=att),
-        sampler=SamplerConfig(z_hat=(8, 8), seed=seed),
-        lr=0.01, batch_size=256, epochs=30, seed=seed,
-        random_sampling=not adaptive, oversample=adaptive)
+        sampler=SamplerConfig(
+            z_hat=(8, 8), seed=seed,
+            mode="deterministic_topz" if adaptive else "uniform",
+            oversample_count=10 if adaptive else 0),
+        lr=0.01, batch_size=256, epochs=30, seed=seed)
     result = train(graph, tc, train_ids=train_ids)
     preds = predict(graph, result.params, sampler_cfg=tc.sampler,
-                    nodes=test_ids, known_ids=train_ids,
-                    random_sampling=not adaptive, seed=seed)
+                    nodes=test_ids, known_ids=train_ids, seed=seed)
     scores = np.array([p.p_fraud for p in preds])
     labels = np.array([truth[p.node_id] for p in preds])
     return auc(scores, labels)

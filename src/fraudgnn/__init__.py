@@ -22,7 +22,6 @@ from .model import (ModelConfig, ModelParams, LayerParams, Neighborhoods,
                     diversity_stats, forward, init_params, layer_forward,
                     load_params, neighbor_diversity, pack_neighborhoods,
                     save_params, time_factors)
-from .baseline import baseline_layer_forward, uniform_neighborhoods
 from .train import (Prediction, TrainConfig, TrainResult, batch_loss,
                     bce_loss, predict, train)
 from .metrics import (ConfusionCounts, EvalReport, auc, confusion,

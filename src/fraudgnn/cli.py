@@ -66,6 +66,17 @@ def _write_manifest(out_path: str, command: str, inputs: list[str],
     _write_atomic(out_path + ".manifest", body)
 
 
+# Ablation flags are aliases of config keys: _overrides applies them after
+# --set, so a flag wins, and the manifest records them like any other key.
+_FLAG_KEYS = {
+    "no_gate": {"model.use_gate": "false"},
+    "no_attention": {"model.use_attention": "false"},
+    "random_sampling": {"sampler.mode": "uniform",
+                        "sampler.oversample_count": "0"},
+    "no_oversample": {"sampler.oversample_count": "0"},
+}
+
+
 def _overrides(args) -> dict[str, str]:
     out = {}
     for item in args.set or []:
@@ -76,6 +87,10 @@ def _overrides(args) -> dict[str, str]:
     if getattr(args, "seed", None) is not None:
         out["seed"] = str(args.seed)
         out.setdefault("sampler.seed", str(args.seed))
+    baseline = getattr(args, "model", "full") == "baseline"
+    for flag, keys in _FLAG_KEYS.items():
+        if baseline or getattr(args, flag, False):
+            out.update(keys)
     return out
 
 
@@ -84,21 +99,12 @@ def _load_run(args) -> RunConfig:
 
 
 def _ingest(args, run: RunConfig):
-    return ingest_csv(args.data, schema=run.schema, split=run.split,
-                      seed=run.seed,
-                      downsample_legit_ratio=run.downsample_legit_ratio)
-
-
-def _apply_toggles(args, run: RunConfig) -> tuple[bool, bool]:
-    """Returns (random_sampling, oversample) and mutates the model toggles."""
-    baseline_mode = getattr(args, "model", "full") == "baseline"
-    if baseline_mode or args.no_attention:
-        run.model.use_attention = False
-    if baseline_mode or args.no_gate:
-        run.model.use_gate = False
-    random_sampling = baseline_mode or args.random_sampling
-    oversample = not (baseline_mode or args.no_oversample or random_sampling)
-    return random_sampling, oversample
+    """The --data records under the run's schema and split, and their graph."""
+    props = load_propositions(args.props)
+    result = ingest_csv(args.data, schema=run.schema, split=run.split,
+                        seed=run.seed,
+                        downsample_legit_ratio=run.downsample_legit_ratio)
+    return result, build_graph(result.records, props)
 
 
 def _scores_csv(predictions) -> str:
@@ -126,9 +132,7 @@ def cmd_generate(args) -> int:
 
 def cmd_build_graph(args) -> int:
     run = _load_run(args)
-    props = load_propositions(args.props)
-    result = _ingest(args, run)
-    graph = build_graph(result.records, props)
+    result, graph = _ingest(args, run)
     _write_atomic(args.out, serialize_graph(graph))
     _write_manifest(args.out, "build-graph", [args.data, args.props],
                     dump_run_config(run))
@@ -138,13 +142,8 @@ def cmd_build_graph(args) -> int:
 
 def cmd_train(args) -> int:
     run = _load_run(args)
-    random_sampling, oversample = _apply_toggles(args, run)
-    props = load_propositions(args.props)
-    result = _ingest(args, run)
-    graph = build_graph(result.records, props)
-    tc = run.train_config(random_sampling=random_sampling,
-                          oversample=oversample)
-    outcome = train(graph, tc, train_ids=result.train_ids)
+    result, graph = _ingest(args, run)
+    outcome = train(graph, run.train_config(), train_ids=result.train_ids)
     _write_atomic(args.out, checkpoint_text(outcome.params))
     if args.loss_history:
         lines = ["epoch,loss"]
@@ -154,7 +153,7 @@ def cmd_train(args) -> int:
     _write_manifest(args.out, "train", [args.data, args.props],
                     dump_run_config(run))
     final = outcome.loss_history[-1] if outcome.loss_history else float("nan")
-    log.info("trained %d epochs, final loss %.6f", tc.epochs, final)
+    log.info("trained %d epochs, final loss %.6f", run.epochs, final)
     return 0
 
 
@@ -165,15 +164,12 @@ def cmd_predict(args) -> int:
         raise ConfigError(
             f"sampler.z_hat has {len(run.sampler.z_hat)} entries but the "
             f"checkpoint model has {params.config.k_layers} layers")
-    props = load_propositions(args.props)
-    result = _ingest(args, run)
-    graph = build_graph(result.records, props)
+    result, graph = _ingest(args, run)
     known = result.train_ids if args.known == "train" else None
     subset = {"all": None, "train": result.train_ids,
               "test": result.test_ids}[args.only]
     preds = predict(graph, params, sampler_cfg=run.sampler, nodes=subset,
-                    known_ids=known, random_sampling=args.random_sampling,
-                    seed=run.seed)
+                    known_ids=known, seed=run.seed)
     _write_atomic(args.out, _scores_csv(preds))
     _write_manifest(args.out, "predict", [args.data, args.props, args.ckpt],
                     dump_run_config(run))
@@ -245,9 +241,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     run = _load_run(args)
-    props = load_propositions(args.props)
-    result = _ingest(args, run)
-    graph = build_graph(result.records, props)
+    result, graph = _ingest(args, run)
     seeds = [int(s) for s in args.seeds.split(",")]
     test_rows = [graph.index_of(v) for v in result.test_ids]
     if not test_rows:
@@ -259,20 +253,18 @@ def cmd_ablate(args) -> int:
     for sampling, attention, gate in itertools.product(
             ("adaptive", "random"), ("on", "off"), ("on", "off")):
         for seed in seeds:
-            cfg = load_run_config(getattr(args, "config", None),
-                                  _overrides(args))
+            cfg = _load_run(args)
             cfg.seed = seed
             cfg.sampler.seed = seed
             cfg.model.use_attention = attention == "on"
             cfg.model.use_gate = gate == "on"
-            tc = cfg.train_config(
-                random_sampling=sampling == "random",
-                oversample=sampling == "adaptive")
-            outcome = train(graph, tc, train_ids=result.train_ids)
+            if sampling == "random":
+                cfg.sampler.mode = "uniform"
+            outcome = train(graph, cfg.train_config(),
+                            train_ids=result.train_ids)
             preds = predict(graph, outcome.params, sampler_cfg=cfg.sampler,
                             nodes=result.test_ids,
-                            known_ids=result.train_ids,
-                            random_sampling=sampling == "random", seed=seed)
+                            known_ids=result.train_ids, seed=seed)
             p = np.array([x.p_fraud for x in preds])
             report = evaluate_scores(y_test, p)
             lines.append(
@@ -298,6 +290,13 @@ def _add_common(p: argparse.ArgumentParser, config: bool = True):
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key; repeatable")
         p.add_argument("--seed", type=int, help="override the top-level seed")
+
+
+def _add_flags(p: argparse.ArgumentParser, flags):
+    for flag in flags:
+        sets = " ".join(f"--set {k}={v}" for k, v in _FLAG_KEYS[flag].items())
+        p.add_argument("--" + flag.replace("_", "-"), action="store_true",
+                       help=f"same as {sets}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,11 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-history", help="write per-epoch losses as CSV")
-    p.add_argument("--model", choices=("full", "baseline"), default="full")
-    p.add_argument("--no-gate", action="store_true")
-    p.add_argument("--no-attention", action="store_true")
-    p.add_argument("--random-sampling", action="store_true")
-    p.add_argument("--no-oversample", action="store_true")
+    p.add_argument("--model", choices=("full", "baseline"), default="full",
+                   help="baseline sets every flag below")
+    _add_flags(p, _FLAG_KEYS)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -339,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--props", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--random-sampling", action="store_true",
-                   help="sample neighborhoods uniformly instead of top-z")
+    _add_flags(p, ["random_sampling"])
     p.add_argument("--known", choices=("train", "none"), default="train",
                    help="whose stored labels may inform the diversity gate")
     p.add_argument("--only", choices=("all", "train", "test"), default="all",

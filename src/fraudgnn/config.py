@@ -8,6 +8,7 @@ running defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .datagen import DataSchema, ScenarioConfig, SplitSpec
@@ -66,9 +67,12 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        out = math.nan  # rejected below together with a literal "nan"
+    if math.isnan(out):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return out
 
 
 def _parse_list(value: str) -> list[str]:
@@ -97,13 +101,11 @@ class RunConfig:
     epochs: int = 30
     downsample_legit_ratio: float | None = None
 
-    def train_config(self, random_sampling: bool = False,
-                     oversample: bool = True) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(model=self.model, sampler=self.sampler,
                            split=self.split, lr=self.lr,
                            batch_size=self.batch_size, epochs=self.epochs,
-                           seed=self.seed, random_sampling=random_sampling,
-                           oversample=oversample)
+                           seed=self.seed)
 
 
 _RUN_KEYS = {
@@ -128,6 +130,8 @@ def load_run_config(path: str | None = None,
     """
     kv = _read_kv(path, "run config") if path else {}
     for key, value in (overrides or {}).items():
+        if "".join(value.splitlines()) != value:  # the manifest could not hold it
+            raise ConfigError(f"{key}: value holds a line break: {value!r}")
         kv[key] = value
     unknown = sorted(set(kv) - _RUN_KEYS)
     if unknown:

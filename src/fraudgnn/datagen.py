@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -353,12 +354,14 @@ def _parse_rows(path: str, schema: DataSchema):
                 raise ValueError(f"label must be 0, 1 or {UNLABELED}")
             nums = {}
             for c in numeric:
+                text = row[col_pos[c]]
                 try:
-                    nums[c] = float(row[col_pos[c]])
+                    nums[c] = float(text)
                 except ValueError:
+                    nums[c] = math.nan
+                if not math.isfinite(nums[c]):
                     raise ValueError(
-                        f"column {c!r}: could not parse "
-                        f"{row[col_pos[c]]!r} as a number") from None
+                        f"column {c!r}: {text!r} is not a finite number")
             raw = {c: row[col_pos[c]] for c in schema.raw_fields}
             cats = {c: row[col_pos[c]] for c in schema.categorical}
         except ValueError as exc:
@@ -409,8 +412,8 @@ def ingest_csv(path: str, schema: DataSchema | None = None,
     train_set = set(train_ids)
 
     if downsample_legit_ratio is not None:
-        if downsample_legit_ratio <= 0:
-            raise ConfigError("downsample_legit_ratio must be positive")
+        if not 0 < downsample_legit_ratio < math.inf:
+            raise ConfigError("downsample_legit_ratio must be finite and > 0")
         train_fraud = [p["id"] for p in parsed
                        if p["id"] in train_set and p["label"] == 1]
         train_legit = [p["id"] for p in parsed

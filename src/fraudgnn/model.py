@@ -344,6 +344,13 @@ def save_params(params: ModelParams, path: str):
         fh.write(checkpoint_text(params))
 
 
+def _number(what: str, text: str, parse=int):
+    try:
+        return parse(text)
+    except (ValueError, OverflowError):
+        raise CheckpointError(f"checkpoint {what}: malformed number {text!r}") from None
+
+
 def _read_tensor(lines: list[str], pos: int, expect_name: str) -> tuple[Tensor, int]:
     if pos >= len(lines):
         raise CheckpointError(f"checkpoint truncated before {expect_name}")
@@ -351,22 +358,22 @@ def _read_tensor(lines: list[str], pos: int, expect_name: str) -> tuple[Tensor, 
     if len(parts) != 4 or parts[0] != "TENSOR" or parts[1] != expect_name:
         raise CheckpointError(
             f"expected tensor {expect_name!r} at line {pos + 1}, got {lines[pos]!r}")
-    rows, cols = int(parts[2]), int(parts[3])
+    rows = _number(f"tensor {expect_name} rows", parts[2])
+    cols = _number(f"tensor {expect_name} cols", parts[3])
+    if rows < 1 or cols < 1:
+        raise CheckpointError(f"tensor {expect_name} has shape {(rows, cols)}")
     if pos + rows >= len(lines):
         raise CheckpointError(f"checkpoint truncated inside tensor {expect_name}")
-    data = np.empty((rows, cols), dtype=np.float64)
+    data = []
     for r in range(rows):
         fields = lines[pos + 1 + r].split()
         if len(fields) != cols:
             raise CheckpointError(
                 f"tensor {expect_name}: row {r} has {len(fields)} values, "
                 f"expected {cols}")
-        try:
-            data[r] = [float.fromhex(f) for f in fields]
-        except ValueError:
-            raise CheckpointError(
-                f"tensor {expect_name}: row {r} holds a malformed value") from None
-    return Tensor(data, requires_grad=True), pos + 1 + rows
+        data.append([_number(f"tensor {expect_name} row {r}", f, float.fromhex)
+                     for f in fields])
+    return Tensor(np.array(data), requires_grad=True), pos + 1 + rows
 
 
 def load_params(path: str) -> ModelParams:
@@ -389,15 +396,15 @@ def load_params(path: str) -> ModelParams:
         pos += 1
     try:
         config = ModelConfig(
-            k_layers=int(header["k_layers"]),
-            hidden_dim=int(header["hidden_dim"]),
-            tau_seconds=float(header["tau_seconds"]),
+            k_layers=_number("k_layers", header["k_layers"]),
+            hidden_dim=_number("hidden_dim", header["hidden_dim"]),
+            tau_seconds=_number("tau_seconds", header["tau_seconds"], float),
             activation=header["activation"],
             time_mode=header["time_mode"],
-            use_attention=bool(int(header["use_attention"])),
-            use_gate=bool(int(header["use_gate"])),
+            use_attention=bool(_number("use_attention", header["use_attention"])),
+            use_gate=bool(_number("use_gate", header["use_gate"])),
         )
-        feature_dim = int(header["feature_dim"])
+        feature_dim = _number("feature_dim", header["feature_dim"])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint header missing field {exc}") from None
 

@@ -58,9 +58,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -162,28 +159,23 @@ def concat(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def slice_rows(a, r0: int, r1: int) -> Tensor:
+def _slice(a, key) -> Tensor:
     a = _wrap(a)
-    out = a.data[r0:r1, :]
 
     def vjp(g):
         da = np.zeros_like(a.data)
-        da[r0:r1, :] = g
+        da[key] = g
         return (da,)
 
-    return _record(out.copy(), (a,), vjp)
+    return _record(a.data[key].copy(), (a,), vjp)
+
+
+def slice_rows(a, r0: int, r1: int) -> Tensor:
+    return _slice(a, np.s_[r0:r1, :])
 
 
 def slice_cols(a, c0: int, c1: int) -> Tensor:
-    a = _wrap(a)
-    out = a.data[:, c0:c1]
-
-    def vjp(g):
-        da = np.zeros_like(a.data)
-        da[:, c0:c1] = g
-        return (da,)
-
-    return _record(out.copy(), (a,), vjp)
+    return _slice(a, np.s_[:, c0:c1])
 
 
 def _scatter_rows(coef: np.ndarray, idx: np.ndarray, g: np.ndarray,
@@ -341,12 +333,6 @@ def l2_normalize_rows(a) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def sum_all(a) -> Tensor:
-    a = _wrap(a)
-    out = np.array([[a.data.sum()]])
-    return _record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
-
-
 def mean_all(a) -> Tensor:
     a = _wrap(a)
     n = a.data.size
@@ -390,11 +376,6 @@ def backward(loss: Tensor):
             if g is None or not (parent.requires_grad or parent._parents):
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
-
-
-def zero_grads(params):
-    for p in params:
-        p.zero_grad()
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Each neighbor's selection probability is proportional to (strongest edge
 weight between the pair) x (exponential cosine similarity of the feature
 vectors). Top-z keeps the highest-probability neighbors; fraud nodes can
 additionally pull in non-adjacent fraud nodes with similar behavior.
-score_edges computes every edge's probability in one pass; the per-node
-functions slice their node's row from it when given ``scores=``.
+The trainer draws mode "uniform" itself. score_edges computes every edge's
+probability in one pass; the per-node functions slice their node's row
+from it when given ``scores=``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .tgraph import TransactionGraph, TransactionRecord
 # exp(0.5): cosine >= 0.5 once pushed through the exponential similarity
 DEFAULT_SIMILARITY_FLOOR = math.exp(0.5)
 
-MODES = ("deterministic_topz", "weighted_without_replacement")
+MODES = ("deterministic_topz", "weighted_without_replacement", "uniform")
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -166,9 +167,12 @@ def sample_topz(g: TransactionGraph, v: int, k: int, cfg: SamplerConfig,
     """Select up to z_hat[k] neighbors of v by selection probability.
 
     Deterministic mode keeps the top probabilities (ties broken by ascending
-    id); weighted mode draws without replacement proportionally to them.
+    id); weighted mode draws without replacement proportionally to them;
+    uniform mode is rejected with ConfigError.
     ``scores`` is score_edges(g); without it v's neighbors are scored here.
     """
+    if cfg.mode == "uniform":
+        raise ConfigError("sample_topz serves the adaptive modes, not uniform")
     ids, p = _row(g, v, scores)
     z = cfg.z_hat[k]
     if len(ids) <= z:

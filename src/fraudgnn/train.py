@@ -14,12 +14,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baseline, model as model_mod, nn, sampler as sampler_mod
+from . import model as model_mod, nn, sampler as sampler_mod
 from .datagen import SplitSpec, split_records
 from .errors import CheckpointError, ConfigError, TrainError
 from .model import ModelConfig, ModelParams, Neighborhoods
 from .nn import Tensor
-from .sampler import SamplerConfig, combine_seed
+from .sampler import SampledNeighborhood, SamplerConfig, combine_seed
 from .tgraph import TransactionGraph, UNLABELED
 
 log = logging.getLogger(__name__)
@@ -39,8 +39,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 30
     seed: int = 0
-    random_sampling: bool = False
-    oversample: bool = True
 
     def __post_init__(self):
         if len(self.sampler.z_hat) != self.model.k_layers:
@@ -98,33 +96,36 @@ def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
                    scores: np.ndarray | None) -> list[Neighborhoods]:
     """One Neighborhoods object per layer for this epoch.
 
-    ``scores`` is sampler.score_edges(graph); uniform sampling ignores it.
-    Adaptive sampling samples each distinct z_hat value once and shares the
-    result between the layers that have it: a layer index reaches the
-    sampler only through z_hat[k], and weighted draws are keyed by
-    (seed, node), so those layers would draw identical neighborhoods.
+    Uniform mode draws each layer from a stream keyed by (trainer seed,
+    epoch, layer) and ignores ``scores`` and ``fraud_pool``. Adaptive modes
+    sample each distinct z_hat once and share the result between the layers
+    that have it: a layer reaches the sampler only through z_hat[k], and
+    weighted draws are keyed by (seed, node). ``scores`` is score_edges.
     """
+    scfg = cfg.sampler
     out = []
-    if cfg.random_sampling:
-        for k in range(cfg.model.k_layers):
+    if scfg.mode == "uniform":
+        for k, z in enumerate(scfg.z_hat):
             rng = np.random.default_rng(np.random.SeedSequence(
                 (cfg.seed, SAMPLER_SEED_TAG, epoch, k)))
-            out.append(baseline.uniform_neighborhoods(
-                graph, cfg.sampler.z_hat[k], rng))
+            sampled = []
+            for rec in graph.records:
+                nbrs = graph.neighbors(rec.id)
+                if len(nbrs) > z:
+                    picked = rng.choice(len(nbrs), size=z, replace=False)
+                    nbrs = sorted(nbrs[i] for i in picked)
+                sampled.append(SampledNeighborhood(node=rec.id, selected=nbrs))
+            out.append(model_mod.pack_neighborhoods(graph, sampled))
         return out
 
-    scfg = cfg.sampler
     if scfg.mode == "weighted_without_replacement":
         scfg = replace(scfg, seed=combine_seed(scfg.seed, epoch))
-    oversample_ok = cfg.oversample and scfg.oversample_count > 0
     fraud_set = set(fraud_pool)
     by_z: dict[int, Neighborhoods] = {}
-    for k in range(cfg.model.k_layers):
-        z = scfg.z_hat[k]
+    for k, z in enumerate(scfg.z_hat):
         if z not in by_z:
             sampled = [sampler_mod.sample_neighborhood(
-                graph, rec.id, k, scfg,
-                oversample=oversample_ok and rec.id in fraud_set,
+                graph, rec.id, k, scfg, oversample=rec.id in fraud_set,
                 fraud_pool=fraud_pool, scores=scores)
                 for rec in graph.records]
             by_z[z] = model_mod.pack_neighborhoods(graph, sampled)
@@ -135,7 +136,8 @@ def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
 def _scores_for(graph: TransactionGraph,
                 cfg: TrainConfig) -> np.ndarray | None:
     """Edge selection probabilities for _sample_layers; None when uniform."""
-    return None if cfg.random_sampling else sampler_mod.score_edges(graph)
+    return (None if cfg.sampler.mode == "uniform"
+            else sampler_mod.score_edges(graph))
 
 
 def _gates_for(cfg: ModelConfig, labels_eff: np.ndarray,
@@ -176,8 +178,7 @@ def train(graph: TransactionGraph, config: TrainConfig,
     labels_eff = np.where(in_train, np.maximum(labels, 0), 0)
     fraud_pool = sorted(int(v) for v, r in zip(train_ids, y_train) if r == 1)
 
-    deterministic = (not config.random_sampling
-                     and config.sampler.mode == "deterministic_topz")
+    deterministic = config.sampler.mode == "deterministic_topz"
     scores = _scores_for(graph, config)
     neighborhoods = None
     history: list[float] = []
@@ -221,8 +222,10 @@ def predict(graph: TransactionGraph, params: ModelParams,
             sampler_cfg: SamplerConfig | None = None,
             nodes: list[int] | None = None,
             known_ids: list[int] | None = None,
-            random_sampling: bool = False, seed: int = 0) -> list[Prediction]:
-    """Score nodes with a trained model. Fraud over-sampling stays off.
+            seed: int = 0) -> list[Prediction]:
+    """Score nodes with a trained model. No node is over-sampled.
+
+    ``seed`` keys uniform-mode draws, as TrainConfig.seed does in training.
 
     known_ids mark nodes whose stored labels may inform the diversity gate
     (normally the training split). Remaining nodes start as class 0, get a
@@ -237,8 +240,7 @@ def predict(graph: TransactionGraph, params: ModelParams,
         z = tuple(10 for _ in range(params.config.k_layers))
         sampler_cfg = SamplerConfig(z_hat=z, seed=seed)
     cfg = TrainConfig(model=params.config, sampler=sampler_cfg,
-                      epochs=0, seed=seed,
-                      random_sampling=random_sampling, oversample=False)
+                      epochs=0, seed=seed)
     neighborhoods = _sample_layers(graph, cfg, 0, [], _scores_for(graph, cfg))
 
     labels = graph.labels()

@@ -13,7 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from fraudgnn.model import pack_neighborhoods
+from fraudgnn import nn
+from fraudgnn.errors import ConfigError, ShapeError
+from fraudgnn.model import Neighborhoods, pack_neighborhoods
 from fraudgnn.sampler import (SampledNeighborhood, combine_seed,
                               oversample_fraud, sample_neighborhood)
 from fraudgnn.tgraph import (Proposition, TransactionGraph, TransactionRecord,
@@ -160,16 +162,77 @@ def loop_sample_layers(graph: TransactionGraph, cfg, epoch: int,
     scfg = cfg.sampler
     if scfg.mode == "weighted_without_replacement":
         scfg = replace(scfg, seed=combine_seed(scfg.seed, epoch))
-    oversample_ok = cfg.oversample and scfg.oversample_count > 0
     fraud_set = set(fraud_pool)
     out = []
     for k in range(cfg.model.k_layers):
         sampled = [sample_neighborhood(
-            graph, rec.id, k, scfg,
-            oversample=oversample_ok and rec.id in fraud_set,
+            graph, rec.id, k, scfg, oversample=rec.id in fraud_set,
             fraud_pool=fraud_pool, scores=scores) for rec in graph.records]
         out.append(pack_neighborhoods(graph, sampled))
     return out
+
+
+def uniform_sample(graph: TransactionGraph, node: int, z: int,
+                   rng: np.random.Generator) -> list[int]:
+    """Up to z distinct graph neighbors drawn uniformly, id-sorted."""
+    nbrs = graph.neighbors(node)
+    if len(nbrs) <= z:
+        return list(nbrs)
+    picked = rng.choice(len(nbrs), size=z, replace=False)
+    return sorted(nbrs[i] for i in picked)
+
+
+def uniform_neighborhoods(graph: TransactionGraph, z: int,
+                          rng: np.random.Generator) -> Neighborhoods:
+    """Uniform-random neighborhoods for every node, packed for the model:
+    one layer of train._sample_layers in mode "uniform", given its stream."""
+    sampled = []
+    for rec in graph.records:
+        chosen = uniform_sample(graph, rec.id, z, rng)
+        probs = [1.0 / len(chosen)] * len(chosen) if chosen else []
+        sampled.append(SampledNeighborhood(node=rec.id, selected=chosen,
+                                           probabilities=probs))
+    return pack_neighborhoods(graph, sampled)
+
+
+_ACTIVATIONS = {
+    "relu": lambda x: np.maximum(x, 0.0),
+    "tanh": np.tanh,
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
+    "identity": lambda x: x,
+}
+
+
+def baseline_layer_forward(h_prev: np.ndarray, nb: Neighborhoods,
+                           W: np.ndarray, activation: str = "relu") -> np.ndarray:
+    """Mean-aggregation layer: h = norm(act(concat(h, mean of neighbors) @ W)).
+
+    The plain-numpy layer that model.layer_forward reduces to with attention
+    and gate switched off. Nodes without neighbors aggregate the zero
+    vector. Output rows are L2-normalized, with all-zero rows left alone.
+    """
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    if W.shape[0] != 2 * h_prev.shape[1]:
+        raise ShapeError(
+            f"combine matrix expects {2 * h_prev.shape[1]} rows, got {W.shape[0]}")
+    if activation not in _ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}")
+    counts = nb.mask.sum(axis=1, keepdims=True).astype(np.float64)
+    gathered = h_prev[nb.idx] * nb.mask[:, :, None]
+    mean = gathered.sum(axis=1) / np.where(counts > 0, counts, 1.0)
+    combined = np.concatenate([h_prev, mean], axis=1) @ W
+    out = _ACTIVATIONS[activation](combined)
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    return out / np.where(norms > 0, norms, 1.0)
+
+
+def sum_all(a) -> nn.Tensor:
+    """Scalar sum of every entry as a 1x1 nn tensor: a loss for gradient
+    tests, which the model itself never takes."""
+    a = nn._wrap(a)
+    out = np.array([[a.data.sum()]])
+    return nn._record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 def reference_layer_forward(graph: TransactionGraph, h_prev: np.ndarray,

@@ -426,13 +426,14 @@ def camouflage_run(seed):
         tc = TrainConfig(
             model=ModelConfig(k_layers=2, hidden_dim=8, tau_seconds=21600.0,
                               use_attention=full, use_gate=full),
-            sampler=SamplerConfig(z_hat=(8, 8), seed=seed),
-            lr=0.01, batch_size=256, epochs=30, seed=seed,
-            random_sampling=not full, oversample=full)
+            sampler=SamplerConfig(
+                z_hat=(8, 8), seed=seed,
+                mode="deterministic_topz" if full else "uniform",
+                oversample_count=10 if full else 0),
+            lr=0.01, batch_size=256, epochs=30, seed=seed)
         res = train(g, tc, train_ids=train_ids)
         preds = predict(g, res.params, sampler_cfg=tc.sampler, nodes=test_ids,
-                        known_ids=train_ids, random_sampling=not full,
-                        seed=seed)
+                        known_ids=train_ids, seed=seed)
         scores = np.array([p.p_fraud for p in preds])
         labels = np.array([truth[p.node_id] for p in preds])
         out[arm] = auc(scores, labels)

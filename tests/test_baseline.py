@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fraudgnn.baseline import (baseline_layer_forward, uniform_neighborhoods,
-                               uniform_sample)
 from fraudgnn.errors import ConfigError, ShapeError
 from fraudgnn.model import LayerParams, ModelConfig, layer_forward
 from fraudgnn.nn import Tensor
 from fraudgnn.tgraph import Proposition, build_graph
 
-from reference import random_transaction_records
+from reference import (baseline_layer_forward, random_transaction_records,
+                       uniform_neighborhoods, uniform_sample)
 
 
 def small_graph(seed=0, n=8):

@@ -248,6 +248,12 @@ class TestExitCodes:
         assert "99" in capsys.readouterr().err
 
 
+def config_lines(artifact) -> list[str]:
+    """The resolved-configuration lines of an artifact's manifest."""
+    text = (artifact.parent / (artifact.name + ".manifest")).read_text()
+    return text.split("# resolved configuration\n", 1)[1].splitlines()
+
+
 class TestTrainVariants:
     def test_baseline_model_disables_everything(self, workspace, tmp_path):
         out = tmp_path / "baseline.ckpt"
@@ -270,6 +276,30 @@ class TestTrainVariants:
         params = load_params(str(out))
         assert params.config.use_attention
         assert not params.config.use_gate
+
+    @pytest.mark.parametrize("flags, expect", [
+        (["--random-sampling"],
+         ["sampler.mode = uniform", "sampler.oversample_count = 0"]),
+        (["--no-oversample"],
+         ["sampler.mode = deterministic_topz", "sampler.oversample_count = 0"]),
+        # a flag wins over --set, as an alias applied after it
+        (["--set", "sampler.mode=weighted_without_replacement",
+          "--random-sampling"], ["sampler.mode = uniform"]),
+        (["--model", "baseline"],
+         ["sampler.mode = uniform", "sampler.oversample_count = 0",
+          "model.use_attention = false", "model.use_gate = false"]),
+    ])
+    def test_ablation_flags_recorded_in_manifest(self, workspace, tmp_path,
+                                                 flags, expect):
+        out = tmp_path / "ablated.ckpt"
+        code = main(["train", "--data", str(workspace / "data.csv"),
+                     "--props", str(workspace / "props.cfg"),
+                     "--config", str(workspace / "run.cfg"),
+                     *flags, "--out", str(out)])
+        assert code == 0
+        lines = config_lines(out)
+        for line in expect:
+            assert line in lines
 
     def test_repeat_run_byte_identical(self, workspace, tmp_path):
         outs = []
@@ -319,6 +349,22 @@ class TestPredictVariants:
         assert texts[0] == texts[1]
         assert texts[0].splitlines()[0] == "id,p_fraud,label_pred"
 
+    def test_random_sampling_flag_is_uniform_mode(self, workspace, tmp_path):
+        texts = {}
+        for name, flags in (("flag.csv", ["--random-sampling"]),
+                            ("key.csv", ["--set", "sampler.mode=uniform"])):
+            out = tmp_path / name
+            code = main(["predict", "--ckpt", str(workspace / "model.ckpt"),
+                         "--data", str(workspace / "data.csv"),
+                         "--props", str(workspace / "props.cfg"),
+                         "--config", str(workspace / "run.cfg"),
+                         *flags, "--out", str(out)])
+            assert code == 0
+            texts[name] = out.read_text()
+            assert "sampler.mode = uniform" in config_lines(out)
+        assert texts["flag.csv"] == texts["key.csv"]
+        assert texts["flag.csv"] != (workspace / "scores.csv").read_text()
+
     def test_zhat_checkpoint_mismatch_exits_one(self, workspace, tmp_path,
                                                 capsys):
         code = main(["predict", "--ckpt", str(workspace / "model.ckpt"),
@@ -363,6 +409,35 @@ class TestMissingInputFiles:
         assert err == (f"error: cannot read {what} {missing}: "
                        "No such file or directory\n")
         assert not os.path.exists(tmp_path / "out")
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint integer that does not parse ends as one `error:` line."""
+
+    @pytest.mark.parametrize("prefix, bad", [
+        ("k_layers", "one"),
+        ("use_gate", "yes"),
+        ("TENSOR layer0.W", "six"),
+    ])
+    def test_malformed_integer_exits_one(self, workspace, tmp_path, capsys,
+                                         prefix, bad):
+        lines = (workspace / "model.ckpt").read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines)
+                   if ln.startswith(prefix + " "))
+        parts = lines[row].split()
+        parts[len(prefix.split())] = bad
+        lines[row] = " ".join(parts)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--ckpt", str(ckpt),
+                     "--data", str(workspace / "data.csv"),
+                     "--props", str(workspace / "props.cfg"),
+                     "--config", str(workspace / "run.cfg"),
+                     "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+        assert repr(bad) in err
 
 
 class TestAblate:

@@ -140,6 +140,18 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="boolean"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("key", [
+        "data.downsample_legit_ratio", "trainer.lr",
+        "sampler.similarity_floor", "model.tau_seconds"])
+    def test_nan_rejected(self, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_run_config(overrides={key: "nan"})
+
+    def test_line_break_in_override_rejected(self):
+        """A manifest holds one key per line, so it could not record it."""
+        with pytest.raises(ConfigError, match="line break"):
+            load_run_config(overrides={"data.raw_fields": "device\rip"})
+
     def test_bad_integer(self, tmp_path):
         path = write(tmp_path, "trainer.epochs = soon\n")
         with pytest.raises(ConfigError, match="integer"):
@@ -147,9 +159,12 @@ class TestLoadRunConfig:
 
     def test_train_config_carries_toggles(self):
         run = load_run_config(overrides={"model.K": "2",
-                                         "sampler.z_hat": "3, 3"})
-        cfg = run.train_config(random_sampling=True, oversample=False)
-        assert cfg.random_sampling and not cfg.oversample
+                                         "sampler.z_hat": "3, 3",
+                                         "sampler.mode": "uniform",
+                                         "sampler.oversample_count": "0"})
+        cfg = run.train_config()
+        assert cfg.sampler.mode == "uniform"
+        assert cfg.sampler.oversample_count == 0
         assert cfg.model is run.model
 
 

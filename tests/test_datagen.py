@@ -342,6 +342,14 @@ class TestIngest:
             ingest_csv(path, split=SplitSpec(kind="all"),
                        downsample_legit_ratio=0.0)
 
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
+    def test_non_finite_downsample_ratio(self, tmp_path, ratio):
+        path = write_csv_file(tmp_path, "\n".join([
+            self.HEADER, "0,0,0,d0,ip0,1", "1,1,1,d0,ip0,2"]) + "\n")
+        with pytest.raises(ConfigError, match="downsample"):
+            ingest_csv(path, split=SplitSpec(kind="all"),
+                       downsample_legit_ratio=ratio)
+
 
 class TestIngestErrors:
     HEADER = "id,timestamp,label,device,ip,amount"
@@ -386,6 +394,26 @@ class TestIngestErrors:
         msg = str(e.value)
         assert "line 3" in msg and "line 4" in msg and "line 5" in msg
         assert "3 bad rows" in msg
+
+    TWO_FEATURES = "id,timestamp,label,device,ip,f0,f1"
+
+    def test_nan_is_a_bad_row(self, tmp_path):
+        path = write_csv_file(tmp_path, "\n".join([
+            self.TWO_FEATURES, "0,0,0,d0,ip0,0.1,1", "1,1,1,d0,ip0,nan,2",
+            "2,2,0,d1,ip1,0.3,3"]) + "\n")
+        with pytest.raises(IngestError,
+                           match=r"line 3: column 'f0': 'nan' is not a finite"):
+            ingest_csv(path, split=SplitSpec(kind="all"))
+
+    def test_inf_is_a_bad_row(self, tmp_path):
+        """One inf would make f1's min-max span inf and zero the column."""
+        path = write_csv_file(tmp_path, "\n".join([
+            self.TWO_FEATURES, "0,0,0,d0,ip0,0.1,1", "1,1,1,d0,ip0,0.2,-inf",
+            "2,2,0,d1,ip1,0.3,3", "3,3,1,d1,ip1,0.4,inf"]) + "\n")
+        with pytest.raises(IngestError, match="2 bad rows") as e:
+            ingest_csv(path, split=SplitSpec(kind="all"))
+        assert "line 3: column 'f1': '-inf' is not a finite" in str(e.value)
+        assert "line 5: column 'f1': 'inf' is not a finite" in str(e.value)
 
     def test_bad_row_report_capped_at_ten(self, tmp_path):
         lines = [self.HEADER]

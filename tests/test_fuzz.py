@@ -1,0 +1,101 @@
+"""Property tests: loaders fed arbitrary text fail only with package errors.
+
+Every user-facing input error must end as `error: ...` with exit 1, which
+the command line guarantees only for FraudGnnError subclasses; any other
+exception escapes as a traceback.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraudgnn.config import (_RUN_KEYS, dump_run_config, load_run_config,
+                             parse_kv)
+from fraudgnn.errors import FraudGnnError
+from fraudgnn.model import (ModelConfig, checkpoint_text, init_params,
+                            load_params)
+
+FUZZ = settings(max_examples=200, deadline=None)
+
+# values near the parsers' edges, mixed with arbitrary text
+NUMBERS = st.sampled_from(["0", "-1", "1", "0.5", "nan", "-nan", "NaN", "inf",
+                           "-inf", "1e999", "1_0", "9" * 5000, "٣"])
+WORDS = st.sampled_from([
+    "", "[]", "[1, 2]", "1,,2", "true", "none", "auto", "x" * 5000,
+    "deterministic_topz", "uniform", "cutoff", "explicit",
+    "weighted_without_replacement", "interval", "tanh", "\x00"])
+VALUES = st.one_of(NUMBERS, WORDS, st.text(max_size=20))
+
+
+def _raises_only_package_errors(fn, *args):
+    try:
+        fn(*args)
+    except FraudGnnError:
+        pass
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(sorted(_RUN_KEYS)), VALUES,
+                       min_size=1, max_size=2))
+def test_run_config_overrides(overrides):
+    try:
+        run = load_run_config(None, overrides)
+    except FraudGnnError:
+        return
+    # a loaded config survives its own manifest; a NaN, for one, would not
+    assert load_run_config(None, parse_kv(dump_run_config(run))) == run
+
+
+@FUZZ
+@given(st.text(max_size=200))
+def test_run_config_text(text):
+    try:
+        kv = parse_kv(text)
+    except FraudGnnError:
+        return
+    _raises_only_package_errors(load_run_config, None, kv)
+
+
+def _checkpoint_lines() -> list[str]:
+    params = init_params(2, ModelConfig(k_layers=1, hidden_dim=2), seed=0)
+    return checkpoint_text(params).splitlines()
+
+
+CHECKPOINT = _checkpoint_lines()
+TOKENS = st.one_of(NUMBERS, WORDS, st.sampled_from(
+    ["TENSOR", "layer0.W", "layer0.attn", "head", "END", "0x1p99999",
+     "0x1.8p+1", "-0", "100000000000000000000"]), st.text(max_size=8))
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """A valid checkpoint with one line's tokens replaced, or lines dropped
+    or duplicated, or arbitrary text."""
+    lines = list(CHECKPOINT)
+    kind = draw(st.sampled_from(["token", "drop", "repeat", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=300))
+    row = draw(st.integers(0, len(lines) - 1))
+    if kind == "token":
+        parts = lines[row].split(" ")
+        col = draw(st.integers(0, len(parts) - 1))
+        parts[col] = draw(TOKENS)
+        lines[row] = " ".join(parts)
+    elif kind == "drop":
+        del lines[row]
+    else:
+        lines.insert(row, lines[row])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def ckpt_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "fuzz.ckpt")
+
+
+@FUZZ
+@given(text=mutated_checkpoints())
+def test_load_params_text(ckpt_path, text):
+    with open(ckpt_path, "w") as fh:
+        fh.write(text)
+    _raises_only_package_errors(load_params, ckpt_path)

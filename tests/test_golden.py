@@ -55,17 +55,14 @@ def run_variant(variant: str) -> tuple[str, str]:
     graph = build_graph(records, PROPS)
     split = SplitSpec(kind="fraction", test_fraction=0.3)
     train_ids, test_ids = split_records(records, split, seed=0)
-    mode = "deterministic_topz" if variant == "uniform" else variant
     cfg = TrainConfig(
         model=ModelConfig(k_layers=3, hidden_dim=6, tau_seconds=3600),
-        sampler=SamplerConfig(z_hat=(4, 4, 2), oversample_count=3, mode=mode,
-                              seed=7),
-        split=split, lr=0.01, batch_size=32, epochs=3, seed=5,
-        random_sampling=variant == "uniform", oversample=True)
+        sampler=SamplerConfig(z_hat=(4, 4, 2), oversample_count=3,
+                              mode=variant, seed=7),
+        split=split, lr=0.01, batch_size=32, epochs=3, seed=5)
     result = train(graph, cfg, train_ids=train_ids)
     preds = predict(graph, result.params, sampler_cfg=cfg.sampler,
-                    nodes=test_ids, known_ids=train_ids,
-                    random_sampling=cfg.random_sampling, seed=cfg.seed)
+                    nodes=test_ids, known_ids=train_ids, seed=cfg.seed)
     scores = "".join(f"{p.node_id},{p.p_fraud!r},{p.label_pred}\n"
                      for p in preds)
     return _sha256(checkpoint_text(result.params)), _sha256(scores)

@@ -11,7 +11,7 @@ from fraudgnn.errors import ShapeError
 from fraudgnn.nn import AdamState, Tensor, UsageError, backward
 
 from reference import (add_at_gather_vjp, add_at_neighbor_sum_vjp,
-                       add_at_take_rows_vjp, fd_gradient)
+                       add_at_take_rows_vjp, fd_gradient, sum_all)
 
 
 def fd_check(loss_fn, params, rel=1e-4, floor=1e-7):
@@ -122,30 +122,23 @@ class TestBackwardMechanics:
     def test_grad_accumulates_across_uses(self):
         # w appears twice in the graph; grads from both paths must add.
         w = Tensor([[3.0]], requires_grad=True)
-        loss = nn.sum_all(nn.add(nn.mul(w, w), w))  # w^2 + w
+        loss = sum_all(nn.add(nn.mul(w, w), w))  # w^2 + w
         backward(loss)
         assert_allclose(w.grad, [[2 * 3.0 + 1.0]])
 
     def test_constant_inputs_get_no_grad(self):
         c = Tensor([[2.0]])
         w = Tensor([[3.0]], requires_grad=True)
-        loss = nn.sum_all(nn.mul(c, w))
+        loss = sum_all(nn.mul(c, w))
         backward(loss)
         assert c.grad is None
         assert_allclose(w.grad, [[2.0]])
 
     def test_auto_wrap_of_raw_arrays(self):
         w = Tensor([[1.0, 2.0]], requires_grad=True)
-        loss = nn.sum_all(nn.mul(w, np.array([[3.0, 4.0]])))
+        loss = sum_all(nn.mul(w, np.array([[3.0, 4.0]])))
         backward(loss)
         assert_allclose(w.grad, [[3.0, 4.0]])
-
-    def test_zero_grads_helper(self):
-        w = Tensor([[1.0]], requires_grad=True)
-        backward(nn.sum_all(nn.mul(w, w)))
-        assert w.grad is not None
-        nn.zero_grads([w])
-        assert w.grad is None
 
 
 class TestAnalyticGradients:
@@ -154,7 +147,7 @@ class TestAnalyticGradients:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 3)))
         w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        loss = nn.sum_all(nn.matmul(x, w))
+        loss = sum_all(nn.matmul(x, w))
         backward(loss)
         expected = x.data.T @ np.ones((4, 5))
         assert_allclose(w.grad, expected, rtol=1e-12)
@@ -167,13 +160,13 @@ class TestAnalyticGradients:
     def test_broadcast_bias_grad_sums_rows(self):
         b = Tensor(np.zeros((1, 3)), requires_grad=True)
         x = Tensor(np.arange(12.0).reshape(4, 3))
-        backward(nn.sum_all(nn.add(x, b)))
+        backward(sum_all(nn.add(x, b)))
         assert_allclose(b.grad, [[4.0, 4.0, 4.0]])
 
     def test_broadcast_column_grad_sums_cols(self):
         s = Tensor(np.ones((3, 1)), requires_grad=True)
         x = Tensor(np.arange(6.0).reshape(3, 2))
-        backward(nn.sum_all(nn.mul(x, s)))
+        backward(sum_all(nn.mul(x, s)))
         assert_allclose(s.grad, x.data.sum(axis=1, keepdims=True))
 
     def test_logistic_regression_zero_weights_hand_derived(self):
@@ -205,9 +198,9 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 2))
 
         def loss_fn():
-            return nn.sum_all(nn.mul(nn.matmul(a, b), coef)).item()
+            return sum_all(nn.mul(nn.matmul(a, b), coef)).item()
 
-        backward(nn.sum_all(nn.mul(nn.matmul(a, b), coef)))
+        backward(sum_all(nn.mul(nn.matmul(a, b), coef)))
         fd_check(loss_fn, [a, b])
 
     def test_concat_and_slices(self):
@@ -219,7 +212,7 @@ class TestFiniteDifferenceGradients:
             cat = nn.concat(a, b)               # (3, 5)
             block = nn.slice_rows(cat, 1, 3)    # (2, 5)
             block = nn.slice_cols(block, 1, 3)  # (2, 2)
-            return nn.sum_all(nn.mul(block, coef))
+            return sum_all(nn.mul(block, coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [a, b])
@@ -230,7 +223,7 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(5, 3))
 
         def forward():
-            return nn.sum_all(nn.mul(nn.take_rows(a, idx), coef))
+            return sum_all(nn.mul(nn.take_rows(a, idx), coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [a])
@@ -241,7 +234,7 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 2))
 
         def forward():
-            return nn.sum_all(nn.mul(nn.gather(v, idx), coef))
+            return sum_all(nn.mul(nn.gather(v, idx), coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [v])
@@ -253,7 +246,7 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 2))
 
         def forward():
-            return nn.sum_all(nn.mul(nn.neighbor_sum(w, v, idx), coef))
+            return sum_all(nn.mul(nn.neighbor_sum(w, v, idx), coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [w, v])
@@ -275,7 +268,7 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 4))
 
         def forward():
-            return nn.sum_all(nn.mul(nn.softmax_rows(a, mask), coef))
+            return sum_all(nn.mul(nn.softmax_rows(a, mask), coef))
 
         out = nn.softmax_rows(a, mask)
         assert (out.data[~mask] == 0.0).all()
@@ -293,7 +286,7 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 4))
 
         def forward():
-            return nn.sum_all(nn.mul(nn.l2_normalize_rows(a), coef))
+            return sum_all(nn.mul(nn.l2_normalize_rows(a), coef))
 
         out = nn.l2_normalize_rows(a)
         assert_allclose(np.linalg.norm(out.data, axis=1), np.ones(3), rtol=1e-12)
@@ -304,7 +297,7 @@ class TestFiniteDifferenceGradients:
         a = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]), requires_grad=True)
         out = nn.l2_normalize_rows(a)
         assert_allclose(out.data, [[0.0, 0.0], [0.6, 0.8]])
-        backward(nn.sum_all(out))
+        backward(sum_all(out))
         assert_allclose(a.grad[0], [0.0, 0.0])
 
     def test_nonlinearities(self):
@@ -316,14 +309,14 @@ class TestFiniteDifferenceGradients:
             coef = self.rng.normal(size=(3, 3))
 
             def forward():
-                return nn.sum_all(nn.mul(op(a), coef))
+                return sum_all(nn.mul(op(a), coef))
 
             backward(forward())
             fd_check(lambda: forward().item(), [a])
 
     def test_clamp_gradient_zero_outside(self):
         a = Tensor(np.array([[-2.0, 0.5, 3.0]]), requires_grad=True)
-        backward(nn.sum_all(nn.clamp(a, 0.0, 1.0)))
+        backward(sum_all(nn.clamp(a, 0.0, 1.0)))
         assert_allclose(a.grad, [[0.0, 1.0, 0.0]])
 
     def test_two_layer_mlp_all_params(self):
@@ -468,7 +461,7 @@ class TestAdam:
             p = Tensor(np.array([[4.0, -1.0]]), requires_grad=True)
             opt = AdamState([p], lr=0.05)
             for _ in range(25):
-                loss = nn.sum_all(nn.mul(p, p))
+                loss = sum_all(nn.mul(p, p))
                 backward(loss)
                 opt.step()
             return p.data.copy()
@@ -481,6 +474,6 @@ class TestAdam:
         opt = AdamState([p], lr=0.1)
         for _ in range(400):
             d = nn.sub(p, Tensor(target))
-            backward(nn.sum_all(nn.mul(d, d)))
+            backward(sum_all(nn.mul(d, d)))
             opt.step()
         assert_allclose(p.data, target, atol=1e-3)

@@ -8,7 +8,7 @@ import pytest
 
 from fraudgnn import sampler as sampler_mod
 from fraudgnn.datagen import ScenarioConfig, generate, split_records
-from fraudgnn.errors import InputError
+from fraudgnn.errors import ConfigError, InputError
 from fraudgnn.model import ModelConfig, checkpoint_text
 from fraudgnn.sampler import (DEFAULT_SIMILARITY_FLOOR, SamplerConfig,
                               combine_seed, oversample_fraud,
@@ -143,6 +143,16 @@ class TestSampleTopZ:
         g = chain_graph([[1, 0], [1, 1], [0, 1]])
         cfg = SamplerConfig(z_hat=(5,))
         assert sample_topz(g, 0, 0, cfg) == [1, 2]
+
+    def test_uniform_mode_rejected(self):
+        """Uniform draws belong to the trainer; the per-node samplers must
+        not fall back to a weighted draw for them."""
+        g = chain_graph([[1, 0], [1, 1], [0, 1]])
+        cfg = SamplerConfig(z_hat=(1,), mode="uniform")
+        with pytest.raises(ConfigError, match="uniform"):
+            sample_topz(g, 0, 0, cfg)
+        with pytest.raises(ConfigError, match="uniform"):
+            sample_neighborhood(g, 0, 0, cfg)
 
     def test_ties_break_by_ascending_id(self):
         records = [rec(0, [1, 0], raw={"ip": "x"}),
@@ -333,8 +343,7 @@ class TestScoreEdgesMatchesLoopReference:
             cfg = TrainConfig(
                 model=ModelConfig(k_layers=2),
                 sampler=SamplerConfig(z_hat=(z, z + 1), mode=mode, seed=5,
-                                      oversample_count=3),
-                oversample=oversample)
+                                      oversample_count=3 if oversample else 0))
             pool = sorted(r.id for r in records[::2] if r.label == 1)
             scores = score_edges(g)
             new = _sample_layers(g, cfg, 3, pool, scores)

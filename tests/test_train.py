@@ -11,13 +11,13 @@ from fraudgnn.datagen import ScenarioConfig, generate
 from fraudgnn.errors import CheckpointError, ConfigError, TrainError
 from fraudgnn.model import ModelConfig, checkpoint_text, init_params
 from fraudgnn.nn import Tensor
-from fraudgnn.sampler import MODES, SamplerConfig, score_edges
+from fraudgnn.sampler import SamplerConfig, score_edges
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
-from fraudgnn.train import (TrainConfig, _sample_layers, bce_loss, predict,
-                            train)
+from fraudgnn.train import (SAMPLER_SEED_TAG, TrainConfig, _sample_layers,
+                            bce_loss, predict, train)
 
 from conftest import make_two_cluster_records
-from reference import loop_sample_layers
+from reference import loop_sample_layers, uniform_neighborhoods
 
 
 def cluster_graph(n=20, noise=0.05, seed=0):
@@ -176,7 +176,7 @@ class TestWeightedModeLayers:
 
     def layers(self, epoch, z_hat=(4, 4)):
         g = cluster_graph()
-        cfg = small_config(k=len(z_hat), oversample=False)
+        cfg = small_config(k=len(z_hat))
         cfg.sampler = SamplerConfig(z_hat=z_hat,
                                     mode="weighted_without_replacement")
         return _sample_layers(g, cfg, epoch, [], score_edges(g))
@@ -209,7 +209,8 @@ class TestDistinctZSampledOnce:
         pool = sorted(r.id for r in records if r.label == 1)[::2]
         return g, pool, score_edges(g)
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", ["deterministic_topz",
+                                      "weighted_without_replacement"])
     def test_layers_share_per_z(self, scenario, mode, monkeypatch):
         g, pool, scores = scenario
         cfg = small_config(k=3)
@@ -237,6 +238,49 @@ class TestDistinctZSampledOnce:
         # layer 2's z = 4 keeps fewer neighbors
         assert layers[0].mask.sum(axis=1).max() > 8
         assert layers[2].mask.sum(axis=1).max() < layers[0].mask.sum(axis=1).max()
+
+
+def camouflage_scenario():
+    """120 generated records whose fraud nodes are not all adjacent, so
+    fraud over-sampling has non-neighbors to add; half the fraud pooled."""
+    records = generate(ScenarioConfig(
+        n_legit=90, n_fraud=30, n_devices=4, n_ips=8, camouflage_rate=0.3,
+        time_span_seconds=21600, seed=2))
+    g = build_graph(records, [
+        Proposition(name="dev", field="device", weight=2, window_seconds=3600),
+        Proposition(name="ip", field="ip", window_seconds=3600)])
+    return g, sorted(r.id for r in records if r.label == 1)[::2]
+
+
+class TestUniformMode:
+    """mode="uniform": one stream per layer keyed by the trainer seed."""
+
+    def test_layers_match_the_reference_draws(self):
+        g, pool = camouflage_scenario()
+        cfg = small_config(k=3, seed=11)
+        cfg.sampler = SamplerConfig(z_hat=(4, 4, 2), mode="uniform", seed=99)
+        layers = _sample_layers(g, cfg, 3, pool, None)
+        for k, got in enumerate(layers):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                (11, SAMPLER_SEED_TAG, 3, k)))
+            want = uniform_neighborhoods(g, cfg.sampler.z_hat[k], rng)
+            assert_array_equal(got.idx, want.idx)
+            assert_array_equal(got.mask, want.mask)
+            assert_array_equal(got.dt, want.dt)
+        # pooled fraud gets no extras, and equal z_hat layers still draw apart
+        assert layers[0].mask.sum(axis=1).max() == 4
+        assert not np.array_equal(layers[0].idx, layers[1].idx)
+
+    def test_predict_seed_keys_the_draws(self):
+        g, _ = camouflage_scenario()
+        cfg = small_config(epochs=2, seed=4)
+        cfg.sampler = SamplerConfig(z_hat=(4, 4), mode="uniform")
+        result = train(g, cfg)
+        a = predict(g, result.params, cfg.sampler, seed=4)
+        b = predict(g, result.params, cfg.sampler, seed=4)
+        c = predict(g, result.params, cfg.sampler, seed=5)
+        assert [p.p_fraud for p in a] == [p.p_fraud for p in b]
+        assert [p.p_fraud for p in a] != [p.p_fraud for p in c]
 
 
 class TestPredict:
@@ -295,6 +339,20 @@ class TestPredict:
         preds = predict(g, result.params, SamplerConfig(z_hat=(4, 4)))
         assert len(preds) == 20
         assert all(0.0 < p.p_fraud < 1.0 for p in preds)
+
+    def test_oversample_count_does_not_reach_predict(self):
+        """predict over-samples no node, whatever the sampler config says."""
+        g, pool = camouflage_scenario()
+        cfg = small_config(epochs=2)
+        cfg.sampler = SamplerConfig(z_hat=(4, 4), oversample_count=5)
+        # the same config does widen pooled fraud rows in training
+        widths = _sample_layers(g, cfg, 1, pool, score_edges(g))[0].mask.sum(1)
+        assert widths.max() > 4
+        result = train(g, cfg)
+        scores = [[p.p_fraud for p in predict(
+            g, result.params, SamplerConfig(z_hat=(4, 4), oversample_count=n),
+            known_ids=result.train_ids)] for n in (0, 5, 50)]
+        assert scores[0] == scores[1] == scores[2]
 
     def test_known_labels_change_gates(self):
         """Telling predict the training labels shifts the diversity gates."""
