@@ -240,9 +240,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    items = args.seeds.split(",")
+    if not all(s.strip().isdecimal() for s in items):
+        raise ConfigError("--seeds must be comma-separated non-negative "
+                          f"integers, got {args.seeds!r}")
+    seeds = [int(s) for s in items]
     run = _load_run(args)
     result, graph = _ingest(args, run)
-    seeds = [int(s) for s in args.seeds.split(",")]
     test_rows = [graph.index_of(v) for v in result.test_ids]
     if not test_rows:
         raise InputError("ablate needs a non-empty test split; "

@@ -138,6 +138,8 @@ def load_run_config(path: str | None = None,
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     seed = _parse_int("seed", kv["seed"]) if "seed" in kv else 0
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     k_layers = _parse_int("model.K", kv.get("model.K", "3"))
     model = ModelConfig(

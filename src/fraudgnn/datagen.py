@@ -52,6 +52,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_legit < 0 or self.n_fraud < 0:
             raise ConfigError("record counts must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_devices < 1 or self.n_ips < 1:
             raise ConfigError("device and ip pools must be non-empty")
         if not 0.0 < self.fraud_device_concentration <= 1.0:
@@ -65,8 +67,9 @@ class ScenarioConfig:
             raise ConfigError("feature_dim must be >= 1")
         if self.fraud_burst_window < 1 or self.time_span_seconds < 1:
             raise ConfigError("time windows must be positive")
-        if self.cluster_separation <= 0:
-            raise ConfigError("cluster_separation must be positive")
+        if not 0.0 < self.cluster_separation < math.inf:  # nan fails too
+            raise ConfigError("cluster_separation must be finite and positive, "
+                              f"got {self.cluster_separation}")
 
 
 def _capped_noise(rng: np.random.Generator, dim: int, cap: float) -> np.ndarray:
@@ -352,6 +355,8 @@ def _parse_rows(path: str, schema: DataSchema):
             label = int(row[col_pos["label"]])
             if label not in (0, 1, UNLABELED):
                 raise ValueError(f"label must be 0, 1 or {UNLABELED}")
+            if max(abs(rid), abs(ts)) >= 2**62:  # int64 arrays, gaps too
+                raise ValueError("id and timestamp must lie within +-2**62")
             nums = {}
             for c in numeric:
                 text = row[col_pos[c]]

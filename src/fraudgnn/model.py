@@ -142,9 +142,26 @@ class Neighborhoods:
         return self.idx.shape[1]
 
 
+def pack_rows(graph: TransactionGraph, src: np.ndarray,
+              nbr: np.ndarray) -> Neighborhoods:
+    """Pad (node row, neighbor row) pairs grouped by ascending node row into
+    rectangular index/mask/gap arrays; a row keeps its pairs' order."""
+    counts = np.bincount(src, minlength=graph.n_nodes)
+    width = max(int(counts.max()), 1)
+    col = np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
+    idx = np.zeros((graph.n_nodes, width), dtype=np.int64)
+    mask = np.zeros((graph.n_nodes, width), dtype=bool)
+    dt = np.zeros((graph.n_nodes, width), dtype=np.float64)
+    ts = graph.timestamps()
+    idx[src, col] = nbr
+    mask[src, col] = True
+    dt[src, col] = np.abs(ts[nbr] - ts[src])
+    return Neighborhoods(idx=idx, mask=mask, dt=dt)
+
+
 def pack_neighborhoods(graph: TransactionGraph,
                        sampled: list[SampledNeighborhood]) -> Neighborhoods:
-    """Pad per-node samples into rectangular index/mask/gap arrays."""
+    """Pad per-node samples like pack_rows: for demos and as its oracle."""
     n = len(sampled)
     width = max((len(s.selected) for s in sampled), default=0)
     width = max(width, 1)

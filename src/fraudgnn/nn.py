@@ -234,7 +234,7 @@ def neighbor_sum(weights, values, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if weights.shape != idx.shape:
         raise ShapeError(f"neighbor_sum weights {weights.shape} vs idx {idx.shape}")
-    gathered = values.data[idx]  # (n, z, d)
+    gathered = np.take(values.data, idx, axis=0)  # (n, z, d)
     out = np.einsum("nz,nzd->nd", weights.data, gathered)
 
     def vjp(g):

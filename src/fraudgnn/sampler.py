@@ -4,9 +4,8 @@ Each neighbor's selection probability is proportional to (strongest edge
 weight between the pair) x (exponential cosine similarity of the feature
 vectors). Top-z keeps the highest-probability neighbors; fraud nodes can
 additionally pull in non-adjacent fraud nodes with similar behavior.
-The trainer draws mode "uniform" itself. score_edges computes every edge's
-probability in one pass; the per-node functions slice their node's row
-from it when given ``scores=``.
+The trainer samples a whole layer at once with sample_layer; the per-node
+functions make the same picks one node at a time, for demos and as oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .tgraph import TransactionGraph, TransactionRecord
+from .tgraph import TransactionGraph, TransactionRecord, pair_scores
 
 # exp(0.5): cosine >= 0.5 once pushed through the exponential similarity
 DEFAULT_SIMILARITY_FLOOR = math.exp(0.5)
@@ -75,45 +74,12 @@ def similarity(a: TransactionRecord, b: TransactionRecord) -> float:
     return float(np.exp(np.dot(_unit(a.attrs), _unit(b.attrs))))
 
 
-# Edges per gather in _edge_scores: bounds the two (chunk, l) temporaries
-# instead of materialising u[src] and u[dst] for every edge at once.
-_SCORE_CHUNK = 4096
-
-
-def _edge_scores(u: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                 weight: np.ndarray) -> np.ndarray:
-    """Unnormalized score weight x exp(u[src] . u[dst]) of each edge.
-
-    Every edge gets the bits that scoring it alone with np.dot and math.exp
-    gives, however the edges are batched: np.vecdot reduces each pair with
-    np.dot's kernel, where einsum and (a * b).sum(1) round differently, and
-    np.exp's vectorized kernel differs from math.exp in the last bit on a
-    few percent of values.
-    """
-    sims = np.empty(len(src))
-    for lo in range(0, len(src), _SCORE_CHUNK):
-        hi = lo + _SCORE_CHUNK
-        dots = np.vecdot(u[src[lo:hi]], u[dst[lo:hi]])
-        sims[lo:hi] = [math.exp(d) for d in dots.tolist()]
-    return weight * sims
-
-
 def score_edges(g: TransactionGraph) -> np.ndarray:
-    """Selection probability of every entry of ``g.csr``, in its order.
-
-    The entries of node row i, ``g.csr.span(i)``, hold
-    ``selection_probabilities`` of that node in ascending neighbor id order,
-    bit for bit. Each row is normalized by the sum of its own contiguous
-    slice, which np.add.reduceat does not reproduce. Pass the result as
-    ``scores=`` to the per-node samplers to score the graph once per pass.
+    """The graph's cached ``edge_scores``: node row i's entries of ``g.csr``
+    are its ``selection_probabilities``, bit for bit. Pass them as
+    ``scores=`` to the per-node samplers to score the graph once.
     """
-    csr = g.csr
-    src = np.repeat(np.arange(g.n_nodes), np.diff(csr.indptr))
-    raw = _edge_scores(g.unit_features, src, csr.rows, csr.weight)
-    probs = np.empty_like(raw)
-    for lo, hi in zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist()):
-        probs[lo:hi] = raw[lo:hi] / raw[lo:hi].sum()
-    return probs
+    return g.edge_scores
 
 
 def _row(g: TransactionGraph, v: int,
@@ -127,8 +93,8 @@ def _row(g: TransactionGraph, v: int,
     csr = g.csr
     span = csr.span(row)
     if scores is None:
-        raw = _edge_scores(g.unit_features, np.full(span.stop - span.start, row),
-                           csr.rows[span], csr.weight[span])
+        raw = pair_scores(g.unit_features, np.full(span.stop - span.start, row),
+                          csr.rows[span], csr.weight[span])
         return csr.ids[span], raw / raw.sum()
     if len(scores) != len(csr.ids):
         raise InputError(f"scores cover {len(scores)} edges but the graph "
@@ -244,3 +210,62 @@ def sample_neighborhood(
     probabilities += [0.0] * (len(selected) - len(chosen))
     return SampledNeighborhood(node=v, selected=selected,
                                probabilities=probabilities)
+
+
+def _fraud_extras(g: TransactionGraph, cfg: SamplerConfig,
+                  fraud_pool) -> tuple[np.ndarray, np.ndarray]:
+    """oversample_fraud's extras of every pooled fraud node as (node row,
+    extra row) pairs, each node's extras in ascending id."""
+    labels = g.labels()
+    pool = np.array([g.index_of(v) for v in fraud_pool], dtype=np.int64)
+    pool = pool[labels[pool] == 1]
+    src, extra = [], []  # grouped by ascending node row
+    csr, u, ids = g.csr, g.unit_features, np.array(g.node_ids())
+    near = np.zeros(g.n_nodes, dtype=bool)  # v and its neighbors, reset per v
+    for r in np.unique(pool).tolist():
+        nbrs = csr.rows[csr.span(r)]
+        near[nbrs] = near[r] = True
+        cand = pool[~near[pool]]
+        near[nbrs] = near[r] = False
+        sims = pair_scores(u, np.full(len(cand), r), cand, 1.0)
+        ok = sims >= cfg.similarity_floor
+        cand, sims = cand[ok], sims[ok]
+        picked = cand[np.lexsort((ids[cand], -sims))[:cfg.oversample_count]]
+        src += [r] * len(picked)
+        extra += picked[np.argsort(ids[picked], kind="stable")].tolist()
+    return np.array(src, dtype=np.int64), np.array(extra, dtype=np.int64)
+
+
+def sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
+                 fraud_pool=(), rng: np.random.Generator | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's picks for a layer of size z as (node row, neighbor row)
+    pairs, grouped by ascending node row: for node v, the selection of
+    sample_neighborhood(g, v, k, cfg, v in fraud_pool, fraud_pool) with
+    z = cfg.z_hat[k]. Mode "uniform" draws from ``rng`` instead, one row
+    after another in record order, and over-samples nothing.
+    """
+    csr = g.csr
+    bounds, ids, node_ids = csr.indptr.tolist(), csr.ids, g.node_ids()
+    p_all = None if cfg.mode == "uniform" else g.edge_scores
+    keep = np.ones(len(ids), dtype=bool)  # rows of at most z keep every entry
+    for row in np.flatnonzero(np.diff(csr.indptr) > z).tolist():
+        lo, hi = bounds[row], bounds[row + 1]
+        if cfg.mode == "uniform":
+            pos = rng.choice(hi - lo, size=z, replace=False)
+        elif cfg.mode == "deterministic_topz":
+            pos = np.lexsort((ids[lo:hi], -p_all[lo:hi]))[:z]
+        else:  # choice over the row's length draws the indices it does over ids
+            p = p_all[lo:hi]
+            pos = _node_rng(cfg, node_ids[row]).choice(
+                hi - lo, size=z, replace=False, p=p / p.sum())
+        keep[lo:hi] = False
+        keep[lo + pos] = True
+    src = np.repeat(np.arange(g.n_nodes), np.diff(csr.indptr))[keep]
+    nbr = csr.rows[keep]
+    if cfg.mode == "uniform" or cfg.oversample_count == 0 or not len(fraud_pool):
+        return src, nbr
+    x_src, x_nbr = _fraud_extras(g, cfg, fraud_pool)
+    src, nbr = np.concatenate([src, x_src]), np.concatenate([nbr, x_nbr])
+    order = np.argsort(src, kind="stable")  # extras after a row's neighbors
+    return src[order], nbr[order]

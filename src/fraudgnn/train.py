@@ -19,7 +19,7 @@ from .datagen import SplitSpec, split_records
 from .errors import CheckpointError, ConfigError, TrainError
 from .model import ModelConfig, ModelParams, Neighborhoods
 from .nn import Tensor
-from .sampler import SampledNeighborhood, SamplerConfig, combine_seed
+from .sampler import SamplerConfig, combine_seed
 from .tgraph import TransactionGraph, UNLABELED
 
 log = logging.getLogger(__name__)
@@ -51,6 +51,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -92,52 +94,34 @@ def batch_loss(params: ModelParams, features: np.ndarray,
 
 
 def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
-                   epoch: int, fraud_pool: list[int],
-                   scores: np.ndarray | None) -> list[Neighborhoods]:
+                   epoch: int, fraud_pool: list[int]) -> list[Neighborhoods]:
     """One Neighborhoods object per layer for this epoch.
 
     Uniform mode draws each layer from a stream keyed by (trainer seed,
-    epoch, layer) and ignores ``scores`` and ``fraud_pool``. Adaptive modes
-    sample each distinct z_hat once and share the result between the layers
-    that have it: a layer reaches the sampler only through z_hat[k], and
-    weighted draws are keyed by (seed, node). ``scores`` is score_edges.
+    epoch, layer) and ignores ``fraud_pool``. Adaptive modes sample each
+    distinct z_hat once and share the result between the layers that have
+    it: a layer reaches the sampler only through z_hat[k], and weighted
+    draws are keyed by (seed, node). They read the graph's cached edge
+    scores, so train and predict on one graph score it once.
     """
     scfg = cfg.sampler
-    out = []
     if scfg.mode == "uniform":
+        out = []
         for k, z in enumerate(scfg.z_hat):
             rng = np.random.default_rng(np.random.SeedSequence(
                 (cfg.seed, SAMPLER_SEED_TAG, epoch, k)))
-            sampled = []
-            for rec in graph.records:
-                nbrs = graph.neighbors(rec.id)
-                if len(nbrs) > z:
-                    picked = rng.choice(len(nbrs), size=z, replace=False)
-                    nbrs = sorted(nbrs[i] for i in picked)
-                sampled.append(SampledNeighborhood(node=rec.id, selected=nbrs))
-            out.append(model_mod.pack_neighborhoods(graph, sampled))
+            out.append(model_mod.pack_rows(
+                graph, *sampler_mod.sample_layer(graph, z, scfg, rng=rng)))
         return out
 
     if scfg.mode == "weighted_without_replacement":
         scfg = replace(scfg, seed=combine_seed(scfg.seed, epoch))
-    fraud_set = set(fraud_pool)
     by_z: dict[int, Neighborhoods] = {}
-    for k, z in enumerate(scfg.z_hat):
+    for z in scfg.z_hat:
         if z not in by_z:
-            sampled = [sampler_mod.sample_neighborhood(
-                graph, rec.id, k, scfg, oversample=rec.id in fraud_set,
-                fraud_pool=fraud_pool, scores=scores)
-                for rec in graph.records]
-            by_z[z] = model_mod.pack_neighborhoods(graph, sampled)
-        out.append(by_z[z])
-    return out
-
-
-def _scores_for(graph: TransactionGraph,
-                cfg: TrainConfig) -> np.ndarray | None:
-    """Edge selection probabilities for _sample_layers; None when uniform."""
-    return (None if cfg.sampler.mode == "uniform"
-            else sampler_mod.score_edges(graph))
+            by_z[z] = model_mod.pack_rows(graph, *sampler_mod.sample_layer(
+                graph, z, scfg, fraud_pool))
+    return [by_z[z] for z in scfg.z_hat]
 
 
 def _gates_for(cfg: ModelConfig, labels_eff: np.ndarray,
@@ -179,14 +163,12 @@ def train(graph: TransactionGraph, config: TrainConfig,
     fraud_pool = sorted(int(v) for v, r in zip(train_ids, y_train) if r == 1)
 
     deterministic = config.sampler.mode == "deterministic_topz"
-    scores = _scores_for(graph, config)
     neighborhoods = None
     history: list[float] = []
 
     for epoch in range(1, config.epochs + 1):
         if neighborhoods is None or not deterministic:
-            neighborhoods = _sample_layers(graph, config, epoch, fraud_pool,
-                                           scores)
+            neighborhoods = _sample_layers(graph, config, epoch, fraud_pool)
         gates = _gates_for(config.model, labels_eff, neighborhoods[0])
 
         rng = np.random.default_rng(np.random.SeedSequence(
@@ -241,7 +223,7 @@ def predict(graph: TransactionGraph, params: ModelParams,
         sampler_cfg = SamplerConfig(z_hat=z, seed=seed)
     cfg = TrainConfig(model=params.config, sampler=sampler_cfg,
                       epochs=0, seed=seed)
-    neighborhoods = _sample_layers(graph, cfg, 0, [], _scores_for(graph, cfg))
+    neighborhoods = _sample_layers(graph, cfg, 0, [])
 
     labels = graph.labels()
     known = np.zeros(len(graph.records), dtype=bool)

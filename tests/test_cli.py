@@ -162,6 +162,21 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+    def test_infinite_cluster_separation_exits_one(self, tmp_path, capsys,
+                                                   value):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(SCENARIO.replace("cluster_separation = 4.0",
+                                             f"cluster_separation = {value}"))
+        out = tmp_path / "data.csv"
+        code = main(["generate", "--scenario", str(scenario),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cluster_separation") \
+            and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_set_flag_exits_one(self, workspace, tmp_path, capsys):
         code = main(["build-graph", "--data", str(workspace / "data.csv"),
                      "--props", str(workspace / "props.cfg"),
@@ -459,3 +474,17 @@ class TestAblate:
             auc = float(ln.split(",")[4])
             assert 0.0 <= auc <= 1.0
         assert "sampling,attention,gate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seeds", ["abc", "0,,1", "-1"])
+    def test_bad_seeds_one_line_error(self, workspace, tmp_path, capsys,
+                                      seeds):
+        out = tmp_path / "ablation.csv"
+        code = main(["ablate", "--data", str(workspace / "data.csv"),
+                     "--props", str(workspace / "props.cfg"),
+                     "--config", str(workspace / "run.cfg"),
+                     "--seeds", seeds, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --seeds") and err.count("\n") == 1
+        assert repr(seeds) in err
+        assert not out.exists()

@@ -147,6 +147,11 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             load_run_config(overrides={key: "nan"})
 
+    def test_negative_seed_rejected(self):
+        """numpy seeds need non-negative integers; -1 raised a ValueError."""
+        with pytest.raises(ConfigError, match="seed"):
+            load_run_config(overrides={"seed": "-1"})
+
     def test_line_break_in_override_rejected(self):
         """A manifest holds one key per line, so it could not record it."""
         with pytest.raises(ConfigError, match="line break"):
@@ -257,6 +262,10 @@ class TestLoadScenario:
         path = write(tmp_path, "n_frauds = 10\n", "s.cfg")
         with pytest.raises(ConfigError, match="n_frauds"):
             load_scenario(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            load_scenario(write(tmp_path, "seed = -1\n", "s.cfg"))
 
     def test_validation_still_applies(self, tmp_path):
         path = write(tmp_path, "camouflage_rate = 3.0\n", "s.cfg")

@@ -1,5 +1,7 @@
 """Synthetic scenario generator, split policies, and CSV ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -36,6 +38,11 @@ class TestScenarioConfig:
     def test_bad_separation(self):
         with pytest.raises(ConfigError):
             small_scenario(cluster_separation=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_separation(self, value):
+        with pytest.raises(ConfigError, match="cluster_separation"):
+            small_scenario(cluster_separation=value)
 
 
 class TestGenerate:
@@ -414,6 +421,18 @@ class TestIngestErrors:
             ingest_csv(path, split=SplitSpec(kind="all"))
         assert "line 3: column 'f1': '-inf' is not a finite" in str(e.value)
         assert "line 5: column 'f1': 'inf' is not a finite" in str(e.value)
+
+    def test_id_or_timestamp_beyond_int64_is_a_bad_row(self, tmp_path):
+        """The graph keeps ids and timestamps in int64 arrays; a larger id
+        raised OverflowError in build-graph."""
+        big = str(2**62)
+        path = write_csv_file(tmp_path, "\n".join([
+            self.TWO_FEATURES, f"{big},0,0,d0,ip0,0.1,1",
+            f"1,-{big},1,d0,ip0,0.2,2", "2,2,0,d1,ip1,0.3,3"]) + "\n")
+        with pytest.raises(IngestError, match="2 bad rows") as e:
+            ingest_csv(path, split=SplitSpec(kind="all"))
+        assert "line 2: id and timestamp must lie within" in str(e.value)
+        assert "line 3: id and timestamp must lie within" in str(e.value)
 
     def test_bad_row_report_capped_at_ten(self, tmp_path):
         lines = [self.HEADER]

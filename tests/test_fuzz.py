@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraudgnn.cli import _read_scores
 from fraudgnn.config import (_RUN_KEYS, dump_run_config, load_run_config,
                              parse_kv)
+from fraudgnn.datagen import DataSchema, SplitSpec, ingest_csv
 from fraudgnn.errors import FraudGnnError
 from fraudgnn.model import (ModelConfig, checkpoint_text, init_params,
                             load_params)
@@ -99,3 +101,60 @@ def test_load_params_text(ckpt_path, text):
     with open(ckpt_path, "w") as fh:
         fh.write(text)
     _raises_only_package_errors(load_params, ckpt_path)
+
+
+@pytest.fixture(scope="module")
+def text_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "fuzz.csv")
+
+
+def _write(path: str, text: str):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+CELLS = st.one_of(NUMBERS, WORDS, st.sampled_from(
+    ["0", "1", "-1", "2", '"a,b"', '"', "9" * 30, "1e308", "-1e308"]),
+    st.text(max_size=6))
+
+
+@st.composite
+def csv_texts(draw):
+    """Arbitrary text, or a header the loader accepts over rows of cells
+    near the parsers' edges, each row a random length."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=300))
+    header = ["id", "timestamp", "label", "device", "ip", "f1"]
+    header += draw(st.lists(st.sampled_from(["f2", "ip", "id", ""]),
+                            max_size=2))
+    rows = draw(st.lists(st.lists(CELLS, min_size=len(header) - 1,
+                                  max_size=len(header) + 1), max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(",".join(r) for r in [header, *rows]) + end
+
+
+@FUZZ
+@given(text=csv_texts(), kind=st.sampled_from(["fraction", "cutoff", "all"]),
+       ratio=st.sampled_from([None, 0.5, 3.0]))
+def test_ingest_csv_text(text_path, text, kind, ratio):
+    _write(text_path, text)
+    split = SplitSpec(kind=kind, test_fraction=0.5, cutoff_timestamp=1)
+    _raises_only_package_errors(ingest_csv, text_path, DataSchema(),
+                                split, 0, ratio)
+
+
+@st.composite
+def scores_texts(draw):
+    """Arbitrary text, or an id,p_fraud header over rows of edge cells."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=300))
+    rows = draw(st.lists(st.lists(CELLS, min_size=1, max_size=4),
+                         max_size=8))
+    return "\n".join(",".join(r) for r in [["id", "p_fraud"], *rows]) + "\n"
+
+
+@FUZZ
+@given(text=scores_texts())
+def test_read_scores_text(text_path, text):
+    _write(text_path, text)
+    _raises_only_package_errors(_read_scores, text_path)

@@ -1,12 +1,12 @@
 """Neighbor selection: similarity scores, probabilities, top-z, over-sampling."""
 
+import importlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fraudgnn import sampler as sampler_mod
 from fraudgnn.datagen import ScenarioConfig, generate, split_records
 from fraudgnn.errors import ConfigError, InputError
 from fraudgnn.model import ModelConfig, checkpoint_text
@@ -17,7 +17,9 @@ from fraudgnn.sampler import (DEFAULT_SIMILARITY_FLOOR, SamplerConfig,
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import TrainConfig, _sample_layers, predict, train
 
-from reference import (loop_sample_neighborhood, loop_selection_probabilities,
+import reference
+from reference import (loop_sample_layers, loop_sample_neighborhood,
+                       loop_selection_probabilities,
                        naive_selection_probabilities, naive_topz,
                        random_transaction_records)
 
@@ -346,7 +348,7 @@ class TestScoreEdgesMatchesLoopReference:
                                       oversample_count=3 if oversample else 0))
             pool = sorted(r.id for r in records[::2] if r.label == 1)
             scores = score_edges(g)
-            new = _sample_layers(g, cfg, 3, pool, scores)
+            new = _sample_layers(g, cfg, 3, pool)
             scfg = cfg.sampler
             if mode != "deterministic_topz":  # _sample_layers salts by epoch
                 scfg = replace(scfg, seed=combine_seed(5, 3))
@@ -359,9 +361,9 @@ class TestScoreEdgesMatchesLoopReference:
                     assert got.selected == want.selected
                     assert got.probabilities == want.probabilities
             with monkeypatch.context() as m:
-                m.setattr(sampler_mod, "sample_neighborhood",
+                m.setattr(reference, "sample_neighborhood",
                           loop_sample_neighborhood)
-                ref = _sample_layers(g, cfg, 3, pool, None)
+                ref = loop_sample_layers(g, cfg, 3, pool, None)
             for a, b in zip(new, ref):
                 assert np.array_equal(a.idx, b.idx)
                 assert np.array_equal(a.mask, b.mask)
@@ -388,8 +390,13 @@ class TestScoreEdgesMatchesLoopReference:
 
         new = run()
         with monkeypatch.context() as m:
-            m.setattr(sampler_mod, "sample_neighborhood",
+            m.setattr(reference, "sample_neighborhood",
                       loop_sample_neighborhood)
+            # the package's train function shadows the module's name
+            m.setattr(importlib.import_module("fraudgnn.train"),
+                      "_sample_layers",
+                      lambda g, c, epoch, pool: loop_sample_layers(
+                          g, c, epoch, pool, None))
             ref = run()
         assert new == ref
 

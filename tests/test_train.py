@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fraudgnn import sampler as sampler_mod
+from fraudgnn import model as model_mod, sampler as sampler_mod, tgraph
 from fraudgnn.datagen import ScenarioConfig, generate
 from fraudgnn.errors import CheckpointError, ConfigError, TrainError
 from fraudgnn.model import ModelConfig, checkpoint_text, init_params
@@ -72,6 +72,10 @@ class TestTrainConfig:
     def test_negative_epochs(self):
         with pytest.raises(ConfigError, match="epochs"):
             small_config(epochs=-1)
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=-1)
 
 
 class TestTrainLoop:
@@ -179,7 +183,7 @@ class TestWeightedModeLayers:
         cfg = small_config(k=len(z_hat))
         cfg.sampler = SamplerConfig(z_hat=z_hat,
                                     mode="weighted_without_replacement")
-        return _sample_layers(g, cfg, epoch, [], score_edges(g))
+        return _sample_layers(g, cfg, epoch, [])
 
     def test_equal_z_hat_layers_draw_identical_neighborhoods(self):
         first, second = self.layers(epoch=1)
@@ -216,17 +220,17 @@ class TestDistinctZSampledOnce:
         cfg = small_config(k=3)
         cfg.sampler = SamplerConfig(z_hat=(8, 8, 4), oversample_count=3,
                                     mode=mode, seed=9)
-        calls = []  # the layer index of every per-node sampling call
-        real = sampler_mod.sample_neighborhood
+        calls = []  # the z of every whole-layer sampling call
+        real = sampler_mod.sample_layer
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sampler_mod, "sample_neighborhood", counting)
-        layers = _sample_layers(g, cfg, 3, pool, scores)
+        monkeypatch.setattr(sampler_mod, "sample_layer", counting)
+        layers = _sample_layers(g, cfg, 3, pool)
         monkeypatch.undo()
-        assert calls == [0] * g.n_nodes + [2] * g.n_nodes
+        assert calls == [8, 4]
         assert layers[0] is layers[1]
         assert layers[2] is not layers[0]
         expected = loop_sample_layers(g, cfg, 3, pool, scores)
@@ -259,7 +263,7 @@ class TestUniformMode:
         g, pool = camouflage_scenario()
         cfg = small_config(k=3, seed=11)
         cfg.sampler = SamplerConfig(z_hat=(4, 4, 2), mode="uniform", seed=99)
-        layers = _sample_layers(g, cfg, 3, pool, None)
+        layers = _sample_layers(g, cfg, 3, pool)
         for k, got in enumerate(layers):
             rng = np.random.default_rng(np.random.SeedSequence(
                 (11, SAMPLER_SEED_TAG, 3, k)))
@@ -281,6 +285,111 @@ class TestUniformMode:
         c = predict(g, result.params, cfg.sampler, seed=5)
         assert [p.p_fraud for p in a] == [p.p_fraud for p in b]
         assert [p.p_fraud for p in a] != [p.p_fraud for p in c]
+
+
+Z = 3  # layer sizes (Z, Z + 1) in TestLayerPassEdgeCases
+
+
+def edge_case_graph():
+    """Device groups sized so rows have exactly Z and Z + 1 neighbors, two
+    isolated fraud records, a group whose records repeat two feature rows
+    (exactly tied scores), and ids that do not follow row order."""
+    rng = np.random.default_rng(7)
+    sizes = [Z + 1, Z + 2, 1, 1, Z + 3]
+    ids = rng.permutation(200)[:sum(sizes)] * 3 + 5
+    tied = rng.uniform(0.1, 1, size=(2, 3))
+    records, row = [], 0
+    for group, size in enumerate(sizes):
+        for j in range(size):
+            records.append(TransactionRecord(
+                id=int(ids[row]), raw={"device": f"d{group}"},
+                attrs=tied[j % 2] if group == 4 else rng.uniform(0.1, 1, 3),
+                timestamp=int(rng.integers(0, 5000)),
+                label=int(row % 3 == 0 or group in (2, 3))))
+            row += 1
+    g = build_graph(records, [Proposition(name="dev", field="device",
+                                          weight=2, window_seconds=10**6)])
+    return g, records
+
+
+class TestLayerPassEdgeCases:
+    """_sample_layers, one pass per layer over the CSR, against the per-node
+    samplers (reference.loop_sample_layers) and uniform oracle, exactly."""
+
+    @pytest.mark.parametrize("mode", ["deterministic_topz",
+                                      "weighted_without_replacement"])
+    @pytest.mark.parametrize("case", ["fraud_pool", "count_above_pool",
+                                      "floor_excludes_all", "legit_pooled"])
+    def test_adaptive_layers_match_per_node_samplers(self, mode, case):
+        g, records = edge_case_graph()
+        fraud = [r.id for r in records if r.label == 1]
+        legit = [r.id for r in records if r.label == 0]
+        pool = fraud[1:] + legit[:3] if case == "legit_pooled" else fraud[1:]
+        cfg = small_config(k=2, seed=3)
+        cfg.sampler = SamplerConfig(
+            z_hat=(Z, Z + 1), mode=mode, seed=8,
+            oversample_count=50 if case == "count_above_pool" else 2,
+            similarity_floor=3.0 if case == "floor_excludes_all" else 1.0)
+        got = _sample_layers(g, cfg, 2, pool)
+        want = loop_sample_layers(g, cfg, 2, pool, None)
+        for a, b in zip(got, want):
+            assert_array_equal(a.idx, b.idx)
+            assert_array_equal(a.mask, b.mask)
+            assert_array_equal(a.dt, b.dt)
+        widths = got[0].mask.sum(axis=1)
+        degrees = np.diff(g.csr.indptr)
+        assert {Z, Z + 1, 0} <= set(degrees.tolist())
+        if case == "floor_excludes_all":
+            assert widths.max() == Z
+        else:  # pooled fraud, the isolated ones too, gain extras
+            assert widths.max() > Z and widths[degrees == 0].max() > 0
+        if case == "count_above_pool":  # more extras than a count of 2 gives
+            assert widths.max() > Z + 1 + 2
+
+    def test_uniform_layers_match_the_reference_draws(self):
+        g, records = edge_case_graph()
+        cfg = small_config(k=2, seed=5)
+        cfg.sampler = SamplerConfig(z_hat=(Z, Z + 1), mode="uniform")
+        pool = [r.id for r in records if r.label == 1]
+        for k, got in enumerate(_sample_layers(g, cfg, 4, pool)):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                (5, SAMPLER_SEED_TAG, 4, k)))
+            want = uniform_neighborhoods(g, cfg.sampler.z_hat[k], rng)
+            assert_array_equal(got.idx, want.idx)
+            assert_array_equal(got.mask, want.mask)
+            assert_array_equal(got.dt, want.dt)
+
+
+class TestScoresOncePerGraph:
+    def test_train_and_predict_share_one_scoring(self, monkeypatch):
+        """Weighted mode resamples every epoch and again in predict; the
+        graph's edges are scored once for all of it, and never through the
+        per-node sampler or packer."""
+        calls = []
+        real = tgraph.pair_scores
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-node path called")
+
+        monkeypatch.setattr(tgraph, "pair_scores", counting)
+        monkeypatch.setattr(sampler_mod, "sample_neighborhood", forbidden)
+        monkeypatch.setattr(model_mod, "pack_neighborhoods", forbidden)
+        g, _ = camouflage_scenario()
+        cfg = small_config(epochs=3)
+        cfg.sampler = SamplerConfig(z_hat=(4, 4), oversample_count=3,
+                                    mode="weighted_without_replacement")
+        result = train(g, cfg)
+        predict(g, result.params, cfg.sampler, known_ids=result.train_ids)
+        assert calls == [len(g.csr.ids)]
+        other, _ = camouflage_scenario()
+        predict(other, result.params, cfg.sampler)
+        assert len(calls) == 2
+        assert other.edge_scores is not g.edge_scores
+        assert_array_equal(other.edge_scores, g.edge_scores)
 
 
 class TestPredict:
@@ -346,7 +455,7 @@ class TestPredict:
         cfg = small_config(epochs=2)
         cfg.sampler = SamplerConfig(z_hat=(4, 4), oversample_count=5)
         # the same config does widen pooled fraud rows in training
-        widths = _sample_layers(g, cfg, 1, pool, score_edges(g))[0].mask.sum(1)
+        widths = _sample_layers(g, cfg, 1, pool)[0].mask.sum(1)
         assert widths.max() > 4
         result = train(g, cfg)
         scores = [[p.p_fraud for p in predict(
