@@ -8,6 +8,13 @@ backward scatters and the per-z_hat sampling reuse went in. Any change
 that moves a single output bit, in the sampler, the model, the autodiff
 or the optimizer, fails here.
 
+The GOLDEN runs sample at most 7 neighbors per node. The WIDE runs
+sample up to 12 plus 3 over-sampled extras, so their layers mix rows of
+at most 8 entries with wider ones; they cover both sampler modes,
+uniform sampling, interval time factors, attention off, gate off and a
+hidden width of 1. Their constants were recorded before neighborhoods
+were split into width buckets.
+
 The constants are tied to the numpy build and BLAS library they were
 recorded with: another BLAS may round a matrix product differently and
 change the digests without any change to this package. Re-record them
@@ -44,11 +51,49 @@ GOLDEN = {
 }
 
 
+# same layout; run_variant(sampler mode, **variant settings)
+WIDE = {
+    "wide-deterministic_topz": (
+        "9aaf287fa522ff3c7252b83eecf3005760d21cda4fa016d261dbe400a61ecef9",
+        "192d4153f7aa174c08896f39c4e984b7feba6442b969277c9a1d1dd11bbc241e"),
+    "wide-weighted_without_replacement": (
+        "4f0bbac213ffa976bf603f1a740529726d4a669f59b521550fb6ae95cb6bd783",
+        "138a9dcd45d4f24abbe2894f04a1f7dcbb2881038fd78703d5c3f5c98a950c52"),
+    "wide-uniform": (
+        "eb1c91d146d2341d0ebc1d5dafa0d69c24d75708e0a59960538c667820fa3510",
+        "6f7515a2180fb41a9be178125760628ec291aab5cba9465fb203fa20f68aac1d"),
+    "wide-interval": (
+        "ef286817d5297937953a7fec5b96452dbe4b09c9ebe43c9babd0b5e748641b02",
+        "a8584e20d514792177dcdf6a41ce9de5151bbf060f8582b40d954fdd59bb4a3d"),
+    "wide-no-attention": (
+        "ca0bd09b480839c8d15de92185d447e098712fd18f25ee22f075438edce8afd9",
+        "662c71f68938d0a87f02df5a22c3405af8211af7e5402c301abec4e2e0995c6e"),
+    "wide-no-gate": (
+        "d85b2fa188fc751f6a0c5b66ca268a32f37ff536e87651342c443c426d6bb1bf",
+        "85b943c1c4b2997faa3893aaf518a5c06c51d0e838268b0204c12cc4466a45a3"),
+    "wide-hidden-1": (
+        "f31edab8bb3ae61b49b5676c3691306ac4b520caf5214123ac8146d7fb7835c8",
+        "1367fb9e8073fb4e031bdb28ad99ac1b0c7ea10a2c9ee3855ebe5779d10c5e0d"),
+}
+
+WIDE_SETTINGS = {
+    "wide-deterministic_topz": ("deterministic_topz", {}),
+    "wide-weighted_without_replacement": ("weighted_without_replacement", {}),
+    "wide-uniform": ("uniform", {}),
+    "wide-interval": ("deterministic_topz", {"time_mode": "interval"}),
+    "wide-no-attention": ("weighted_without_replacement",
+                          {"use_attention": False}),
+    "wide-no-gate": ("deterministic_topz", {"use_gate": False}),
+    "wide-hidden-1": ("weighted_without_replacement",
+                      {"hidden_dim": 1, "activation": "tanh"}),
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_variant(variant: str) -> tuple[str, str]:
+def run_variant(variant: str, z_hat=(4, 4, 2), **model) -> tuple[str, str]:
     records = generate(ScenarioConfig(
         n_legit=150, n_fraud=50, n_devices=8, n_ips=12, camouflage_rate=0.3,
         feature_dim=6, time_span_seconds=21600, seed=3))
@@ -56,8 +101,9 @@ def run_variant(variant: str) -> tuple[str, str]:
     split = SplitSpec(kind="fraction", test_fraction=0.3)
     train_ids, test_ids = split_records(records, split, seed=0)
     cfg = TrainConfig(
-        model=ModelConfig(k_layers=3, hidden_dim=6, tau_seconds=3600),
-        sampler=SamplerConfig(z_hat=(4, 4, 2), oversample_count=3,
+        model=ModelConfig(**{"k_layers": 3, "hidden_dim": 6,
+                             "tau_seconds": 3600, **model}),
+        sampler=SamplerConfig(z_hat=z_hat, oversample_count=3,
                               mode=variant, seed=7),
         split=split, lr=0.01, batch_size=32, epochs=3, seed=5)
     result = train(graph, cfg, train_ids=train_ids)
@@ -71,3 +117,9 @@ def run_variant(variant: str) -> tuple[str, str]:
 @pytest.mark.parametrize("variant", sorted(GOLDEN))
 def test_outputs_match_recorded_digests(variant):
     assert run_variant(variant) == GOLDEN[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(WIDE))
+def test_wide_rows_match_recorded_digests(variant):
+    mode, model = WIDE_SETTINGS[variant]
+    assert run_variant(mode, z_hat=(12, 10, 6), **model) == WIDE[variant]
