@@ -68,7 +68,10 @@ def main():
     banner("attention coefficients versus plain averaging")
     params = init_params(scen.feature_dim, cfg, seed=0)
     h0 = Tensor(g.features())
-    alpha = attention_weights(h0, nb, params.layers[0], cfg).data
+    # one weight per cell of nb.cells; lay the real entries out as nb's table
+    cells = attention_weights(h0, nb, params.layers[0], cfg).data.ravel()
+    alpha = np.zeros(nb.idx.shape)
+    alpha[nb.mask] = cells[nb.cells.entry_cells]
     flat = uniform_weights(nb)
     i = int(order[-1])  # the most mixed row
     m = nb.mask[i]

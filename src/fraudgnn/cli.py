@@ -194,18 +194,22 @@ def _bad_row(path: str, n: int, want: str, parts: list[str]) -> InputError:
 
 
 def _read_scores(path: str) -> tuple[list[int], np.ndarray]:
-    ids, probs = [], []
+    row_of, probs = {}, []
     rows = _csv_rows(path, ["id", "p_fraud"], "scores CSV")
     for n, parts in enumerate(rows, start=1):
         try:
-            ids.append(int(parts[0]))
+            node = int(parts[0])
             probs.append(float(parts[1]))
         except (ValueError, IndexError):
             raise _bad_row(path, n, "an integer id and a numeric p_fraud",
                            parts) from None
         if not math.isfinite(probs[-1]):
             raise _bad_row(path, n, "a finite p_fraud", parts)
-    return ids, np.array(probs)
+        if node in row_of:
+            raise InputError(f"{path}: row {n}: id {node} is already scored "
+                             f"in row {row_of[node]}")
+        row_of[node] = n
+    return list(row_of), np.array(probs)
 
 
 def _read_labels(path: str) -> dict[int, int]:

@@ -9,6 +9,7 @@ label-diversity gate, and applies a concat-update with row normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -126,12 +127,16 @@ class Neighborhoods:
 
     idx holds row positions into the node table, mask marks real entries,
     dt holds |timestamp gap| in seconds. Padding entries point at row 0 with
-    mask False and contribute nothing downstream.
+    mask False and contribute nothing downstream. The layer runs on `cells`,
+    the table in width buckets; it and the cell weights are built on first
+    use and kept here, so the arrays must not change after that.
     """
 
     idx: np.ndarray
     mask: np.ndarray
     dt: np.ndarray
+    _cell_weights: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -140,6 +145,16 @@ class Neighborhoods:
     @property
     def width(self) -> int:
         return self.idx.shape[1]
+
+    @cached_property
+    def cells(self) -> nn.CellLayout:
+        return nn.CellLayout(self.idx, self.mask)
+
+    def cell_weights(self, key, table) -> np.ndarray:
+        """The cells of table(), an (n_nodes, width) array fixed by `key`."""
+        if key not in self._cell_weights:
+            self._cell_weights[key] = self.cells.take(table()).reshape(-1, 1)
+        return self._cell_weights[key]
 
 
 def pack_rows(graph: TransactionGraph, src: np.ndarray,
@@ -264,15 +279,19 @@ def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     vector scores the concatenated projections, split here into a self part
     and a neighbor part so no pairwise concat is materialized. Scores pass
     through LeakyReLU, a masked softmax over each node's neighbors, and the
-    time-gap damping. Rows with no neighbors come out all zero.
+    time-gap damping. Rows with no neighbors come out all zero. There is
+    one coefficient per cell of nb.cells (see nn.CellLayout).
     """
     d_in, d_out = layer.d_in, layer.d_out
+    cells = nb.cells
     proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
     score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
     score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
-    raw = nn.add(score_self, nn.gather(score_neigh, nb.idx))
-    alpha = nn.softmax_rows(nn.leaky_relu(raw), mask=nb.mask)
-    return nn.mul(alpha, time_factors(nb, config))
+    raw = nn.add_rows(score_self, nn.gather(score_neigh, cells), cells)
+    alpha = nn.softmax_cells(nn.leaky_relu(raw), cells)
+    factors = nb.cell_weights(("time", config.time_mode, config.tau_seconds),
+                              lambda: time_factors(nb, config))
+    return nn.mul(alpha, factors)
 
 
 def uniform_weights(nb: Neighborhoods) -> np.ndarray:
@@ -294,8 +313,8 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     if config.use_attention:
         weights = attention_weights(h_prev, nb, layer, config)
     else:
-        weights = Tensor(uniform_weights(nb))
-    h_agg = nn.neighbor_sum(weights, h_prev, nb.idx)
+        weights = nb.cell_weights("uniform", lambda: uniform_weights(nb))
+    h_agg = nn.neighbor_sum(weights, h_prev, nb.cells)
     if config.use_gate and gates is not None:
         h_agg = nn.mul(h_agg, np.asarray(gates).reshape(-1, 1))
     combined = nn.matmul(nn.concat(h_prev, h_agg), layer.W)

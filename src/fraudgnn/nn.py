@@ -178,21 +178,18 @@ def slice_cols(a, c0: int, c1: int) -> Tensor:
     return _slice(a, np.s_[:, c0:c1])
 
 
-def _scatter_rows(coef: np.ndarray, idx: np.ndarray, g: np.ndarray,
-                  m: int) -> np.ndarray:
-    """out[idx[i, j]] += coef[i, j] * g[i] for every (i, j), as (m, d).
+def _scatter_rows(coef: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
+                  g: np.ndarray, m: int) -> np.ndarray:
+    """out[cols[k]] += coef[k] * g[i] for each entry k of row i, as (m, d).
 
-    Computed as A.T @ g with A[i, idx[i, j]] = coef[i, j]: scipy's
-    csc_matvecs adds the products to each target row in (i, j) order from
+    Row i owns entries indptr[i]:indptr[i + 1]. As A.T @ g, scipy's
+    csc_matvecs adds the products to each target row in entry order from
     +0.0, so the result equals numpy's add.at of the same products bit for
-    bit, including which NaN survives when two meet. Zero-coefficient
-    padding entries stay in A, because dropping them drops their NaN/inf
-    terms.
+    bit, including which NaN survives when two meet.
     """
-    n, z = idx.shape
-    a = scipy.sparse.csr_matrix(
-        (coef.ravel(), idx.ravel(), np.arange(0, n * z + 1, z)), shape=(n, m))
-    return a.T @ g
+    a_t = scipy.sparse.csc_matrix((coef, cols, indptr),
+                                  shape=(m, len(indptr) - 1))
+    return a_t @ g
 
 
 def take_rows(a, idx) -> Tensor:
@@ -202,44 +199,131 @@ def take_rows(a, idx) -> Tensor:
     out = a.data[idx, :]
 
     def vjp(g):
-        rows = idx.reshape(-1, 1)
-        return (_scatter_rows(np.ones(rows.shape), rows, g, a.rows),)
+        return (_scatter_rows(np.ones(len(idx)), idx,
+                              np.arange(len(idx) + 1), g, a.rows),)
 
     return _record(out, (a,), vjp)
 
 
-def gather(values, idx) -> Tensor:
-    """Index a column vector (m,1) with an (n,z) index matrix -> (n,z)."""
+# ---------------------------------------------------------------------------
+# per-entry ops over width-bucketed neighbor tables
+# ---------------------------------------------------------------------------
+
+NARROW_WIDTH = 8
+
+
+class CellLayout:
+    """The cells of a padded (n, width) neighbor table, in width buckets.
+
+    Rows whose real entries all lie in the first NARROW_WIDTH columns form
+    the narrow bucket, trimmed to that width; the others keep the width.
+    A bucket of every row has rows slice(None), so its blocks are views.
+    A per-entry tensor is an (n_cells, 1) column of the buckets' cells;
+    `cells[entry_cells]` lists its real entries as `table[mask]` would.
+    Results equal the padded table's bit for bit (README, determinism)."""
+
+    def __init__(self, idx: np.ndarray, mask: np.ndarray):
+        n, width = idx.shape
+        narrow = ~mask[:, NARROW_WIDTH:].any(axis=1)
+        groups = [(np.flatnonzero(narrow), min(width, NARROW_WIDTH)),
+                  (np.flatnonzero(~narrow), width)]
+        groups = [g for g in groups if len(g[0])] or groups[:1]
+        if len(groups) == 1:
+            groups = [(slice(None), groups[0][1])]
+        self.n_rows, self.buckets, start = n, [], 0
+        cell_of = np.zeros((n, width), dtype=np.int64)
+        for rows, w in groups:
+            size = cell_of[rows, :w].size
+            cell_of[rows, :w] = np.arange(start, start + size).reshape(-1, w)
+            self.buckets.append((rows, w, start, start + size))
+            start += size
+        self.idx, self.mask = self.take(idx), self.take(mask)
+        flat = np.flatnonzero(mask)  # the real entries, in (row, col) order
+        self.entry_cells, self.entry_nbr = cell_of.flat[flat], idx.flat[flat]
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(flat // width, minlength=n))))
+
+    def take(self, table: np.ndarray) -> np.ndarray:  # (n, width) -> cells
+        return np.concatenate([np.ravel(table[rows, :w])
+                               for rows, w, _, _ in self.buckets])
+
+    def views(self, cells: np.ndarray) -> list[np.ndarray]:  # cells -> blocks
+        return [cells[lo:hi].reshape(-1, w) for _, w, lo, hi in self.buckets]
+
+    def join_cells(self, blocks: list[np.ndarray]) -> np.ndarray:  # inverse
+        if len(blocks) == 1:
+            return blocks[0].reshape(-1, 1)
+        return np.concatenate([x.reshape(-1, 1) for x in blocks])
+
+    def row_blocks(self, a: np.ndarray) -> list[np.ndarray]:  # rows -> blocks
+        return [a[rows] for rows, _, _, _ in self.buckets]
+
+    def join_rows(self, blocks: list[np.ndarray]) -> np.ndarray:  # inverse
+        if len(blocks) == 1:
+            return blocks[0]
+        out = np.empty((self.n_rows,) + blocks[0].shape[1:])
+        for (rows, _, _, _), block in zip(self.buckets, blocks):
+            out[rows] = block
+        return out
+
+
+def gather(values, layout: CellLayout) -> Tensor:
+    """A column vector (m,1) read at every cell's neighbor row -> cells."""
     values = _wrap(values)
     if values.cols != 1:
         raise ShapeError(f"gather expects a column vector, got {values.shape}")
-    idx = np.asarray(idx, dtype=np.int64)
-    out = values.data[idx, 0]
 
     def vjp(g):
-        # bincount sums each bin in idx order from +0.0 and, like the 1-D
+        # bincount sums each bin in entry order from +0.0 and, like the 1-D
         # add.at it replaces, keeps the running sum's NaN when two NaNs meet
-        dv = np.bincount(idx.ravel(), weights=g.ravel(), minlength=values.rows)
+        dv = np.bincount(layout.entry_nbr, weights=g[layout.entry_cells, 0],
+                         minlength=values.rows)
         return (dv.reshape(-1, 1),)
 
-    return _record(out, (values,), vjp)
+    return _record(values.data[layout.idx], (values,), vjp)
 
 
-def neighbor_sum(weights, values, idx) -> Tensor:
-    """out[i] = sum_j weights[i,j] * values[idx[i,j]]  ((n,z),(m,d),(n,z) -> (n,d)).
-
-    Padding entries must carry weight 0; their index may point anywhere valid.
-    """
-    weights, values = _wrap(weights), _wrap(values)
-    idx = np.asarray(idx, dtype=np.int64)
-    if weights.shape != idx.shape:
-        raise ShapeError(f"neighbor_sum weights {weights.shape} vs idx {idx.shape}")
-    gathered = np.take(values.data, idx, axis=0)  # (n, z, d)
-    out = np.einsum("nz,nzd->nd", weights.data, gathered)
+def add_rows(col, cells, layout: CellLayout) -> Tensor:
+    """col[i] + cells[c] for every cell c of row i: ((n,1), cells) -> cells."""
+    col, cells = _wrap(col), _wrap(cells)
+    out = layout.join_cells([c + x for c, x in zip(
+        layout.row_blocks(col.data), layout.views(cells.data))])
 
     def vjp(g):
-        dw = np.einsum("nd,nzd->nz", g, gathered)
-        return dw, _scatter_rows(weights.data, idx, g, values.rows)
+        sums = [x.sum(axis=1, keepdims=True) for x in layout.views(g)]
+        return layout.join_rows(sums), g
+
+    return _record(out, (col, cells), vjp)
+
+
+def softmax_cells(a, layout: CellLayout) -> Tensor:
+    """Softmax over each row's real cells; padding and empty rows get 0."""
+    a = _wrap(a)
+    out = layout.join_cells([_softmax(x, m) for x, m in zip(
+        layout.views(a.data), layout.views(layout.mask))])
+    return _record(out, (a,), lambda g: (layout.join_cells([
+        _softmax_vjp(o, gb) for o, gb in zip(layout.views(out),
+                                             layout.views(g))]),))
+
+
+def neighbor_sum(weights, values, layout: CellLayout) -> Tensor:
+    """out[i] = sum over row i's cells c of weights[c] * values[nbr(c)]
+    ((n_cells,1),(m,d) -> (n,d)). Padding cells must carry weight 0."""
+    weights, values = _wrap(weights), _wrap(values)
+    if weights.shape != layout.idx.shape + (1,):
+        raise ShapeError(f"neighbor_sum expects {len(layout.idx)} cell "
+                         f"weights, got {weights.shape}")
+    gathered = [np.take(values.data, idx, axis=0)  # (rows, width, d)
+                for idx in layout.views(layout.idx)]
+    out = layout.join_rows([np.einsum("nz,nzd->nd", w, x) for w, x in zip(
+        layout.views(weights.data), gathered)])
+
+    def vjp(g):
+        dw = layout.join_cells([np.einsum("nd,nzd->nz", gb, x) for gb, x in
+                                zip(layout.row_blocks(g), gathered)])
+        return dw, _scatter_rows(weights.data[layout.entry_cells, 0],
+                                 layout.entry_nbr, layout.indptr, g,
+                                 values.rows)
 
     return _record(out, (weights, values), vjp)
 
@@ -290,32 +374,25 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * inside,))
 
 
-def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax; masked-out entries get probability 0.
-
-    Overflow-safe via per-row max subtraction. Rows with no valid entry come
-    out all-zero (used for isolated nodes).
-    """
-    a = _wrap(a)
-    x = a.data
-    if mask is None:
-        valid = np.ones_like(x, dtype=bool)
-    else:
-        valid = np.asarray(mask, dtype=bool)
-        if valid.shape != x.shape:
-            raise ShapeError(f"softmax mask {valid.shape} vs data {x.shape}")
-    neg = np.where(valid, x, -np.inf)
-    rowmax = neg.max(axis=1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.where(valid, np.exp(np.where(valid, x, 0.0) - rowmax), 0.0)
+def _softmax(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    e = np.where(valid, x, -np.inf)
+    rowmax = e.max(axis=1, keepdims=True)
+    rowmax[~np.isfinite(rowmax)] = 0.0
+    np.exp(np.subtract(e, rowmax, out=e), out=e)  # invalid entries: +0.0
     s = e.sum(axis=1, keepdims=True)
-    out = e / np.where(s > 0, s, 1.0)
+    s[~(s > 0)] = 1.0
+    return np.divide(e, s, out=e)
 
-    def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
 
-    return _record(out, (a,), vjp)
+def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return out * (g - (g * out).sum(axis=1, keepdims=True))
+
+
+def softmax_rows(a) -> Tensor:
+    """Row-wise softmax, overflow-safe via per-row max subtraction."""
+    a = _wrap(a)
+    out = _softmax(a.data, True)
+    return _record(out, (a,), lambda g: (_softmax_vjp(out, g),))
 
 
 def l2_normalize_rows(a) -> Tensor:

@@ -10,6 +10,7 @@ step. Gates and neighbor choices are constants to the gradient.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,8 +46,8 @@ class TrainConfig:
             raise ConfigError(
                 f"sampler.z_hat has {len(self.sampler.z_hat)} entries but the "
                 f"model has {self.model.k_layers} layers")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

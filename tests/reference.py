@@ -12,10 +12,12 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse
 
 from fraudgnn import nn
 from fraudgnn.errors import ConfigError, ShapeError
-from fraudgnn.model import Neighborhoods, pack_neighborhoods
+from fraudgnn.model import (ACTIVATIONS, Neighborhoods, pack_neighborhoods,
+                            time_factors, uniform_weights)
 from fraudgnn.sampler import (SampledNeighborhood, combine_seed,
                               oversample_fraud, sample_neighborhood)
 from fraudgnn.tgraph import (Proposition, TransactionGraph, TransactionRecord,
@@ -153,6 +155,111 @@ def add_at_neighbor_sum_vjp(weights, m: int, idx, g) -> np.ndarray:
     np.add.at(dv, np.asarray(idx, dtype=np.int64),
               weights[:, :, None] * g[:, None, :])
     return dv
+
+
+def padded(nb: Neighborhoods, cells) -> np.ndarray:
+    """Per-cell values of nb.cells laid out as nb's (n, width) table: the
+    real entries' values, zero on padding."""
+    out = np.zeros(nb.idx.shape)
+    out[nb.mask] = np.ravel(cells)[nb.cells.entry_cells]
+    return out
+
+
+def padded_scatter_rows(coef: np.ndarray, idx: np.ndarray, g: np.ndarray,
+                        m: int) -> np.ndarray:
+    """nn's scatter over a padded (n, z) table before width buckets: every
+    cell, padding included, as A.T @ g in (i, j) order."""
+    n, z = idx.shape
+    a = scipy.sparse.csr_matrix(
+        (coef.ravel(), idx.ravel(), np.arange(0, n * z + 1, z)), shape=(n, m))
+    return a.T @ g
+
+
+def padded_gather(values, idx) -> nn.Tensor:
+    """nn.gather before width buckets: a column vector (m,1) indexed with an
+    (n,z) index matrix -> (n,z)."""
+    values = nn._wrap(values)
+    if values.cols != 1:
+        raise ShapeError(f"gather expects a column vector, got {values.shape}")
+    idx = np.asarray(idx, dtype=np.int64)
+    out = values.data[idx, 0]
+
+    def vjp(g):
+        dv = np.bincount(idx.ravel(), weights=g.ravel(), minlength=values.rows)
+        return (dv.reshape(-1, 1),)
+
+    return nn._record(out, (values,), vjp)
+
+
+def padded_neighbor_sum(weights, values, idx) -> nn.Tensor:
+    """nn.neighbor_sum before width buckets:
+    out[i] = sum_j weights[i,j] * values[idx[i,j]]  ((n,z),(m,d),(n,z) -> (n,d))."""
+    weights, values = nn._wrap(weights), nn._wrap(values)
+    idx = np.asarray(idx, dtype=np.int64)
+    if weights.shape != idx.shape:
+        raise ShapeError(f"neighbor_sum weights {weights.shape} vs idx {idx.shape}")
+    gathered = np.take(values.data, idx, axis=0)  # (n, z, d)
+    out = np.einsum("nz,nzd->nd", weights.data, gathered)
+
+    def vjp(g):
+        dw = np.einsum("nd,nzd->nz", g, gathered)
+        return dw, padded_scatter_rows(weights.data, idx, g, values.rows)
+
+    return nn._record(out, (weights, values), vjp)
+
+
+def padded_softmax_rows(a, mask) -> nn.Tensor:
+    """nn.softmax_rows' masked form before width buckets: row-wise softmax
+    over the entries of a padded table that mask marks; the rest get 0, and
+    rows with no marked entry come out all zero."""
+    a = nn._wrap(a)
+    x = a.data
+    valid = np.asarray(mask, dtype=bool)
+    if valid.shape != x.shape:
+        raise ShapeError(f"softmax mask {valid.shape} vs data {x.shape}")
+    neg = np.where(valid, x, -np.inf)
+    rowmax = neg.max(axis=1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    e = np.where(valid, np.exp(np.where(valid, x, 0.0) - rowmax), 0.0)
+    s = e.sum(axis=1, keepdims=True)
+    out = e / np.where(s > 0, s, 1.0)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=1, keepdims=True)
+        return (out * (g - dot),)
+
+    return nn._record(out, (a,), vjp)
+
+
+def padded_attention_weights(h_prev, nb: Neighborhoods, layer,
+                             config) -> nn.Tensor:
+    """model.attention_weights before width buckets: every op runs on the
+    whole (n, width) table and returns it."""
+    d_in, d_out = layer.d_in, layer.d_out
+    proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
+    score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
+    score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
+    raw = nn.add(score_self, padded_gather(score_neigh, nb.idx))
+    alpha = padded_softmax_rows(nn.leaky_relu(raw), nb.mask)
+    return nn.mul(alpha, time_factors(nb, config))
+
+
+def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
+                         config) -> nn.Tensor:
+    """model.layer_forward before width buckets."""
+    if h_prev.cols != layer.d_in:
+        raise ShapeError(
+            f"layer expects width {layer.d_in}, got {h_prev.cols}")
+    if config.use_attention:
+        weights = padded_attention_weights(h_prev, nb, layer, config)
+    else:
+        weights = nn.Tensor(uniform_weights(nb))
+    h_agg = padded_neighbor_sum(weights, h_prev, nb.idx)
+    if config.use_gate and gates is not None:
+        h_agg = nn.mul(h_agg, np.asarray(gates).reshape(-1, 1))
+    combined = nn.matmul(nn.concat(h_prev, h_agg), layer.W)
+    activated = ACTIVATIONS[config.activation](combined)
+    return nn.l2_normalize_rows(activated)
 
 
 def loop_sample_layers(graph: TransactionGraph, cfg, epoch: int,

@@ -241,6 +241,15 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and "row 1" in err
 
+    def test_repeated_id_exits_one(self, tmp_path, capsys):
+        code, err = self.evaluate_error(
+            tmp_path, capsys,
+            "id,p_fraud,label_pred\n0,0.3,0\n1,0.7,1\n1,0.7,1\n", self.DATA)
+        assert code == 1
+        assert err.startswith("error: ") and "id 1" in err and "row 3" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "r.txt").exists()
+
     def test_empty_data_csv_exits_one(self, tmp_path, capsys):
         code, err = self.evaluate_error(
             tmp_path, capsys, "id,p_fraud,label_pred\n0,0.3,0\n", "")
@@ -270,6 +279,19 @@ def config_lines(artifact) -> list[str]:
 
 
 class TestTrainVariants:
+    def test_infinite_lr_fails_before_training(self, workspace, tmp_path,
+                                               capsys):
+        out = tmp_path / "inf.ckpt"
+        code = main(["train", "--data", str(workspace / "data.csv"),
+                     "--props", str(workspace / "props.cfg"),
+                     "--config", str(workspace / "run.cfg"),
+                     "--set", "trainer.lr=inf", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: lr must be finite and positive")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_baseline_model_disables_everything(self, workspace, tmp_path):
         out = tmp_path / "baseline.ckpt"
         code = main(["train", "--data", str(workspace / "data.csv"),

@@ -147,6 +147,12 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             load_run_config(overrides={key: "nan"})
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "0", "-0.5"])
+    def test_lr_must_be_finite_and_positive(self, value):
+        run = load_run_config(overrides={"trainer.lr": value})
+        with pytest.raises(ConfigError, match="lr must be finite"):
+            run.train_config()
+
     def test_negative_seed_rejected(self):
         """numpy seeds need non-negative integers; -1 raised a ValueError."""
         with pytest.raises(ConfigError, match="seed"):

@@ -18,7 +18,8 @@ from fraudgnn.nn import Tensor
 from fraudgnn.sampler import SampledNeighborhood
 from fraudgnn.tgraph import Proposition, build_graph
 
-from reference import random_transaction_records, reference_layer_forward
+from reference import (padded, random_transaction_records,
+                       reference_layer_forward)
 
 
 def make_nb(idx, mask, dt):
@@ -157,8 +158,9 @@ class TestAttentionWeights:
                      [[1, 1], [1, 0], [1, 0]],
                      np.zeros((3, 2)))
         w = attention_weights(h, nb, layer, ModelConfig())
-        assert_allclose(w.data[0, 0], w.data[0, 1], rtol=1e-12)
-        assert_allclose(w.data[0].sum(), 1.0, rtol=1e-12)
+        assert_allclose(padded(nb, w.data)[0, 0], padded(nb, w.data)[0, 1],
+                        rtol=1e-12)
+        assert_allclose(padded(nb, w.data)[0].sum(), 1.0, rtol=1e-12)
 
     def test_time_gap_of_tau_costs_factor_e(self):
         """Equal scores, gaps 0 and tau: the stale neighbor weighs 1/e as much."""
@@ -170,7 +172,8 @@ class TestAttentionWeights:
                      [[1, 1], [1, 0], [1, 0]],
                      [[0.0, 1800.0], [0.0, 0.0], [0.0, 0.0]])
         w = attention_weights(h, nb, layer, ModelConfig(tau_seconds=1800.0))
-        assert_allclose(w.data[0, 0] / w.data[0, 1], math.e, rtol=1e-12)
+        assert_allclose(padded(nb, w.data)[0, 0] / padded(nb, w.data)[0, 1],
+                        math.e, rtol=1e-12)
 
     def test_softmax_sums_one_then_damping_only_shrinks(self):
         rng = np.random.default_rng(3)
@@ -181,7 +184,7 @@ class TestAttentionWeights:
         mask[:, 0] = True
         dt = rng.uniform(0, 3600, size=(6, 3))
         nb = make_nb(idx, mask, dt)
-        post = attention_weights(h, nb, layer, ModelConfig()).data
+        post = padded(nb, attention_weights(h, nb, layer, ModelConfig()).data)
         factors = time_factors(nb, ModelConfig())
         pre = np.divide(post, factors, out=np.zeros_like(post),
                         where=factors > 0)

@@ -14,6 +14,11 @@ from reference import (add_at_gather_vjp, add_at_neighbor_sum_vjp,
                        add_at_take_rows_vjp, fd_gradient, sum_all)
 
 
+def every_cell(idx):
+    """A layout whose cells are all real entries: the padded table itself."""
+    return nn.CellLayout(idx, np.ones(idx.shape, dtype=bool))
+
+
 def fd_check(loss_fn, params, rel=1e-4, floor=1e-7):
     """Compare analytic grads (already on params) against central differences."""
     for p in params:
@@ -99,12 +104,13 @@ class TestShapeErrors:
 
     def test_gather_needs_column(self):
         with pytest.raises(ShapeError):
-            nn.gather(Tensor(np.zeros((3, 2))), np.zeros((2, 2), dtype=int))
+            nn.gather(Tensor(np.zeros((3, 2))),
+                      every_cell(np.zeros((2, 2), dtype=int)))
 
     def test_neighbor_sum_weight_idx_mismatch(self):
         with pytest.raises(ShapeError):
             nn.neighbor_sum(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))),
-                            np.zeros((2, 4), dtype=int))
+                            every_cell(np.zeros((2, 4), dtype=int)))
 
 
 class TestBackwardMechanics:
@@ -231,22 +237,24 @@ class TestFiniteDifferenceGradients:
     def test_gather_with_duplicates(self):
         v = Tensor(self.rng.normal(size=(5, 1)), requires_grad=True)
         idx = np.array([[0, 4], [2, 2], [1, 0]])
-        coef = self.rng.normal(size=(3, 2))
+        coef = self.rng.normal(size=(3, 2)).reshape(-1, 1)
 
         def forward():
-            return sum_all(nn.mul(nn.gather(v, idx), coef))
+            return sum_all(nn.mul(nn.gather(v, every_cell(idx)), coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [v])
 
     def test_neighbor_sum(self):
-        w = Tensor(self.rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(self.rng.normal(size=(3, 4)).reshape(-1, 1),
+                   requires_grad=True)
         v = Tensor(self.rng.normal(size=(6, 2)), requires_grad=True)
         idx = self.rng.integers(0, 6, size=(3, 4))
         coef = self.rng.normal(size=(3, 2))
 
         def forward():
-            return sum_all(nn.mul(nn.neighbor_sum(w, v, idx), coef))
+            return sum_all(nn.mul(nn.neighbor_sum(w, v, every_cell(idx)),
+                                  coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [w, v])
@@ -255,7 +263,8 @@ class TestFiniteDifferenceGradients:
         w = self.rng.normal(size=(3, 4))
         v = self.rng.normal(size=(6, 2))
         idx = self.rng.integers(0, 6, size=(3, 4))
-        out = nn.neighbor_sum(Tensor(w), Tensor(v), idx).data
+        out = nn.neighbor_sum(Tensor(w.reshape(-1, 1)), Tensor(v),
+                              every_cell(idx)).data
         ref = np.zeros((3, 2))
         for i in range(3):
             for j in range(4):
@@ -263,23 +272,25 @@ class TestFiniteDifferenceGradients:
         assert_allclose(out, ref, rtol=1e-12)
 
     def test_softmax_rows_masked(self):
-        a = Tensor(self.rng.normal(size=(3, 4)), requires_grad=True)
+        a = Tensor(self.rng.normal(size=(12, 1)), requires_grad=True)
         mask = np.array([[1, 1, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0]], dtype=bool)
-        coef = self.rng.normal(size=(3, 4))
+        layout = nn.CellLayout(np.zeros((3, 4), dtype=int), mask)
+        coef = self.rng.normal(size=(12, 1))
 
         def forward():
-            return sum_all(nn.mul(nn.softmax_rows(a, mask), coef))
+            return sum_all(nn.mul(nn.softmax_cells(a, layout), coef))
 
-        out = nn.softmax_rows(a, mask)
-        assert (out.data[~mask] == 0.0).all()
+        out = nn.softmax_cells(a, layout)
+        assert (out.data[~mask.reshape(-1, 1)] == 0.0).all()
         backward(forward())
         fd_check(lambda: forward().item(), [a])
 
     def test_softmax_all_invalid_row_is_zero(self):
         mask = np.array([[True, True], [False, False]])
-        out = nn.softmax_rows(Tensor([[1.0, 2.0], [5.0, 5.0]]), mask)
-        assert_allclose(out.data[1], [0.0, 0.0])
-        assert_allclose(out.data[0].sum(), 1.0, atol=1e-12)
+        layout = nn.CellLayout(np.zeros((2, 2), dtype=int), mask)
+        out = nn.softmax_cells(Tensor([[1.0], [2.0], [5.0], [5.0]]), layout)
+        assert_allclose(out.data.reshape(2, 2)[1], [0.0, 0.0])
+        assert_allclose(out.data.reshape(2, 2)[0].sum(), 1.0, atol=1e-12)
 
     def test_l2_normalize(self):
         a = Tensor(self.rng.normal(size=(3, 4)) + 0.5, requires_grad=True)
@@ -394,12 +405,13 @@ class TestScattersMatchAddAt:
     def check(self, seed, n, z, m, d, **kw):
         idx, w, (g_sum, g_gather, g_take) = scatter_case(seed, n, z, m, d, **kw)
         values = Tensor(np.ones((m, d)), requires_grad=True)
-        out = nn.neighbor_sum(Tensor(w, requires_grad=True), values, idx)
+        out = nn.neighbor_sum(Tensor(w.reshape(-1, 1), requires_grad=True),
+                              values, every_cell(idx))
         assert_bits_equal(out._vjp(g_sum)[1],
                           add_at_neighbor_sum_vjp(w, m, idx, g_sum))
 
         column = Tensor(np.ones((m, 1)), requires_grad=True)
-        (dv,) = nn.gather(column, idx)._vjp(g_gather)
+        (dv,) = nn.gather(column, every_cell(idx))._vjp(g_gather.reshape(-1, 1))
         assert_bits_equal(dv, add_at_gather_vjp(m, idx, g_gather))
 
         rows = idx.ravel()

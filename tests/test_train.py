@@ -65,6 +65,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="lr"):
             small_config(lr=0.0)
 
+    @pytest.mark.parametrize("lr", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lr(self, lr):
+        """lr = inf trained a whole epoch of NaN updates before failing."""
+        with pytest.raises(ConfigError, match="lr must be finite"):
+            TrainConfig(lr=lr)
+
     def test_bad_batch_size(self):
         with pytest.raises(ConfigError, match="batch_size"):
             small_config(batch_size=0)
