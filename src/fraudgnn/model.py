@@ -128,15 +128,15 @@ class Neighborhoods:
     idx holds row positions into the node table, mask marks real entries,
     dt holds |timestamp gap| in seconds. Padding entries point at row 0 with
     mask False and contribute nothing downstream. The layer runs on `cells`,
-    the table in width buckets; it and the cell weights are built on first
-    use and kept here, so the arrays must not change after that.
+    the table in width buckets; it and the weights on its cells are built
+    on first use and kept here, so the arrays must not change after that.
     """
 
     idx: np.ndarray
     mask: np.ndarray
     dt: np.ndarray
-    _cell_weights: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
+    _time_cells: dict = field(default_factory=dict, init=False,
+                              repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -150,11 +150,16 @@ class Neighborhoods:
     def cells(self) -> nn.CellLayout:
         return nn.CellLayout(self.idx, self.mask)
 
-    def cell_weights(self, key, table) -> np.ndarray:
-        """The cells of table(), an (n_nodes, width) array fixed by `key`."""
-        if key not in self._cell_weights:
-            self._cell_weights[key] = self.cells.take(table()).reshape(-1, 1)
-        return self._cell_weights[key]
+    @cached_property
+    def uniform_cells(self) -> np.ndarray:
+        return self.cells.take(uniform_weights(self)).reshape(-1, 1)
+
+    def time_cells(self, config: ModelConfig) -> np.ndarray:
+        """time_factors on the cells, one column; tau keys decay mode only."""
+        key = (config.time_mode, config.time_mode == "decay" and config.tau_seconds)
+        if key not in self._time_cells:
+            self._time_cells[key] = self.cells.take(time_factors(self, config)).reshape(-1, 1)
+        return self._time_cells[key]
 
 
 def pack_rows(graph: TransactionGraph, src: np.ndarray,
@@ -289,9 +294,7 @@ def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
     raw = nn.add_rows(score_self, nn.gather(score_neigh, cells), cells)
     alpha = nn.softmax_cells(nn.leaky_relu(raw), cells)
-    factors = nb.cell_weights(("time", config.time_mode, config.tau_seconds),
-                              lambda: time_factors(nb, config))
-    return nn.mul(alpha, factors)
+    return nn.mul(alpha, nb.time_cells(config))
 
 
 def uniform_weights(nb: Neighborhoods) -> np.ndarray:
@@ -310,10 +313,8 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     if h_prev.cols != layer.d_in:
         raise ShapeError(
             f"layer expects width {layer.d_in}, got {h_prev.cols}")
-    if config.use_attention:
-        weights = attention_weights(h_prev, nb, layer, config)
-    else:
-        weights = nb.cell_weights("uniform", lambda: uniform_weights(nb))
+    weights = (attention_weights(h_prev, nb, layer, config)
+               if config.use_attention else nb.uniform_cells)
     h_agg = nn.neighbor_sum(weights, h_prev, nb.cells)
     if config.use_gate and gates is not None:
         h_agg = nn.mul(h_agg, np.asarray(gates).reshape(-1, 1))

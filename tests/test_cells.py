@@ -186,9 +186,11 @@ class TestCellCache:
         nb = TABLES["mixed"](np.random.default_rng(0))
         for cfg in (ModelConfig(tau_seconds=60.0), ModelConfig(),
                     ModelConfig(time_mode="interval")):
-            key = ("time", cfg.time_mode, cfg.tau_seconds)
-            got = nb.cell_weights(key, lambda: time_factors(nb, cfg))
+            got = nb.time_cells(cfg)
             assert np.array_equal(padded(nb, got), time_factors(nb, cfg))
+        # interval mode does not read tau, so it shares one cached column
+        assert nb.time_cells(ModelConfig(time_mode="interval",
+                                         tau_seconds=60.0)) is got
 
     @pytest.mark.parametrize("mode,layouts", [
         ("deterministic_topz", 2), ("weighted_without_replacement", 6)])
