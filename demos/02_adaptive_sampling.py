@@ -12,20 +12,28 @@ from dataclasses import replace
 import numpy as np
 
 from fraudgnn.datagen import ScenarioConfig, generate
-from fraudgnn.sampler import (
-    SamplerConfig,
-    sample_neighborhood,
-    sample_topz,
-    selection_probabilities,
-    similarity,
-)
-from fraudgnn.tgraph import Proposition, build_graph, max_edge_weight
+from fraudgnn.sampler import SamplerConfig, sample_layer
+from fraudgnn.tgraph import Proposition, build_graph, pair_scores
 
 
 def banner(title):
     print()
     print(title)
     print("=" * len(title))
+
+
+def similarities(g, v, others):
+    """exp(cosine) of v's features against each of others'."""
+    rows = np.array([g.index_of(u) for u in others], dtype=np.int64)
+    return pair_scores(g.unit_features, np.full(len(rows), g.index_of(v)),
+                       rows, 1.0)
+
+
+def picks(g, v, cfg, fraud_pool=()):
+    """v's neighbor ids in sample_layer's picks for a layer of cfg.z_hat[0]."""
+    src, nbr = sample_layer(g, cfg.z_hat[0], cfg, fraud_pool)
+    ids = np.array(g.node_ids())
+    return ids[nbr[src == g.index_of(v)]].tolist()
 
 
 def main():
@@ -48,46 +56,48 @@ def main():
     print(f"focus node {v}: label={rec.label}, {len(nbrs)} neighbors")
 
     banner("per-neighbor selection probabilities")
-    probs = selection_probabilities(g, v)
+    # v's row of the CSR: neighbor ids, strongest edge weights, and the
+    # selection probabilities the graph scored once for every edge
+    span = g.csr.span(g.index_of(v))
+    ids = g.csr.ids[span].tolist()
+    probs = dict(zip(ids, g.edge_scores[span].tolist()))
+    weights = dict(zip(ids, g.csr.weight[span].tolist()))
+    sims = dict(zip(ids, similarities(g, v, ids).tolist()))
     print(f"  {'neighbor':>8} {'weight':>6} {'similarity':>10} {'P':>8}")
     top = sorted(probs, key=lambda u: -probs[u])[:10]
     for u in top:
-        w = max_edge_weight(g, v, u)
-        s = similarity(rec, g.record(u))
-        print(f"  {u:>8} {w:>6} {s:>10.4f} {probs[u]:>8.4f}")
+        print(f"  {u:>8} {weights[u]:>6} {sims[u]:>10.4f} {probs[u]:>8.4f}")
     print(f"  ... ({len(probs)} neighbors total, probabilities sum to "
           f"{sum(probs.values()):.12f})")
 
     banner("deterministic top-z versus weighted draws")
     cfg = SamplerConfig(z_hat=(6,), seed=0)
-    kept = sample_topz(g, v, 0, cfg)
+    kept = picks(g, v, cfg)
     print(f"  top-6 by probability: {kept}")
     weighted = replace(cfg, mode="weighted_without_replacement")
-    draw_a = sample_topz(g, v, 0, weighted)
-    draw_b = sample_topz(g, v, 0, weighted)
+    draw_a = picks(g, v, weighted)
+    draw_b = picks(g, v, weighted)
     print(f"  weighted draw:        {draw_a}")
     print(f"  weighted draw again:  {draw_b}  (same seed, same draw)")
     other_seed = replace(weighted, seed=99)
-    print(f"  weighted, new seed:   {sample_topz(g, v, 0, other_seed)}")
+    print(f"  weighted, new seed:   {picks(g, v, other_seed)}")
 
     banner("fraud over-sampling")
     fraud = next(u for u in g.node_ids() if g.record(u).label == 1
                  and len(g.neighbors(u)) > 0)
-    base = sample_neighborhood(g, fraud, 0, cfg)
-    extended = sample_neighborhood(g, fraud, 0, cfg, oversample=True)
-    extras = [u for u in extended.selected if u not in base.selected]
+    base = picks(g, fraud, cfg)
+    pool = [r.id for r in records if r.label == 1]
+    extended = picks(g, fraud, cfg, fraud_pool=pool)
+    extras = [u for u in extended if u not in base]
     labels = [g.record(u).label for u in extras]
-    print(f"  fraud node {fraud}: top-z picks {len(base.selected)} neighbors")
+    print(f"  fraud node {fraud}: top-z picks {len(base)} neighbors")
     print(f"  over-sampling appends {len(extras)} non-adjacent lookalikes")
     print(f"  their labels: {labels}  (fraud only, by construction)")
-    sims = [similarity(g.record(fraud), g.record(u)) for u in extras]
-    if sims:
+    if extras:
+        sims = similarities(g, fraud, extras)
         print(f"  similarity range of extras: "
-              f"{min(sims):.3f} .. {max(sims):.3f} "
+              f"{sims.min():.3f} .. {sims.max():.3f} "
               f"(floor is {cfg.similarity_floor:.3f})")
-    probs_ext = dict(zip(extended.selected, extended.probabilities))
-    print(f"  selection probability recorded for an extra: "
-          f"{probs_ext[extras[0]] if extras else 'n/a'}")
 
 
 if __name__ == "__main__":

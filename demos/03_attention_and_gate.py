@@ -18,12 +18,12 @@ from fraudgnn.model import (
     attention_weights,
     diversity_stats,
     init_params,
-    pack_neighborhoods,
+    pack_rows,
     time_factors,
     uniform_weights,
 )
 from fraudgnn.nn import Tensor
-from fraudgnn.sampler import SamplerConfig, sample_neighborhood
+from fraudgnn.sampler import SamplerConfig, sample_layer
 from fraudgnn.tgraph import Proposition, build_graph
 
 
@@ -46,8 +46,7 @@ def main():
     g = build_graph(records, props)
     cfg = ModelConfig(k_layers=1, hidden_dim=8, tau_seconds=1800.0)
     scfg = SamplerConfig(z_hat=(5,), seed=0)
-    sampled = [sample_neighborhood(g, v, 0, scfg) for v in g.node_ids()]
-    nb = pack_neighborhoods(g, sampled)
+    nb = pack_rows(g, *sample_layer(g, scfg.z_hat[0], scfg))
     labels = g.labels()
 
     banner("neighborhood diversity and the resulting gates")

@@ -14,16 +14,13 @@ from .errors import (CheckpointError, ConfigError, EvalError, FraudGnnError,
 from .tgraph import (UNLABELED, Proposition, TransactionGraph,
                      TransactionRecord, build_graph, evaluate_proposition,
                      max_edge_weight, serialize_graph)
-from .sampler import (DEFAULT_SIMILARITY_FLOOR, SampledNeighborhood,
-                      SamplerConfig, oversample_fraud, sample_neighborhood,
-                      sample_topz, selection_probabilities, similarity)
+from .sampler import DEFAULT_SIMILARITY_FLOOR, SamplerConfig, sample_layer
 from .model import (ModelConfig, ModelParams, LayerParams, Neighborhoods,
                     aggregation_gate, attention_weights, checkpoint_text,
                     diversity_stats, forward, init_params, layer_forward,
-                    load_params, neighbor_diversity, pack_neighborhoods,
-                    save_params, time_factors)
+                    load_params, neighbor_diversity, pack_rows, time_factors)
 from .train import (Prediction, TrainConfig, TrainResult, batch_loss,
-                    bce_loss, predict, train)
+                    predict, train)
 from .metrics import (ConfusionCounts, EvalReport, auc, confusion,
                       evaluate_scores, recall_precision_f1, roc_points)
 from .datagen import (DataSchema, IngestResult, ScenarioConfig, SplitSpec,

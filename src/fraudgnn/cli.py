@@ -213,13 +213,17 @@ def _read_scores(path: str) -> tuple[list[int], np.ndarray]:
 
 
 def _read_labels(path: str) -> dict[int, int]:
-    out = {}
+    out, row_of = {}, {}
     rows = _csv_rows(path, ["id", "timestamp", "label"], "data CSV")
     for n, parts in enumerate(rows, start=1):
         try:
-            out[int(parts[0])] = int(parts[2])
+            node, label = int(parts[0]), int(parts[2])
         except (ValueError, IndexError):
             raise _bad_row(path, n, "an integer id and label", parts) from None
+        if node in row_of:
+            raise InputError(f"{path}: row {n}: id {node} already appears "
+                             f"in row {row_of[node]}")
+        out[node], row_of[node] = label, n
     return out
 
 

@@ -49,7 +49,7 @@ class EvalReport:
 
 
 def _check_binary(name: str, values: np.ndarray):
-    bad = set(np.unique(values)) - {0, 1}
+    bad = set(np.unique(values).tolist()) - {0, 1}
     if bad:
         raise InputError(f"{name} must be 0/1, found {sorted(bad)}")
 

@@ -16,7 +16,6 @@ import numpy as np
 from . import nn
 from .errors import CheckpointError, ConfigError, ShapeError, unreadable
 from .nn import Tensor
-from .sampler import SampledNeighborhood
 from .tgraph import TransactionGraph
 
 ACTIVATIONS = {
@@ -176,29 +175,6 @@ def pack_rows(graph: TransactionGraph, src: np.ndarray,
     idx[src, col] = nbr
     mask[src, col] = True
     dt[src, col] = np.abs(ts[nbr] - ts[src])
-    return Neighborhoods(idx=idx, mask=mask, dt=dt)
-
-
-def pack_neighborhoods(graph: TransactionGraph,
-                       sampled: list[SampledNeighborhood]) -> Neighborhoods:
-    """Pad per-node samples like pack_rows: for demos and as its oracle."""
-    n = len(sampled)
-    width = max((len(s.selected) for s in sampled), default=0)
-    width = max(width, 1)
-    idx = np.zeros((n, width), dtype=np.int64)
-    mask = np.zeros((n, width), dtype=bool)
-    dt = np.zeros((n, width), dtype=np.float64)
-    ts = graph.timestamps()
-    for row, s in enumerate(sampled):
-        if graph.index_of(s.node) != row:
-            raise ShapeError("sampled neighborhoods must follow graph node order")
-        m = len(s.selected)
-        if m == 0:
-            continue
-        cols = np.array([graph.index_of(v) for v in s.selected], dtype=np.int64)
-        idx[row, :m] = cols
-        mask[row, :m] = True
-        dt[row, :m] = np.abs(ts[cols] - ts[row])
     return Neighborhoods(idx=idx, mask=mask, dt=dt)
 
 
@@ -374,11 +350,6 @@ def checkpoint_text(params: ModelParams) -> str:
     lines.extend(_tensor_lines("head", params.head))
     lines.append("END")
     return "\n".join(lines) + "\n"
-
-
-def save_params(params: ModelParams, path: str):
-    with open(path, "w") as fh:
-        fh.write(checkpoint_text(params))
 
 
 def _number(what: str, text: str, parse=int):

@@ -70,14 +70,6 @@ class TrainResult:
     train_ids: list[int]
 
 
-def bce_loss(y, y_hat) -> float:
-    """Mean binary cross-entropy with probabilities clamped away from 0/1."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    p = np.clip(np.asarray(y_hat, dtype=np.float64).ravel(),
-                PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 def _bce_tensor(y: np.ndarray, p: Tensor) -> Tensor:
     y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     p = nn.clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)

@@ -3,25 +3,26 @@
 Everything here is deliberately naive: quadratic pair scans, per-node scalar
 loops, and brute-force pair counting. These implementations share as little
 structure as possible with the library's vectorized code paths so that
-agreement between the two is meaningful evidence.
+agreement between the two is meaningful evidence. The per-node sampler
+(sample_neighborhood and the functions it calls) and pack_neighborhoods make
+sampler.sample_layer's and model.pack_rows' picks one node at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
 
 from fraudgnn import nn
-from fraudgnn.errors import ConfigError, ShapeError
-from fraudgnn.model import (ACTIVATIONS, Neighborhoods, pack_neighborhoods,
-                            time_factors, uniform_weights)
-from fraudgnn.sampler import (SampledNeighborhood, combine_seed,
-                              oversample_fraud, sample_neighborhood)
+from fraudgnn.errors import ConfigError, InputError, ShapeError
+from fraudgnn.model import (ACTIVATIONS, Neighborhoods, time_factors,
+                            uniform_weights)
+from fraudgnn.sampler import SamplerConfig, _node_rng, combine_seed
 from fraudgnn.tgraph import (Proposition, TransactionGraph, TransactionRecord,
-                             evaluate_proposition)
+                             evaluate_proposition, pair_scores)
 
 
 def naive_build_graph(records, props):
@@ -77,8 +78,150 @@ def naive_topz(probs: dict, z: int) -> list:
     return sorted(u for u, _ in ranked[:z])
 
 
+@dataclass
+class SampledNeighborhood:
+    """Selected neighbor ids for one node plus their selection probabilities.
+
+    Over-sampled fraud extras are not part of the probability model and carry
+    probability 0.0.
+    """
+
+    node: int
+    selected: list[int] = field(default_factory=list)
+    probabilities: list[float] = field(default_factory=list)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
+
+
+def similarity(a: TransactionRecord, b: TransactionRecord) -> float:
+    """exp(dot of the L2-normalized feature vectors); zero vectors stay zero."""
+    if a.attrs.shape != b.attrs.shape or a.attrs.size == 0:
+        raise InputError(
+            f"attr length mismatch: {a.attrs.shape[0] if a.attrs.size else 0} vs "
+            f"{b.attrs.shape[0] if b.attrs.size else 0}"
+        )
+    return float(np.exp(np.dot(_unit(a.attrs), _unit(b.attrs))))
+
+
+def _row(g: TransactionGraph, v: int,
+         scores: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor ids of v, ascending, and their selection probabilities.
+
+    Slices ``scores`` (``g.edge_scores``) when given, else scores v's
+    neighbors alone.
+    """
+    row = g.index_of(v)
+    csr = g.csr
+    span = csr.span(row)
+    if scores is None:
+        raw = pair_scores(g.unit_features, np.full(span.stop - span.start, row),
+                          csr.rows[span], csr.weight[span])
+        return csr.ids[span], raw / raw.sum()
+    if len(scores) != len(csr.ids):
+        raise InputError(f"scores cover {len(scores)} edges but the graph "
+                         f"has {len(csr.ids)}; pass g.edge_scores")
+    return csr.ids[span], scores[span]
+
+
+def selection_probabilities(g: TransactionGraph, v: int) -> dict[int, float]:
+    """Per-neighbor selection probability: weight x similarity, normalized.
+
+    Isolated nodes get an empty map; callers fall back to a self-only
+    neighborhood.
+    """
+    ids, p = _row(g, v, None)
+    return dict(zip(ids.tolist(), p.tolist()))
+
+
+def sample_topz(g: TransactionGraph, v: int, k: int, cfg: SamplerConfig,
+                scores: np.ndarray | None = None) -> list[int]:
+    """Select up to z_hat[k] neighbors of v by selection probability.
+
+    Deterministic mode keeps the top probabilities (ties broken by ascending
+    id); weighted mode draws without replacement proportionally to them;
+    uniform mode is rejected with ConfigError.
+    ``scores`` is g.edge_scores; without it v's neighbors are scored here.
+    """
+    if cfg.mode == "uniform":
+        raise ConfigError("sample_topz serves the adaptive modes, not uniform")
+    ids, p = _row(g, v, scores)
+    z = cfg.z_hat[k]
+    if len(ids) <= z:
+        return ids.tolist()
+    if cfg.mode == "deterministic_topz":
+        order = np.lexsort((ids, -p))[:z]
+        return sorted(ids[order].tolist())
+    rng = _node_rng(cfg, v)
+    chosen = rng.choice(ids, size=z, replace=False, p=p / p.sum())
+    return sorted(chosen.tolist())
+
+
+def oversample_fraud(
+    g: TransactionGraph,
+    v: int,
+    base: list[int],
+    cfg: SamplerConfig,
+    fraud_pool: list[int] | None = None,
+) -> list[int]:
+    """Extend a fraud node's neighborhood with similar non-adjacent fraud nodes.
+
+    Candidates must be labeled fraud, must not be v, must not already be graph
+    neighbors or selected, and must clear the similarity floor. The
+    ``oversample_count`` most similar qualify. ``fraud_pool`` restricts the
+    candidate ids (the trainer passes train-split fraud so ground truth is
+    never read off held-out nodes).
+    """
+    if cfg.oversample_count == 0:
+        return list(base)
+    if fraud_pool is None:
+        fraud_pool = [r.id for r in g.records if r.label == 1]
+    excluded = set(base) | set(g.neighbors(v)) | {v}
+    cand = [c for c in fraud_pool if c not in excluded and g.record(c).label == 1]
+    if not cand:
+        return list(base)
+    u = g.unit_features
+    uv = u[g.index_of(v)]
+    sims = np.array([math.exp(float(np.dot(uv, u[g.index_of(c)]))) for c in cand])
+    keep = sims >= cfg.similarity_floor
+    cand = [c for c, k in zip(cand, keep) if k]
+    sims = sims[keep]
+    if not len(cand):
+        return list(base)
+    order = np.lexsort((np.array(cand), -sims))[: cfg.oversample_count]
+    extras = sorted(int(cand[i]) for i in order)
+    return list(base) + extras
+
+
+def sample_neighborhood(
+    g: TransactionGraph,
+    v: int,
+    k: int,
+    cfg: SamplerConfig,
+    oversample: bool = False,
+    fraud_pool: list[int] | None = None,
+    scores: np.ndarray | None = None,
+) -> SampledNeighborhood:
+    """Full per-node sampling: top-z filtering plus optional fraud over-sampling.
+
+    ``scores`` is g.edge_scores, shared by every node and layer of a pass.
+    """
+    ids, p = _row(g, v, scores)
+    chosen = sample_topz(g, v, k, cfg, scores=scores)
+    probabilities = p[np.searchsorted(ids, chosen)].tolist()
+    selected = chosen
+    if oversample and g.record(v).label == 1:
+        selected = oversample_fraud(g, v, chosen, cfg, fraud_pool=fraud_pool)
+    # over-sampled extras are appended after the top-z picks
+    probabilities += [0.0] * (len(selected) - len(chosen))
+    return SampledNeighborhood(node=v, selected=selected,
+                               probabilities=probabilities)
+
+
 def loop_selection_probabilities(g: TransactionGraph, v) -> dict:
-    """The sampler's scoring before score_edges: one neighbor at a time.
+    """The sampler's scoring before cached edge scores: one neighbor at a time.
 
     Reads neighbors and pair weights straight off ``g.adj`` and keeps the
     library's arithmetic (np.dot of unit rows, math.exp, numpy row sum), so
@@ -260,6 +403,29 @@ def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
     combined = nn.matmul(nn.concat(h_prev, h_agg), layer.W)
     activated = ACTIVATIONS[config.activation](combined)
     return nn.l2_normalize_rows(activated)
+
+
+def pack_neighborhoods(graph: TransactionGraph,
+                       sampled: list[SampledNeighborhood]) -> Neighborhoods:
+    """Pad per-node samples like pack_rows: its oracle."""
+    n = len(sampled)
+    width = max((len(s.selected) for s in sampled), default=0)
+    width = max(width, 1)
+    idx = np.zeros((n, width), dtype=np.int64)
+    mask = np.zeros((n, width), dtype=bool)
+    dt = np.zeros((n, width), dtype=np.float64)
+    ts = graph.timestamps()
+    for row, s in enumerate(sampled):
+        if graph.index_of(s.node) != row:
+            raise ShapeError("sampled neighborhoods must follow graph node order")
+        m = len(s.selected)
+        if m == 0:
+            continue
+        cols = np.array([graph.index_of(v) for v in s.selected], dtype=np.int64)
+        idx[row, :m] = cols
+        mask[row, :m] = True
+        dt[row, :m] = np.abs(ts[cols] - ts[row])
+    return Neighborhoods(idx=idx, mask=mask, dt=dt)
 
 
 def loop_sample_layers(graph: TransactionGraph, cfg, epoch: int,

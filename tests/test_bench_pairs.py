@@ -1,0 +1,62 @@
+"""tools/bench_pairs.py's summary of paired runs, on synthetic pairs."""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
+                    "bench_pairs.py")
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SPECS = [{"name": "pipeline_s", "better": "lower"},
+         {"name": "test_auc", "better": "higher"}]
+
+
+def side(values: dict) -> dict:
+    return {"result": {"metrics": {k: {"value": v} for k, v in values.items()},
+                       "failed": 0, "attempted": 5, "correct": True}}
+
+
+def pairs(parent: list, change: list) -> list:
+    """One pair per value; both metrics read the same numbers."""
+    return [{"workload": "w",
+             "parent": side({"pipeline_s": p, "test_auc": p}),
+             "change": side({"pipeline_s": c, "test_auc": c})}
+            for p, c in zip(parent, change)]
+
+
+def test_wins_follow_each_metrics_direction():
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    lower = bench_pairs.summarize(
+        pairs(parent, [p - 0.5 for p in parent]), SPECS, "w")
+    assert lower["pairs"] == 10
+    assert lower["pipeline_s"]["change_wins"] == 10
+    assert lower["test_auc"]["change_wins"] == 0
+    higher = bench_pairs.summarize(
+        pairs(parent, [p + 0.5 for p in parent]), SPECS, "w")
+    assert higher["pipeline_s"]["change_wins"] == 0
+    assert higher["test_auc"]["change_wins"] == 10
+
+
+def test_ties_count_for_neither_side():
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    change = [p - 0.5 for p in parent[:6]] + parent[6:9] + [parent[9] + 0.5]
+    s = bench_pairs.summarize(pairs(parent, change), SPECS, "w")
+    for name, wins in (("pipeline_s", 6), ("test_auc", 1)):
+        assert s[name]["change_wins"] == wins
+        assert s[name]["ties"] == 3
+
+
+@pytest.mark.parametrize("shift, exceeds", [(0.1, True), (0.04, False),
+                                            (0.0, False)])
+def test_gap_against_the_parents_iqr(shift, exceeds):
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    s = bench_pairs.summarize(
+        pairs(parent, [p - shift for p in parent]), SPECS, "w")
+    quart = s["pipeline_s"]["parent"]
+    assert quart["q3"] - quart["q1"] == pytest.approx(0.045)
+    for name in ("pipeline_s", "test_auc"):
+        assert s[name]["gap_exceeds_parent_iqr"] is exceeds

@@ -250,6 +250,24 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "r.txt").exists()
 
+    def test_repeated_data_id_exits_one(self, tmp_path, capsys):
+        """A data CSV labeling one id twice is an error, not a silent
+        choice of its last label."""
+        code, err = self.evaluate_error(
+            tmp_path, capsys, "id,p_fraud,label_pred\n0,0.3,0\n3,0.7,1\n",
+            self.DATA + "3,2,1,d,i,1.0\n3,3,0,d,i,1.0\n")
+        assert code == 1
+        assert err == (f"error: {tmp_path / 'data.csv'}: row 4: id 3 "
+                       "already appears in row 3\n")
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_non_binary_label_exits_one(self, tmp_path, capsys):
+        code, err = self.evaluate_error(
+            tmp_path, capsys, "id,p_fraud,label_pred\n0,0.3,0\n1,0.7,1\n",
+            self.DATA.replace("0,0,0,d", "0,0,-1,d"))
+        assert code == 1
+        assert err == "error: labels must be 0/1, found [-1]\n"
+
     def test_empty_data_csv_exits_one(self, tmp_path, capsys):
         code, err = self.evaluate_error(
             tmp_path, capsys, "id,p_fraud,label_pred\n0,0.3,0\n", "")

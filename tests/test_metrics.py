@@ -31,6 +31,11 @@ class TestConfusion:
         with pytest.raises(InputError, match="predictions"):
             confusion([1, 0], [1, -1])
 
+    def test_non_binary_values_print_as_plain_ints(self):
+        with pytest.raises(InputError) as exc:
+            confusion([1, -1, 2, -1], [1, 0, 0, 0])
+        assert str(exc.value) == "labels must be 0/1, found [-1, 2]"
+
 
 class TestRates:
     def test_recall_three_quarters(self):

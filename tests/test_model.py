@@ -12,14 +12,13 @@ from fraudgnn.model import (LayerParams, ModelConfig, Neighborhoods,
                             aggregation_gate, attention_weights,
                             checkpoint_text, diversity_stats, forward,
                             init_params, layer_forward, load_params,
-                            neighbor_diversity, pack_neighborhoods,
-                            save_params, time_factors, uniform_weights)
+                            neighbor_diversity, time_factors,
+                            uniform_weights)
 from fraudgnn.nn import Tensor
-from fraudgnn.sampler import SampledNeighborhood
 from fraudgnn.tgraph import Proposition, build_graph
 
-from reference import (padded, random_transaction_records,
-                       reference_layer_forward)
+from reference import (SampledNeighborhood, pack_neighborhoods, padded,
+                       random_transaction_records, reference_layer_forward)
 
 
 def make_nb(idx, mask, dt):
@@ -415,7 +414,7 @@ class TestCheckpoint:
                                  tau_seconds=900.0, use_gate=False)
         params = init_params(3, cfg, seed=42)
         path = tmp_path / "model.ckpt"
-        save_params(params, str(path))
+        path.write_text(checkpoint_text(params))
         return params, path
 
     def test_round_trip_bit_exact(self, tmp_path):

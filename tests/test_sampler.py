@@ -10,10 +10,7 @@ import pytest
 from fraudgnn.datagen import ScenarioConfig, generate, split_records
 from fraudgnn.errors import ConfigError, InputError
 from fraudgnn.model import ModelConfig, checkpoint_text
-from fraudgnn.sampler import (DEFAULT_SIMILARITY_FLOOR, SamplerConfig,
-                              combine_seed, oversample_fraud,
-                              sample_neighborhood, sample_topz, score_edges,
-                              selection_probabilities, similarity)
+from fraudgnn.sampler import DEFAULT_SIMILARITY_FLOOR, SamplerConfig, combine_seed
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import TrainConfig, _sample_layers, predict, train
 
@@ -21,7 +18,9 @@ import reference
 from reference import (loop_sample_layers, loop_sample_neighborhood,
                        loop_selection_probabilities,
                        naive_selection_probabilities, naive_topz,
-                       random_transaction_records)
+                       oversample_fraud, random_transaction_records,
+                       sample_neighborhood, sample_topz,
+                       selection_probabilities, similarity)
 
 
 def rec(rid, attrs, ts=0, label=0, raw=None, **fields):
@@ -320,12 +319,12 @@ def instances(seed, count=6, n=70):
 
 
 class TestScoreEdgesMatchesLoopReference:
-    """score_edges and the scores= path against the per-node loop oracle,
+    """g.edge_scores and the scores= path against the per-node loop oracle,
     compared exactly: no tolerance anywhere."""
 
     def test_rows_are_the_loop_probabilities_bit_for_bit(self):
         for _, g in instances(41):
-            scores = score_edges(g)
+            scores = g.edge_scores
             assert len(scores) == len(g.csr.ids)
             for row, v in enumerate(g.node_ids()):
                 span = g.csr.span(row)
@@ -347,7 +346,7 @@ class TestScoreEdgesMatchesLoopReference:
                 sampler=SamplerConfig(z_hat=(z, z + 1), mode=mode, seed=5,
                                       oversample_count=3 if oversample else 0))
             pool = sorted(r.id for r in records[::2] if r.label == 1)
-            scores = score_edges(g)
+            scores = g.edge_scores
             new = _sample_layers(g, cfg, 3, pool)
             scfg = cfg.sampler
             if mode != "deterministic_topz":  # _sample_layers salts by epoch
@@ -403,6 +402,6 @@ class TestScoreEdgesMatchesLoopReference:
     def test_scores_of_another_graph_rejected(self):
         (_, g), (_, other) = instances(47, count=2)
         wrong = np.ones(len(other.csr.ids) + 1)
-        with pytest.raises(InputError, match="score_edges"):
+        with pytest.raises(InputError, match="edge_scores"):
             sample_topz(g, g.node_ids()[0], 0, SamplerConfig(z_hat=(2,)),
                         scores=wrong)

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fraudgnn import model as model_mod, sampler as sampler_mod, tgraph
+from fraudgnn import sampler as sampler_mod, tgraph
 from fraudgnn.datagen import ScenarioConfig, generate
 from fraudgnn.errors import CheckpointError, ConfigError, TrainError
 from fraudgnn.model import ModelConfig, checkpoint_text, init_params
 from fraudgnn.nn import Tensor
-from fraudgnn.sampler import SamplerConfig, score_edges
+from fraudgnn.sampler import SamplerConfig
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
-from fraudgnn.train import (SAMPLER_SEED_TAG, TrainConfig, _sample_layers,
-                            bce_loss, predict, train)
+from fraudgnn.train import (SAMPLER_SEED_TAG, TrainConfig, _bce_tensor,
+                            _sample_layers, predict, train)
 
 from conftest import make_two_cluster_records
 from reference import loop_sample_layers, uniform_neighborhoods
@@ -34,6 +34,12 @@ def small_config(epochs=30, k=2, z=4, **kw):
         model=ModelConfig(k_layers=k, hidden_dim=8, **model_kw),
         sampler=SamplerConfig(z_hat=(z,) * k),
         epochs=epochs, **kw)
+
+
+def bce_loss(y, p) -> float:
+    """The trainer's loss on label and probability lists."""
+    col = np.asarray(p, dtype=np.float64).reshape(-1, 1)
+    return _bce_tensor(np.asarray(y), Tensor(col)).item()
 
 
 class TestBceLoss:
@@ -217,7 +223,7 @@ class TestDistinctZSampledOnce:
                         window_seconds=3600),
             Proposition(name="ip", field="ip", window_seconds=3600)])
         pool = sorted(r.id for r in records if r.label == 1)[::2]
-        return g, pool, score_edges(g)
+        return g, pool, g.edge_scores
 
     @pytest.mark.parametrize("mode", ["deterministic_topz",
                                       "weighted_without_replacement"])
@@ -369,8 +375,7 @@ class TestLayerPassEdgeCases:
 class TestScoresOncePerGraph:
     def test_train_and_predict_share_one_scoring(self, monkeypatch):
         """Weighted mode resamples every epoch and again in predict; the
-        graph's edges are scored once for all of it, and never through the
-        per-node sampler or packer."""
+        graph's edges are scored once for all of it."""
         calls = []
         real = tgraph.pair_scores
 
@@ -378,12 +383,7 @@ class TestScoresOncePerGraph:
             calls.append(len(args[1]))
             return real(*args)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("per-node path called")
-
         monkeypatch.setattr(tgraph, "pair_scores", counting)
-        monkeypatch.setattr(sampler_mod, "sample_neighborhood", forbidden)
-        monkeypatch.setattr(model_mod, "pack_neighborhoods", forbidden)
         g, _ = camouflage_scenario()
         cfg = small_config(epochs=3)
         cfg.sampler = SamplerConfig(z_hat=(4, 4), oversample_count=3,

@@ -16,9 +16,11 @@ Run it from the root of the repository, with nothing else running.
    pairs run the parent first and odd pairs the change first.
 4. Run one traced run (`--trace 1`) per side and workload, parent first.
 5. Write the summary: per workload and end-to-end metric, each side's
-   median and quartiles over the pairs, the ratio of the medians, and in
+   median and quartiles over the pairs, the ratio of the medians, in
    how many pairs the change was better (the metric's `better` direction
-   in BENCHMARK.json) or tied.
+   in BENCHMARK.json) or tied, and whether the gap between the medians
+   exceeds the parent's interquartile range (q3 - q1). A metric whose gap
+   does not is unresolved, whatever its wins.
 
 Exits 1 when a digest differs or a run fails, after writing the file.
 """
@@ -149,13 +151,15 @@ def summarize(pairs: list[dict], specs: list[dict], wl: str) -> dict:
         sign = -1.0 if spec["better"] == "lower" else 1.0
         diffs = [sign * (c - p) for p, c in zip(vals["parent"], vals["change"])]
         med_p = statistics.median(vals["parent"])
+        med_c = statistics.median(vals["change"])
+        q1_p, q3_p = np.percentile(vals["parent"], [25, 75])
         out[name] = {
             "parent": quartiles(vals["parent"]),
             "change": quartiles(vals["change"]),
-            "ratio_of_medians": (round(statistics.median(vals["change"]) / med_p, 4)
-                                 if med_p else None),
+            "ratio_of_medians": round(med_c / med_p, 4) if med_p else None,
             "change_wins": sum(d > 0 for d in diffs),
             "ties": sum(d == 0 for d in diffs),
+            "gap_exceeds_parent_iqr": bool(abs(med_c - med_p) > q3_p - q1_p),
         }
     for key, field in (("failed_repeats", "failed"),
                        ("attempted_repeats", "attempted")):
@@ -246,7 +250,9 @@ def main(argv=None) -> int:
                 m = s[spec["name"]]
                 print(f"{wl} {spec['name']}: {m['parent']['median']:.6g} -> "
                       f"{m['change']['median']:.6g} ({m['ratio_of_medians']}x, "
-                      f"{m['change_wins']}/{s['pairs']} wins)")
+                      f"{m['change_wins']}/{s['pairs']} wins, gap "
+                      f"{'exceeds' if m['gap_exceeds_parent_iqr'] else 'within'}"
+                      " parent IQR)")
     failed_runs = any(p[s]["exit_code"] != 0 or not p[s]["result"]
                       or not p[s]["result"]["correct"]
                       for p in pairs for s in ("parent", "change"))
