@@ -15,6 +15,10 @@ uniform sampling, interval time factors, attention off, gate off and a
 hidden width of 1. Their constants were recorded before neighborhoods
 were split into width buckets.
 
+GRAPH_TEXT pins serialize_graph on a 400-record scenario with two
+propositions, one with a fractional window, sharing one weight. It was
+recorded while the graph was still built from per-node Python lists.
+
 The constants are tied to the numpy build and BLAS library they were
 recorded with: another BLAS may round a matrix product differently and
 change the digests without any change to this package. Re-record them
@@ -28,7 +32,7 @@ import pytest
 from fraudgnn.datagen import ScenarioConfig, SplitSpec, generate, split_records
 from fraudgnn.model import ModelConfig, checkpoint_text
 from fraudgnn.sampler import SamplerConfig
-from fraudgnn.tgraph import Proposition, build_graph
+from fraudgnn.tgraph import Proposition, build_graph, serialize_graph
 from fraudgnn.train import TrainConfig, predict, train
 
 PROPS = [
@@ -88,6 +92,8 @@ WIDE_SETTINGS = {
                       {"hidden_dim": 1, "activation": "tanh"}),
 }
 
+GRAPH_TEXT = "45a2a45af72914ce07d548dad64c1620e119a9ba0bfc2d8f211d336cc96cd6d1"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -123,3 +129,18 @@ def test_outputs_match_recorded_digests(variant):
 def test_wide_rows_match_recorded_digests(variant):
     mode, model = WIDE_SETTINGS[variant]
     assert run_variant(mode, z_hat=(12, 10, 6), **model) == WIDE[variant]
+
+
+def test_graph_text_matches_recorded_digest():
+    records = generate(ScenarioConfig(
+        n_legit=300, n_fraud=100, n_devices=10, n_ips=16,
+        camouflage_rate=0.3, feature_dim=4, time_span_seconds=43200,
+        seed=11))
+    props = [Proposition(name="same_device", field="device", weight=2,
+                         window_seconds=899.9),
+             Proposition(name="same_ip", field="ip", weight=2,
+                         window_seconds=3600)]
+    # rows in descending id order, so row order and id order differ
+    graph = build_graph(records[::-1], props)
+    assert graph.n_edges == 1925
+    assert _sha256(serialize_graph(graph)) == GRAPH_TEXT
