@@ -57,9 +57,15 @@ def main():
               f"window={p.window_seconds}s")
 
     g = build_graph(records, props)
+    # g.edges holds each typed edge once, as (row a, row b, proposition)
+    ids = g.node_ids()
+    adjacency = {v: [] for v in ids}
+    for a, b, k in g.edges.tolist():
+        adjacency[ids[a]].append((ids[b], k))
+        adjacency[ids[b]].append((ids[a], k))
     banner("adjacency (neighbor id, proposition index)")
-    for v in g.node_ids():
-        print(f"  node {v}: {g.adj[v]}")
+    for v in ids:
+        print(f"  node {v}: {sorted(adjacency[v])}")
 
     banner("what to notice")
     print("  1 and 2 share dev-a inside both windows -> same_device edge.")

@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .errors import (CheckpointError, ConfigError, EvalError, FraudGnnError,
                      IngestError, InputError, ShapeError, TrainError)
 from .tgraph import (UNLABELED, Proposition, TransactionGraph,
-                     TransactionRecord, build_graph, evaluate_proposition,
-                     max_edge_weight, serialize_graph)
+                     TransactionRecord, build_graph, max_edge_weight,
+                     serialize_graph)
 from .sampler import DEFAULT_SIMILARITY_FLOOR, SamplerConfig, sample_layer
 from .model import (ModelConfig, ModelParams, LayerParams, Neighborhoods,
                     aggregation_gate, attention_weights, checkpoint_text,

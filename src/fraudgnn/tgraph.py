@@ -10,7 +10,6 @@ weight used later by the neighbor sampler.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -57,25 +56,14 @@ class Proposition:
     window_seconds: int = 1800
 
     def __post_init__(self):
-        if int(self.weight) < 1:
+        if isinstance(self.weight, bool) or not isinstance(self.weight, (int, np.integer)):
+            raise ConfigError(f"proposition {self.name!r}: weight must be an integer, got {self.weight!r}")
+        if self.weight < 1:
             raise ConfigError(f"proposition {self.name!r}: weight must be >= 1, got {self.weight}")
+        if math.isnan(self.window_seconds):
+            raise ConfigError(f"proposition {self.name!r}: window_seconds must not be NaN")
         if self.window_seconds < 0:
             raise ConfigError(f"proposition {self.name!r}: window_seconds must be >= 0")
-
-
-def evaluate_proposition(p: Proposition, a: TransactionRecord, b: TransactionRecord) -> bool:
-    """True iff the named raw fields are equal and the time gap fits the window (inclusive)."""
-    if a.id == b.id:
-        raise InputError("proposition is defined over distinct records only")
-    for r in (a, b):
-        if p.field not in r.raw:
-            raise ConfigError(
-                f"proposition {p.name!r} references raw field {p.field!r} "
-                f"missing from record {r.id}"
-            )
-    if a.raw[p.field] != b.raw[p.field]:
-        return False
-    return abs(a.timestamp - b.timestamp) <= p.window_seconds
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,16 +91,18 @@ class NeighborCSR:
 class TransactionGraph:
     """Immutable-after-build multigraph over transaction records.
 
-    ``adj`` maps node id -> list of (neighbor id, proposition index),
-    canonically sorted; the edge multiset is symmetric and self-edge free.
-    ``csr``, ``unit_features`` and ``edge_scores`` are derived from it on
-    first use and cached, which is only sound because the graph is not
-    edited after build.
+    ``edges`` is an (E, 3) int64 array holding each undirected typed edge
+    once as (row a, row b, proposition index), in no particular order; no
+    edge joins a row to itself. ``csr`` is the distinct-neighbor view that
+    build_graph derives from ``edges``. ``unit_features`` and
+    ``edge_scores`` are derived on first use and cached, which is only
+    sound because the graph is not edited after build.
     """
 
     records: list[TransactionRecord]
     propositions: list[Proposition]
-    adj: dict[int, list[tuple[int, int]]]
+    edges: np.ndarray
+    csr: NeighborCSR
     _index: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -125,7 +115,7 @@ class TransactionGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(v) for v in self.adj.values()) // 2
+        return len(self.edges)
 
     def index_of(self, node_id: int) -> int:
         return self._index[node_id]
@@ -137,35 +127,6 @@ class TransactionGraph:
         """Distinct neighbor ids, ascending (parallel edges collapsed)."""
         csr = self.csr
         return csr.ids[csr.span(self._index[node_id])].tolist()
-
-    @functools.cached_property
-    def csr(self) -> NeighborCSR:
-        """The adjacency as a NeighborCSR, built from ``adj`` once."""
-        n = len(self.records)
-        counts = np.array([len(self.adj[r.id]) for r in self.records],
-                          dtype=np.int64)
-        pairs = itertools.chain.from_iterable(
-            itertools.chain.from_iterable(self.adj[r.id] for r in self.records))
-        flat = np.fromiter(pairs, dtype=np.int64,
-                           count=2 * int(counts.sum())).reshape(-1, 2)
-        src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        order = np.lexsort((flat[:, 0], src))
-        src, nbr, prop = src[order], flat[order, 0], flat[order, 1]
-        prop_weight = np.array([p.weight for p in self.propositions])
-        first = np.ones(len(src), dtype=bool)
-        first[1:] = (src[1:] != src[:-1]) | (nbr[1:] != nbr[:-1])
-        starts = np.flatnonzero(first)
-        weight = (np.maximum.reduceat(prop_weight[prop], starts)
-                  if len(starts) else prop_weight[:0])
-        node_ids = np.array([r.id for r in self.records], dtype=np.int64)
-        by_id = np.argsort(node_ids)
-        nbr = nbr[starts]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src[starts], minlength=n), out=indptr[1:])
-        return NeighborCSR(
-            indptr=indptr,
-            rows=by_id[np.searchsorted(node_ids[by_id], nbr)],
-            ids=nbr, weight=weight)
 
     @functools.cached_property
     def unit_features(self) -> np.ndarray:
@@ -235,11 +196,11 @@ def max_edge_weight(g: TransactionGraph, v: int, v_prime: int) -> int:
 
 
 def build_graph(records: list[TransactionRecord], props: list[Proposition]) -> TransactionGraph:
-    """Construct the multigraph, bucketing by proposition field and sweeping by time.
+    """Construct the multigraph and its CSR with integer sorts.
 
-    Cost is O(m * n log n + |E|): per proposition, records sharing the keyed
-    raw value are sorted by timestamp and paired with a sliding window, so no
-    cross-bucket pair is ever touched.
+    Cost is O(m * n log n + |E| log |E|): per proposition, records sharing
+    the keyed raw value are sorted by timestamp and paired inside the
+    window, so no cross-bucket pair is ever touched.
     """
     if not records:
         raise InputError("cannot build a graph from an empty record set")
@@ -253,39 +214,78 @@ def build_graph(records: list[TransactionRecord], props: list[Proposition]) -> T
     lengths = {r.attrs.shape[0] for r in records}
     if len(lengths) > 1:
         raise InputError(f"records carry inconsistent attr lengths: {sorted(lengths)}")
+    for r in records:
+        if max(abs(r.id), abs(r.timestamp)) >= 2**62:  # int64 arrays, gaps too
+            raise InputError(f"record {r.id}: id and timestamp must lie within +-2**62")
 
-    adj: dict[int, list[tuple[int, int]]] = {r.id: [] for r in records}
-
-    for pi, prop in enumerate(props):
-        buckets: dict[object, list[TransactionRecord]] = {}
-        for r in records:
-            if prop.field not in r.raw:
-                raise ConfigError(
-                    f"proposition {prop.name!r} references raw field {prop.field!r} "
-                    f"missing from record {r.id}"
-                )
-            buckets.setdefault(r.raw[prop.field], []).append(r)
-        for group in buckets.values():
-            if len(group) < 2:
-                continue
-            group.sort(key=lambda r: (r.timestamp, r.id))
-            lo = 0
-            for j in range(len(group)):
-                rj = group[j]
-                while rj.timestamp - group[lo].timestamp > prop.window_seconds:
-                    lo += 1
-                for k in range(lo, j):
-                    rk = group[k]
-                    adj[rk.id].append((rj.id, pi))
-                    adj[rj.id].append((rk.id, pi))
-
-    for node_id in adj:
-        adj[node_id].sort()
-
-    g = TransactionGraph(records=list(records), propositions=list(props), adj=adj)
+    node_ids = np.array(ids, dtype=np.int64)
+    ts = np.array([r.timestamp for r in records], dtype=np.int64)
+    edges = np.concatenate([_window_pairs(records, node_ids, ts, pi, prop)
+                            for pi, prop in enumerate(props)])
+    g = TransactionGraph(records=list(records), propositions=list(props),
+                         edges=edges, csr=_neighbor_csr(node_ids, edges, props))
     logger.debug("built graph: %d nodes, %d edges, %d propositions",
                  g.n_nodes, g.n_edges, len(props))
     return g
+
+
+def _window_pairs(records, node_ids: np.ndarray, ts: np.ndarray, pi: int,
+                  prop: Proposition) -> np.ndarray:
+    """One proposition's (row a, row b, pi) edges, from integer sorts.
+
+    A dict codes the raw values, so they bucket as dict keys do. Each
+    record's window start is the lower bound of (code, t - w) in the sorted
+    (code, t) keys; a composite key code * gap + t would overflow int64.
+    """
+    missing = next((r for r in records if prop.field not in r.raw), None)
+    if missing is not None:
+        raise ConfigError(f"proposition {prop.name!r} references raw field "
+                          f"{prop.field!r} missing from record {missing.id}")
+    index: dict = {}
+    code = np.array([index.setdefault(r.raw[prop.field], len(index))
+                     for r in records], dtype=np.int64)
+    order = np.lexsort((node_ids, ts, code))
+    c, t, m = code[order], ts[order], len(order)
+    # integer gaps fit a float window up to its floor; inf fits every gap
+    span = int(t.max() - t.min())
+    w = span if prop.window_seconds >= span else math.floor(prop.window_seconds)
+    q = t - np.minimum(w, t - t.min())  # >= t.min(), so no overflow
+    # stable, queries first: a query's place counts the keys below it
+    merged = np.lexsort((np.concatenate([q, t]), np.concatenate([c, c])))
+    count = 2 * np.arange(m) - np.flatnonzero(merged < m)
+    later = np.repeat(np.arange(m), count)
+    earlier = (np.arange(len(later))
+               - np.repeat(np.cumsum(count) - np.arange(m), count))
+    return np.column_stack([order[earlier], order[later],
+                            np.full(len(later), pi, dtype=np.int64)])
+
+
+def _neighbor_csr(node_ids: np.ndarray, edges: np.ndarray,
+                  props: list[Proposition]) -> NeighborCSR:
+    """The CSR of typed edges, from one sort of int64 keys packing
+    (source row, neighbor's id rank, proposition)."""
+    n, n_props = len(node_ids), len(props)
+    if n * n * n_props >= 2**63:
+        raise InputError(f"{n} records x {n_props} propositions overflow int64 edge keys")
+    by_id = np.argsort(node_ids)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_id] = np.arange(n)
+    a, b, prop = edges.T
+    key = np.sort((np.concatenate([a, b]) * n + rank[np.concatenate([b, a])])
+                  * n_props + np.concatenate([prop, prop]))
+    pair = key // n_props
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    starts = np.flatnonzero(first)
+    prop_weight = np.array([p.weight for p in props])
+    weight = (np.maximum.reduceat(prop_weight[key % n_props], starts)
+              if len(starts) else prop_weight[:0])
+    pair = pair[starts]
+    rows = by_id[pair % n]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair // n, minlength=n), out=indptr[1:])
+    return NeighborCSR(indptr=indptr, rows=rows, ids=node_ids[rows],
+                       weight=weight)
 
 
 def serialize_graph(g: TransactionGraph) -> str:
@@ -294,11 +294,11 @@ def serialize_graph(g: TransactionGraph) -> str:
     Each undirected parallel edge appears once as ``EDGE a b prop_index`` with
     a < b; output is byte-identical for identical graphs.
     """
+    ids = np.array(g.node_ids(), dtype=np.int64)
+    a, b, prop = ids[g.edges[:, 0]], ids[g.edges[:, 1]], g.edges[:, 2]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((prop, hi, lo))
     lines = [f"NODES {g.n_nodes}"]
-    edges = set()
-    for a, nbrs in g.adj.items():
-        for b, pi in nbrs:
-            edges.add((a, b, pi) if a < b else (b, a, pi))
-    for a, b, pi in sorted(edges):
-        lines.append(f"EDGE {a} {b} {pi}")
+    lines += [f"EDGE {x} {y} {k}" for x, y, k in zip(
+        lo[order].tolist(), hi[order].tolist(), prop[order].tolist())]
     return "\n".join(lines) + "\n"

@@ -22,7 +22,22 @@ from fraudgnn.model import (ACTIVATIONS, Neighborhoods, time_factors,
                             uniform_weights)
 from fraudgnn.sampler import SamplerConfig, _node_rng, combine_seed
 from fraudgnn.tgraph import (Proposition, TransactionGraph, TransactionRecord,
-                             evaluate_proposition, pair_scores)
+                             pair_scores)
+
+
+def evaluate_proposition(p: Proposition, a: TransactionRecord, b: TransactionRecord) -> bool:
+    """True iff the named raw fields are equal and the time gap fits the window (inclusive)."""
+    if a.id == b.id:
+        raise InputError("proposition is defined over distinct records only")
+    for r in (a, b):
+        if p.field not in r.raw:
+            raise ConfigError(
+                f"proposition {p.name!r} references raw field {p.field!r} "
+                f"missing from record {r.id}"
+            )
+    if a.raw[p.field] != b.raw[p.field]:
+        return False
+    return abs(a.timestamp - b.timestamp) <= p.window_seconds
 
 
 def naive_build_graph(records, props):
@@ -37,6 +52,19 @@ def naive_build_graph(records, props):
     for v in adj:
         adj[v].sort()
     return adj
+
+
+def typed_neighbors(g: TransactionGraph, v) -> list:
+    """Node v's sorted (neighbor id, proposition index) pairs, from g.edges."""
+    row, (a, b, k) = g.index_of(v), g.edges.T
+    nbr = np.concatenate([b[a == row], a[b == row]])
+    prop = np.concatenate([k[a == row], k[b == row]])
+    return sorted(zip(np.array(g.node_ids())[nbr].tolist(), prop.tolist()))
+
+
+def adjacency(g: TransactionGraph) -> dict:
+    """Node id -> typed_neighbors, the per-node lists g.adj once held."""
+    return {v: typed_neighbors(g, v) for v in g.node_ids()}
 
 
 def naive_max_weight(records_by_id, props, a_id, b_id):
@@ -223,12 +251,12 @@ def sample_neighborhood(
 def loop_selection_probabilities(g: TransactionGraph, v) -> dict:
     """The sampler's scoring before cached edge scores: one neighbor at a time.
 
-    Reads neighbors and pair weights straight off ``g.adj`` and keeps the
+    Reads neighbors and pair weights straight off ``typed_neighbors`` and keeps the
     library's arithmetic (np.dot of unit rows, math.exp, numpy row sum), so
     the vectorized path must match it bit for bit.
     """
     best_w = {}
-    for nb, pi in g.adj[v]:
+    for nb, pi in typed_neighbors(g, v):
         best_w[nb] = max(best_w.get(nb, 0), g.propositions[pi].weight)
     nbrs = sorted(best_w)
     if not nbrs:

@@ -31,6 +31,7 @@ from fraudgnn.train import TrainConfig, batch_loss, predict, train
 from fraudgnn.cli import main as cli_main
 
 from conftest import make_two_cluster_records
+from reference import adjacency, typed_neighbors
 
 LN2 = math.log(2.0)
 
@@ -110,7 +111,7 @@ def test_graph_builder_matches_pairwise_scan(capsys):
             records, props = random_instance(rng, n)
             g = build_graph(records, props)
             got = {int(v): sorted((int(u), int(k)) for u, k in edges)
-                   for v, edges in g.adj.items()}
+                   for v, edges in adjacency(g).items()}
             assert got == naive_adjacency(records, props), f"trial {trial}"
         assert time.perf_counter() - t0 < 10.0
 
@@ -130,7 +131,7 @@ def oracle_scores(g, v):
     """weight x similarity per neighbor, from scalar arithmetic."""
     uv = _unit(g.record(v).attrs)
     best_w = {}
-    for u, k in g.adj[v]:
+    for u, k in typed_neighbors(g, v):
         w = float(g.propositions[k].weight)
         best_w[u] = max(best_w.get(u, 0.0), w)
     return {u: w * math.exp(float(np.dot(uv, _unit(g.record(u).attrs))))

@@ -2,7 +2,8 @@
 
 Every user-facing input error must end as `error: ...` with exit 1, which
 the command line guarantees only for FraudGnnError subclasses; any other
-exception escapes as a traceback.
+exception escapes as a traceback. The graph builder is also fuzzed against
+the pairwise oracle.
 """
 
 import pytest
@@ -16,6 +17,9 @@ from fraudgnn.datagen import DataSchema, SplitSpec, ingest_csv
 from fraudgnn.errors import FraudGnnError
 from fraudgnn.model import (ModelConfig, checkpoint_text, init_params,
                             load_params)
+from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
+
+from reference import adjacency, naive_build_graph, naive_max_weight
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -158,3 +162,46 @@ def scores_texts(draw):
 def test_read_scores_text(text_path, text):
     _write(text_path, text)
     _raises_only_package_errors(_read_scores, text_path)
+
+
+BIG = 2**62 - 1  # the widest timestamp build_graph accepts
+# 1 and 1.0 are one dict key, "1" another; no bools, which equal 1 too
+RAW = st.sampled_from([1, 1.0, "1", 2, "a"])
+WINDOWS = st.sampled_from([0, 0.5, 1, 2, 5, 30, 899.9, 900, float("inf")])
+
+
+@st.composite
+def graph_instances(draw):
+    """Records with ids out of row order, equal, negative and +-BIG
+    timestamps, mixed raw values, and 1-3 propositions over two fields."""
+    n = draw(st.integers(1, 14))
+    ids = draw(st.lists(st.integers(-BIG, BIG), min_size=n, max_size=n,
+                        unique=True))
+    stamps = st.one_of(st.integers(-40, 40), st.sampled_from([BIG, -BIG]))
+    one_bucket = draw(st.booleans())  # every record shares each field value
+    records = [TransactionRecord(
+        id=rid, attrs=[1.0, float(k)], timestamp=draw(stamps),
+        raw={f: 1 if one_bucket else draw(RAW) for f in ("device", "ip")})
+        for k, rid in enumerate(ids)]
+    props = [Proposition(name=f"p{k}", field=draw(st.sampled_from(["device", "ip"])),
+                         weight=draw(st.integers(1, 3)),
+                         window_seconds=draw(WINDOWS))
+             for k in range(draw(st.integers(1, 3)))]
+    return records, props
+
+
+@FUZZ
+@given(instance=graph_instances())
+def test_build_graph_matches_pairwise_oracle(instance):
+    records, props = instance
+    g = build_graph(records, props)
+    oracle = naive_build_graph(records, props)
+    assert adjacency(g) == oracle
+    by_id = {r.id: r for r in records}
+    for row, r in enumerate(records):
+        span = g.csr.span(row)
+        want = sorted({u for u, _ in oracle[r.id]})
+        assert g.csr.ids[span].tolist() == want
+        assert [records[j].id for j in g.csr.rows[span]] == want
+        assert g.csr.weight[span].tolist() == [
+            naive_max_weight(by_id, props, r.id, u) for u in want]

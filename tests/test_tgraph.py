@@ -5,11 +5,10 @@ import pytest
 
 from fraudgnn.errors import ConfigError, InputError
 from fraudgnn.tgraph import (Proposition, TransactionRecord, build_graph,
-                             evaluate_proposition, max_edge_weight,
-                             serialize_graph)
+                             max_edge_weight, serialize_graph)
 
-from reference import (naive_build_graph, naive_max_weight,
-                       random_transaction_records)
+from reference import (adjacency, evaluate_proposition, naive_build_graph,
+                       naive_max_weight, random_transaction_records)
 
 
 def rec(rid, ts, label=0, **raw):
@@ -68,6 +67,26 @@ class TestPropositionValidation:
         with pytest.raises(ConfigError):
             Proposition(name="p", field="ip", window_seconds=-1)
 
+    def test_nan_window_rejected(self):
+        with pytest.raises(ConfigError, match="'same_ip'.*window_seconds"):
+            Proposition(name="same_ip", field="ip", window_seconds=float("nan"))
+
+    @pytest.mark.parametrize("weight", [2.5, 2.0, True, "2"])
+    def test_weight_must_be_an_integer(self, weight):
+        with pytest.raises(ConfigError, match="'p'.*weight must be an integer"):
+            Proposition(name="p", field="ip", weight=weight)
+
+    def test_numpy_integer_weight_accepted(self):
+        g = build_graph([rec(1, 0, ip="x"), rec(2, 5, ip="x")],
+                        [Proposition(name="p", field="ip", weight=np.int64(4))])
+        assert g.csr.weight.tolist() == [4, 4]
+
+    def test_infinite_window_links_every_pair(self):
+        records = [rec(k, k * 10**6, ip="x") for k in range(4)]
+        g = build_graph(records, [Proposition(name="p", field="ip",
+                                              window_seconds=float("inf"))])
+        assert g.n_edges == 6
+
 
 class TestBuildGraph:
     def test_six_record_edge_set(self, six_graph):
@@ -114,6 +133,23 @@ class TestBuildGraph:
         with pytest.raises(InputError):
             build_graph([rec(1, 0, ip="x")], [])
 
+    @pytest.mark.parametrize("rid, ts", [
+        (2**64, 0), (2**62, 0), (-2**62, 0), (1, 2**63), (1, 2**62),
+        (1, -2**62)])
+    def test_id_or_timestamp_beyond_int64_range_rejected(self, rid, ts):
+        records = [rec(rid, ts, ip="x"), rec(0, 0, ip="x")]
+        with pytest.raises(InputError, match=rf"record {rid}: id and "
+                           r"timestamp must lie within \+-2\*\*62"):
+            build_graph(records, [Proposition(name="p", field="ip")])
+
+    def test_widest_ids_and_timestamps_accepted(self):
+        big = 2**62 - 1
+        records = [rec(big, -big, ip="x"), rec(-big, big, ip="x")]
+        g = build_graph(records, [Proposition(name="p", field="ip",
+                                              window_seconds=float("inf"))])
+        assert g.neighbors(big) == [-big]
+        assert g.timestamps().tolist() == [-big, big]
+
     def test_inconsistent_attr_lengths_rejected(self):
         a = rec(1, 0, ip="x")
         b = TransactionRecord(id=2, attrs=np.array([1.0]), raw={"ip": "x"},
@@ -143,7 +179,7 @@ class TestBuildGraph:
             records = random_transaction_records(rng, n=60, span=3600)
             g = build_graph(records, props)
             oracle = naive_build_graph(records, props)
-            assert {v: sorted(es) for v, es in g.adj.items()} == oracle
+            assert {v: sorted(es) for v, es in adjacency(g).items()} == oracle
 
 
 class TestMaxEdgeWeight:
