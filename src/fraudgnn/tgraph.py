@@ -215,6 +215,8 @@ def build_graph(records: list[TransactionRecord], props: list[Proposition]) -> T
     if len(lengths) > 1:
         raise InputError(f"records carry inconsistent attr lengths: {sorted(lengths)}")
     for r in records:
+        if not all(isinstance(x, (int, np.integer)) for x in (r.id, r.timestamp)):
+            raise InputError(f"record {r.id}: id and timestamp must be integers")
         if max(abs(r.id), abs(r.timestamp)) >= 2**62:  # int64 arrays, gaps too
             raise InputError(f"record {r.id}: id and timestamp must lie within +-2**62")
 
@@ -274,9 +276,7 @@ def _neighbor_csr(node_ids: np.ndarray, edges: np.ndarray,
     key = np.sort((np.concatenate([a, b]) * n + rank[np.concatenate([b, a])])
                   * n_props + np.concatenate([prop, prop]))
     pair = key // n_props
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = pair[1:] != pair[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
     prop_weight = np.array([p.weight for p in props])
     weight = (np.maximum.reduceat(prop_weight[key % n_props], starts)
               if len(starts) else prop_weight[:0])

@@ -142,6 +142,13 @@ class TestBuildGraph:
                            r"timestamp must lie within \+-2\*\*62"):
             build_graph(records, [Proposition(name="p", field="ip")])
 
+    @pytest.mark.parametrize("rid, ts", [
+        (1, 1.5), (1, 2.0), (1, float("nan")), (1.0, 0), ("1", 0)])
+    def test_non_integer_id_or_timestamp_rejected(self, rid, ts):
+        records = [rec(rid, ts, ip="x"), rec(0, 0, ip="x")]
+        with pytest.raises(InputError, match="id and timestamp must be integers"):
+            build_graph(records, [Proposition(name="p", field="ip")])
+
     def test_widest_ids_and_timestamps_accepted(self):
         big = 2**62 - 1
         records = [rec(big, -big, ip="x"), rec(-big, big, ip="x")]
