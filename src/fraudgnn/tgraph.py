@@ -56,8 +56,8 @@ class Proposition:
     window_seconds: int = 1800
 
     def __post_init__(self):
-        if isinstance(self.weight, bool) or not isinstance(self.weight, (int, np.integer)):
-            raise ConfigError(f"proposition {self.name!r}: weight must be an integer, got {self.weight!r}")
+        if type(self.weight) is bool or not isinstance(self.weight, (int, np.integer)):
+            raise ConfigError(f"proposition {self.name!r}: non-integer weight {self.weight!r}")
         if self.weight < 1:
             raise ConfigError(f"proposition {self.name!r}: weight must be >= 1, got {self.weight}")
         if math.isnan(self.window_seconds):
@@ -215,7 +215,8 @@ def build_graph(records: list[TransactionRecord], props: list[Proposition]) -> T
     if len(lengths) > 1:
         raise InputError(f"records carry inconsistent attr lengths: {sorted(lengths)}")
     for r in records:
-        if not all(isinstance(x, (int, np.integer)) for x in (r.id, r.timestamp)):
+        if not (isinstance(r.id, (int, np.integer))
+                and isinstance(r.timestamp, (int, np.integer))):
             raise InputError(f"record {r.id}: id and timestamp must be integers")
         if max(abs(r.id), abs(r.timestamp)) >= 2**62:  # int64 arrays, gaps too
             raise InputError(f"record {r.id}: id and timestamp must lie within +-2**62")
@@ -264,28 +265,27 @@ def _window_pairs(records, node_ids: np.ndarray, ts: np.ndarray, pi: int,
 
 def _neighbor_csr(node_ids: np.ndarray, edges: np.ndarray,
                   props: list[Proposition]) -> NeighborCSR:
-    """The CSR of typed edges, from one sort of int64 keys packing
-    (source row, neighbor's id rank, proposition)."""
+    """The CSR of typed edges, from one sort of int64 keys packing (row, neighbor's
+    id rank, proposition's weight rank): a pair's last key has its largest weight."""
     n, n_props = len(node_ids), len(props)
     if n * n * n_props >= 2**63:
         raise InputError(f"{n} records x {n_props} propositions overflow int64 edge keys")
     by_id = np.argsort(node_ids)
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_id] = np.arange(n)
-    a, b, prop = edges.T
-    key = np.sort((np.concatenate([a, b]) * n + rank[np.concatenate([b, a])])
-                  * n_props + np.concatenate([prop, prop]))
-    pair = key // n_props
-    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    rank = np.argsort(by_id)  # each row's place in id order
     prop_weight = np.array([p.weight for p in props])
-    weight = (np.maximum.reduceat(prop_weight[key % n_props], starts)
-              if len(starts) else prop_weight[:0])
-    pair = pair[starts]
-    rows = by_id[pair % n]
+    level = np.argsort(np.argsort(prop_weight))  # np.sort(prop_weight)[level] == prop_weight
+    a, b, lv = edges[:, 0], edges[:, 1], level[edges[:, 2]]
+    key = np.concatenate([(a * n + rank[b]) * n_props + lv,
+                          (b * n + rank[a]) * n_props + lv])
+    key.sort()
+    pair = np.append(key // n_props, -1)  # a sentinel ends the last pair
+    last = np.flatnonzero(pair[:-1] != pair[1:])
+    weight = np.sort(prop_weight)[key[last] % n_props]
+    src, nbr_rank = np.divmod(pair[last], n)
+    rows = by_id[nbr_rank]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair // n, minlength=n), out=indptr[1:])
-    return NeighborCSR(indptr=indptr, rows=rows, ids=node_ids[rows],
-                       weight=weight)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return NeighborCSR(indptr, rows, node_ids[rows], weight)
 
 
 def serialize_graph(g: TransactionGraph) -> str:

@@ -73,7 +73,7 @@ class TestPropositionValidation:
 
     @pytest.mark.parametrize("weight", [2.5, 2.0, True, "2"])
     def test_weight_must_be_an_integer(self, weight):
-        with pytest.raises(ConfigError, match="'p'.*weight must be an integer"):
+        with pytest.raises(ConfigError, match="'p': non-integer weight"):
             Proposition(name="p", field="ip", weight=weight)
 
     def test_numpy_integer_weight_accepted(self):
