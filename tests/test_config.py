@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from fraudgnn.config import (dump_run_config, load_propositions,
+from fraudgnn.config import (RunConfig, dump_run_config, load_propositions,
                              load_run_config, load_scenario, parse_kv)
 from fraudgnn.errors import ConfigError
+from fraudgnn.model import ModelConfig
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -204,6 +205,167 @@ class TestDumpRunConfig:
         assert kv["model.K"] == "3"
         assert kv["sampler.z_hat"] == "20, 20, 20"
         assert kv["model.use_gate"] == "true"
+
+
+# Manifest text pinned as literal strings, so a change shows as a diff.
+DEFAULT_MANIFEST = """\
+seed = 0
+sampler.z_hat = 20, 20, 20
+sampler.mode = deterministic_topz
+sampler.seed = 0
+sampler.oversample_count = 10
+sampler.similarity_floor = 1.6487212707001282
+model.K = 3
+model.hidden = 32
+model.tau_seconds = 1800.0
+model.activation = relu
+model.time_mode = decay
+model.use_attention = true
+model.use_gate = true
+trainer.lr = 0.001
+trainer.batch_size = 256
+trainer.epochs = 30
+trainer.split = fraction
+trainer.test_fraction = 0.3
+data.raw_fields = device, ip
+data.categorical_features = 
+data.numeric_features = auto
+data.downsample_legit_ratio = none
+"""
+
+README_RUN_CFG = """\
+seed = 0
+model.K = 2
+model.hidden = 8
+model.tau_seconds = 21600
+sampler.z_hat = 8, 8
+trainer.lr = 0.01
+trainer.epochs = 30
+trainer.split = fraction
+trainer.test_fraction = 0.7
+"""
+
+README_MANIFEST = """\
+seed = 0
+sampler.z_hat = 8, 8
+sampler.mode = deterministic_topz
+sampler.seed = 0
+sampler.oversample_count = 10
+sampler.similarity_floor = 1.6487212707001282
+model.K = 2
+model.hidden = 8
+model.tau_seconds = 21600.0
+model.activation = relu
+model.time_mode = decay
+model.use_attention = true
+model.use_gate = true
+trainer.lr = 0.01
+trainer.batch_size = 256
+trainer.epochs = 30
+trainer.split = fraction
+trainer.test_fraction = 0.7
+data.raw_fields = device, ip
+data.categorical_features = 
+data.numeric_features = auto
+data.downsample_legit_ratio = none
+"""
+
+EVERY_KEY = {
+    "seed": "5",
+    "sampler.z_hat": "4, 6",
+    "sampler.mode": "weighted_without_replacement",
+    "sampler.seed": "9",
+    "sampler.oversample_count": "3",
+    "sampler.similarity_floor": "0.25",
+    "model.K": "2",
+    "model.hidden": "12",
+    "model.tau_seconds": "600",
+    "model.activation": "tanh",
+    "model.time_mode": "interval",
+    "model.use_attention": "off",
+    "model.use_gate": "no",
+    "trainer.lr": "0.05",
+    "trainer.batch_size": "64",
+    "trainer.epochs": "7",
+    "trainer.split": "cutoff",
+    "trainer.test_fraction": "0.25",
+    "trainer.cutoff_timestamp": "12000",
+    "data.raw_fields": "card, merchant",
+    "data.categorical_features": "country, channel",
+    "data.numeric_features": "amount, hour",
+    "data.downsample_legit_ratio": "2.5",
+}
+
+EVERY_KEY_MANIFEST = """\
+seed = 5
+sampler.z_hat = 4, 6
+sampler.mode = weighted_without_replacement
+sampler.seed = 9
+sampler.oversample_count = 3
+sampler.similarity_floor = 0.25
+model.K = 2
+model.hidden = 12
+model.tau_seconds = 600.0
+model.activation = tanh
+model.time_mode = interval
+model.use_attention = false
+model.use_gate = false
+trainer.lr = 0.05
+trainer.batch_size = 64
+trainer.epochs = 7
+trainer.split = cutoff
+trainer.test_fraction = 0.25
+trainer.cutoff_timestamp = 12000
+data.raw_fields = card, merchant
+data.categorical_features = country, channel
+data.numeric_features = amount, hour
+data.downsample_legit_ratio = 2.5
+"""
+
+LIBRARY_MANIFEST = """\
+seed = 0
+sampler.z_hat = 20, 20, 20
+sampler.mode = deterministic_topz
+sampler.seed = 0
+sampler.oversample_count = 10
+sampler.similarity_floor = 1.6487212707001282
+model.K = 3
+model.hidden = 32
+model.tau_seconds = 21600.0
+model.activation = relu
+model.time_mode = decay
+model.use_attention = true
+model.use_gate = true
+trainer.lr = 1.0
+trainer.batch_size = 256
+trainer.epochs = 30
+trainer.split = fraction
+trainer.test_fraction = 0.3
+data.raw_fields = device, ip
+data.categorical_features = 
+data.numeric_features = auto
+data.downsample_legit_ratio = 2.0
+"""
+
+
+class TestManifestText:
+    def test_defaults(self):
+        assert dump_run_config(load_run_config()) == DEFAULT_MANIFEST
+
+    def test_readme_run_cfg(self, tmp_path):
+        run = load_run_config(write(tmp_path, README_RUN_CFG))
+        assert dump_run_config(run) == README_MANIFEST
+
+    def test_every_key_set(self):
+        assert len(EVERY_KEY) == 23
+        run = load_run_config(overrides=EVERY_KEY)
+        assert dump_run_config(run) == EVERY_KEY_MANIFEST
+
+    def test_library_config_with_int_valued_floats(self):
+        """Float fields print as floats even when built from ints."""
+        run = RunConfig(model=ModelConfig(tau_seconds=21600), lr=1,
+                        downsample_legit_ratio=2)
+        assert dump_run_config(run) == LIBRARY_MANIFEST
 
 
 class TestLoadPropositions:
