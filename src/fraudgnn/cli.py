@@ -10,6 +10,7 @@ DEBUG/INFO/WARNING to control verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import logging
@@ -94,8 +95,10 @@ def _overrides(args) -> dict[str, str]:
     return out
 
 
-def _load_run(args) -> RunConfig:
-    return load_run_config(getattr(args, "config", None), _overrides(args))
+def _load_run(args, pinned: dict[str, str] | None = None) -> RunConfig:
+    """The run config of args; pinned keys win over every other source."""
+    return load_run_config(getattr(args, "config", None),
+                           {**_overrides(args), **(pinned or {})})
 
 
 def _ingest(args, run: RunConfig):
@@ -121,7 +124,7 @@ def _scores_csv(predictions) -> str:
 def cmd_generate(args) -> int:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     records = generate(cfg)
     _write_atomic(args.out, csv_text(records))
     _write_manifest(args.out, "generate", [args.scenario],
@@ -143,7 +146,7 @@ def cmd_build_graph(args) -> int:
 def cmd_train(args) -> int:
     run = _load_run(args)
     result, graph = _ingest(args, run)
-    outcome = train(graph, run.train_config(), train_ids=result.train_ids)
+    outcome = train(graph, run, train_ids=result.train_ids)
     _write_atomic(args.out, checkpoint_text(outcome.params))
     if args.loss_history:
         lines = ["epoch,loss"]
@@ -158,12 +161,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    run = _load_run(args)
     params = load_params(args.ckpt)
-    if len(run.sampler.z_hat) != params.config.k_layers:
-        raise ConfigError(
-            f"sampler.z_hat has {len(run.sampler.z_hat)} entries but the "
-            f"checkpoint model has {params.config.k_layers} layers")
+    # predict's model is the checkpoint's, so its layer count is pinned
+    run = _load_run(args, {"model.K": str(params.config.k_layers)})
     result, graph = _ingest(args, run)
     known = result.train_ids if args.known == "train" else None
     subset = {"all": None, "train": result.train_ids,
@@ -264,16 +264,17 @@ def cmd_ablate(args) -> int:
     lines = ["sampling,attention,gate,seed,auc,f1,recall,precision"]
     for sampling, attention, gate in itertools.product(
             ("adaptive", "random"), ("on", "off"), ("on", "off")):
+        # an "on" arm switches its mechanism on whatever the config says
+        arm = {"model.use_attention": "true", "model.use_gate": "true"}
+        for off, flag in ((sampling == "random", "random_sampling"),
+                          (attention == "off", "no_attention"),
+                          (gate == "off", "no_gate")):
+            if off:
+                arm.update(_FLAG_KEYS[flag])
         for seed in seeds:
-            cfg = _load_run(args)
-            cfg.seed = seed
-            cfg.sampler.seed = seed
-            cfg.model.use_attention = attention == "on"
-            cfg.model.use_gate = gate == "on"
-            if sampling == "random":
-                cfg.sampler.mode = "uniform"
-            outcome = train(graph, cfg.train_config(),
-                            train_ids=result.train_ids)
+            cfg = _load_run(args, {**arm, "seed": str(seed),
+                                   "sampler.seed": str(seed)})
+            outcome = train(graph, cfg, train_ids=result.train_ids)
             preds = predict(graph, outcome.params, sampler_cfg=cfg.sampler,
                             nodes=result.test_ids,
                             known_ids=result.train_ids, seed=seed)

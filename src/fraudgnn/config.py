@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .datagen import DataSchema, ScenarioConfig, SplitSpec
 from .errors import ConfigError, unreadable
 from .model import ModelConfig
-from .sampler import DEFAULT_SIMILARITY_FLOOR, SamplerConfig
+from .sampler import SamplerConfig
 from .tgraph import Proposition
 from .train import TrainConfig
 
@@ -87,37 +87,58 @@ def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, x) for x in _parse_list(value))
 
 
+def _optional(kind, word: str):
+    """kind, with None spelled `word` in files and manifests."""
+    parse, fmt = kind
+    return (lambda key, v: None if v.lower() == word else parse(key, v),
+            lambda v: word if v is None else fmt(v))
+
+
+# A run key's kind: (parse(key, text), format(value) for manifests).
+_INT = (_parse_int, str)
+_FLOAT = (_parse_float, lambda v: repr(float(v)))
+_BOOL = (_parse_bool, lambda v: str(v).lower())
+_WORD = (lambda key, v: v, str)
+_INTS = (_parse_int_list, lambda v: ", ".join(str(z) for z in v))
+_NAMES = (lambda key, v: tuple(_parse_list(v)), ", ".join)
+_CUTOFF = (_parse_int, lambda v: None if v is None else str(v))  # None: no line
+
+
 @dataclass
-class RunConfig:
+class RunConfig(TrainConfig):
     """Everything a training or prediction run needs, file- or flag-sourced."""
 
-    seed: int = 0
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    split: SplitSpec = field(default_factory=SplitSpec)
     schema: DataSchema = field(default_factory=DataSchema)
-    lr: float = 0.001
-    batch_size: int = 256
-    epochs: int = 30
     downsample_legit_ratio: float | None = None
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(model=self.model, sampler=self.sampler,
-                           split=self.split, lr=self.lr,
-                           batch_size=self.batch_size, epochs=self.epochs,
-                           seed=self.seed)
 
-
+# Every run key, in manifest order: key -> (RunConfig part, attribute, kind).
+# Part "" is the RunConfig itself; unset keys take the dataclass defaults.
 _RUN_KEYS = {
-    "seed",
-    "sampler.z_hat", "sampler.mode", "sampler.seed",
-    "sampler.oversample_count", "sampler.similarity_floor",
-    "model.K", "model.hidden", "model.tau_seconds", "model.activation",
-    "model.time_mode", "model.use_attention", "model.use_gate",
-    "trainer.lr", "trainer.batch_size", "trainer.epochs",
-    "trainer.split", "trainer.test_fraction", "trainer.cutoff_timestamp",
-    "data.raw_fields", "data.categorical_features", "data.numeric_features",
-    "data.downsample_legit_ratio",
+    "seed": ("", "seed", _INT),
+    "sampler.z_hat": ("sampler", "z_hat", _INTS),
+    "sampler.mode": ("sampler", "mode", _WORD),
+    "sampler.seed": ("sampler", "seed", _INT),
+    "sampler.oversample_count": ("sampler", "oversample_count", _INT),
+    "sampler.similarity_floor": ("sampler", "similarity_floor", _FLOAT),
+    "model.K": ("model", "k_layers", _INT),
+    "model.hidden": ("model", "hidden_dim", _INT),
+    "model.tau_seconds": ("model", "tau_seconds", _FLOAT),
+    "model.activation": ("model", "activation", _WORD),
+    "model.time_mode": ("model", "time_mode", _WORD),
+    "model.use_attention": ("model", "use_attention", _BOOL),
+    "model.use_gate": ("model", "use_gate", _BOOL),
+    "trainer.lr": ("", "lr", _FLOAT),
+    "trainer.batch_size": ("", "batch_size", _INT),
+    "trainer.epochs": ("", "epochs", _INT),
+    "trainer.split": ("split", "kind", _WORD),
+    "trainer.test_fraction": ("split", "test_fraction", _FLOAT),
+    "trainer.cutoff_timestamp": ("split", "cutoff_timestamp", _CUTOFF),
+    "data.raw_fields": ("schema", "raw_fields", _NAMES),
+    "data.categorical_features": ("schema", "categorical", _NAMES),
+    "data.numeric_features": ("schema", "numeric", _optional(_NAMES, "auto")),
+    "data.downsample_legit_ratio": ("", "downsample_legit_ratio",
+                                    _optional(_FLOAT, "none")),
 }
 
 
@@ -133,106 +154,30 @@ def load_run_config(path: str | None = None,
         if "".join(value.splitlines()) != value:  # the manifest could not hold it
             raise ConfigError(f"{key}: value holds a line break: {value!r}")
         kv[key] = value
-    unknown = sorted(set(kv) - _RUN_KEYS)
+    unknown = sorted(set(kv) - set(_RUN_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    seed = _parse_int("seed", kv["seed"]) if "seed" in kv else 0
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-    k_layers = _parse_int("model.K", kv.get("model.K", "3"))
-    model = ModelConfig(
-        k_layers=k_layers,
-        hidden_dim=_parse_int("model.hidden", kv.get("model.hidden", "32")),
-        tau_seconds=_parse_float("model.tau_seconds",
-                                 kv.get("model.tau_seconds", "1800")),
-        activation=kv.get("model.activation", "relu"),
-        time_mode=kv.get("model.time_mode", "decay"),
-        use_attention=_parse_bool("model.use_attention",
-                                  kv.get("model.use_attention", "true")),
-        use_gate=_parse_bool("model.use_gate", kv.get("model.use_gate", "true")),
-    )
-
-    if "sampler.z_hat" in kv:
-        z_hat = _parse_int_list("sampler.z_hat", kv["sampler.z_hat"])
-    else:
-        z_hat = tuple(20 for _ in range(k_layers))
-    sampler = SamplerConfig(
-        z_hat=z_hat,
-        oversample_count=_parse_int("sampler.oversample_count",
-                                    kv.get("sampler.oversample_count", "10")),
-        similarity_floor=_parse_float(
-            "sampler.similarity_floor",
-            kv.get("sampler.similarity_floor", repr(DEFAULT_SIMILARITY_FLOOR))),
-        mode=kv.get("sampler.mode", "deterministic_topz"),
-        seed=_parse_int("sampler.seed", kv.get("sampler.seed", str(seed))),
-    )
-
-    split_kind = kv.get("trainer.split", "fraction")
-    split = SplitSpec(
-        kind=split_kind,
-        test_fraction=_parse_float("trainer.test_fraction",
-                                   kv.get("trainer.test_fraction", "0.3")),
-        cutoff_timestamp=(_parse_int("trainer.cutoff_timestamp",
-                                     kv["trainer.cutoff_timestamp"])
-                          if "trainer.cutoff_timestamp" in kv else None),
-    )
-
-    raw_fields = tuple(_parse_list(kv.get("data.raw_fields", "device, ip")))
-    categorical = tuple(_parse_list(kv.get("data.categorical_features", "")))
-    numeric_arg = kv.get("data.numeric_features", "auto")
-    numeric = None if numeric_arg.lower() == "auto" \
-        else tuple(_parse_list(numeric_arg))
-    schema = DataSchema(raw_fields=raw_fields, categorical=categorical,
-                        numeric=numeric)
-
-    down = kv.get("data.downsample_legit_ratio", "none")
-    downsample = None if down.lower() == "none" \
-        else _parse_float("data.downsample_legit_ratio", down)
-
-    return RunConfig(
-        seed=seed, sampler=sampler, model=model, split=split, schema=schema,
-        lr=_parse_float("trainer.lr", kv.get("trainer.lr", "0.001")),
-        batch_size=_parse_int("trainer.batch_size",
-                              kv.get("trainer.batch_size", "256")),
-        epochs=_parse_int("trainer.epochs", kv.get("trainer.epochs", "30")),
-        downsample_legit_ratio=downsample,
-    )
+    parts = {"": {}, "sampler": {}, "model": {}, "split": {}, "schema": {}}
+    for key, value in kv.items():
+        part, attr, (parse, _) = _RUN_KEYS[key]
+        parts[part][attr] = parse(key, value)
+    run, sampler = parts[""], parts["sampler"]
+    model = ModelConfig(**parts["model"])
+    sampler.setdefault("z_hat", (20,) * model.k_layers)
+    sampler.setdefault("seed", run.get("seed", TrainConfig.seed))
+    return RunConfig(**run, model=model, sampler=SamplerConfig(**sampler),
+                     split=SplitSpec(**parts["split"]),
+                     schema=DataSchema(**parts["schema"]))
 
 
 def dump_run_config(run: RunConfig) -> str:
     """Resolved config as dotted key=value lines, for run manifests."""
-    m, s, sp, sc = run.model, run.sampler, run.split, run.schema
-    lines = [
-        f"seed = {run.seed}",
-        f"sampler.z_hat = {', '.join(str(z) for z in s.z_hat)}",
-        f"sampler.mode = {s.mode}",
-        f"sampler.seed = {s.seed}",
-        f"sampler.oversample_count = {s.oversample_count}",
-        f"sampler.similarity_floor = {repr(float(s.similarity_floor))}",
-        f"model.K = {m.k_layers}",
-        f"model.hidden = {m.hidden_dim}",
-        f"model.tau_seconds = {repr(float(m.tau_seconds))}",
-        f"model.activation = {m.activation}",
-        f"model.time_mode = {m.time_mode}",
-        f"model.use_attention = {str(m.use_attention).lower()}",
-        f"model.use_gate = {str(m.use_gate).lower()}",
-        f"trainer.lr = {repr(float(run.lr))}",
-        f"trainer.batch_size = {run.batch_size}",
-        f"trainer.epochs = {run.epochs}",
-        f"trainer.split = {sp.kind}",
-        f"trainer.test_fraction = {repr(float(sp.test_fraction))}",
-    ]
-    if sp.cutoff_timestamp is not None:
-        lines.append(f"trainer.cutoff_timestamp = {sp.cutoff_timestamp}")
-    lines.append(f"data.raw_fields = {', '.join(sc.raw_fields)}")
-    lines.append(f"data.categorical_features = {', '.join(sc.categorical)}")
-    lines.append("data.numeric_features = "
-                 + ("auto" if sc.numeric is None else ", ".join(sc.numeric)))
-    lines.append("data.downsample_legit_ratio = "
-                 + ("none" if run.downsample_legit_ratio is None
-                    else repr(float(run.downsample_legit_ratio))))
+    lines = []
+    for key, (part, attr, (_, fmt)) in _RUN_KEYS.items():
+        text = fmt(getattr(getattr(run, part) if part else run, attr))
+        if text is not None:
+            lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

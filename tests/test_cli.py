@@ -177,6 +177,31 @@ class TestExitCodes:
             and err.count("\n") == 1
         assert not out.exists()
 
+    def test_negative_generate_seed_exits_one(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(SCENARIO)
+        out = tmp_path / "data.csv"
+        code = main(["generate", "--scenario", str(scenario),
+                     "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_build_graph_rejects_what_train_rejects(self, workspace,
+                                                    tmp_path, capsys):
+        """Every command validates its run config, not only train."""
+        out = tmp_path / "graph.txt"
+        code = main(["build-graph", "--data", str(workspace / "data.csv"),
+                     "--props", str(workspace / "props.cfg"),
+                     "--config", str(workspace / "run.cfg"),
+                     "--set", "trainer.lr=-1", "--set", "trainer.epochs=-4",
+                     "--set", "sampler.z_hat=1,2,3,4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_set_flag_exits_one(self, workspace, tmp_path, capsys):
         code = main(["build-graph", "--data", str(workspace / "data.csv"),
                      "--props", str(workspace / "props.cfg"),
@@ -432,6 +457,34 @@ class TestPredictVariants:
         assert "z_hat" in capsys.readouterr().err
 
 
+    def predict_with(self, workspace, tmp_path, run_text, name):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(run_text)
+        out = tmp_path / f"{name}.csv"
+        code = main(["predict", "--ckpt", str(workspace / "model.ckpt"),
+                     "--data", str(workspace / "data.csv"),
+                     "--props", str(workspace / "props.cfg"),
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        return out
+
+    def test_model_k_comes_from_the_checkpoint(self, workspace, tmp_path):
+        """A config setting z_hat for the checkpoint's layers needs no
+        model.K; the manifest records the checkpoint's."""
+        out = self.predict_with(workspace, tmp_path,
+                                RUN.replace("model.K = 1\n", ""), "no_k")
+        assert out.read_text() == (workspace / "scores.csv").read_text()
+        assert "model.K = 1" in config_lines(out)
+
+    def test_z_hat_defaults_to_twenty_per_checkpoint_layer(self, workspace,
+                                                           tmp_path):
+        run_text = RUN.replace("model.K = 1\n", "").replace(
+            "sampler.z_hat = 4\n", "")
+        out = self.predict_with(workspace, tmp_path, run_text, "no_z")
+        lines = config_lines(out)
+        assert "model.K = 1" in lines and "sampler.z_hat = 20" in lines
+
+
 class TestMissingInputFiles:
     """Each loader ends a command with one `error:` line, not a traceback."""
 
@@ -528,3 +581,20 @@ class TestAblate:
         assert err.startswith("error: --seeds") and err.count("\n") == 1
         assert repr(seeds) in err
         assert not out.exists()
+
+    def test_arms_override_the_configs_switches(self, workspace, tmp_path):
+        """Each arm sets its attention and gate switches, so a config that
+        turns them off leaves the grid as it is."""
+        grids = []
+        for name, flags in (("plain.csv", []),
+                            ("off.csv", ["--set", "model.use_gate=false",
+                                         "--set", "model.use_attention=false"])):
+            out = tmp_path / name
+            code = main(["ablate", "--data", str(workspace / "data.csv"),
+                         "--props", str(workspace / "props.cfg"),
+                         "--config", str(workspace / "run.cfg"),
+                         "--set", "trainer.epochs=2", *flags,
+                         "--out", str(out)])
+            assert code == 0
+            grids.append(out.read_text())
+        assert grids[0] == grids[1]

@@ -1,13 +1,16 @@
 """Config file parsing: run settings, proposition rules, scenario knobs."""
 
 import math
+from pathlib import Path
 
 import pytest
 
-from fraudgnn.config import (RunConfig, dump_run_config, load_propositions,
-                             load_run_config, load_scenario, parse_kv)
+from fraudgnn.config import (_RUN_KEYS, RunConfig, dump_run_config,
+                             load_propositions, load_run_config,
+                             load_scenario, parse_kv)
 from fraudgnn.errors import ConfigError
 from fraudgnn.model import ModelConfig
+from fraudgnn.train import TrainConfig
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -150,9 +153,8 @@ class TestLoadRunConfig:
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "0", "-0.5"])
     def test_lr_must_be_finite_and_positive(self, value):
-        run = load_run_config(overrides={"trainer.lr": value})
         with pytest.raises(ConfigError, match="lr must be finite"):
-            run.train_config()
+            load_run_config(overrides={"trainer.lr": value})
 
     def test_negative_seed_rejected(self):
         """numpy seeds need non-negative integers; -1 raised a ValueError."""
@@ -174,10 +176,9 @@ class TestLoadRunConfig:
                                          "sampler.z_hat": "3, 3",
                                          "sampler.mode": "uniform",
                                          "sampler.oversample_count": "0"})
-        cfg = run.train_config()
-        assert cfg.sampler.mode == "uniform"
-        assert cfg.sampler.oversample_count == 0
-        assert cfg.model is run.model
+        assert run.sampler.mode == "uniform"
+        assert run.sampler.oversample_count == 0
+        assert isinstance(run, TrainConfig)
 
 
 class TestDumpRunConfig:
@@ -366,6 +367,13 @@ class TestManifestText:
         run = RunConfig(model=ModelConfig(tau_seconds=21600), lr=1,
                         downsample_legit_ratio=2)
         assert dump_run_config(run) == LIBRARY_MANIFEST
+
+
+def test_readme_names_every_run_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Run keys (`run.cfg`):", 1)[1].split("\n\n")[0]
+    missing = [key for key in _RUN_KEYS if f"`{key}`" not in paragraph]
+    assert missing == []
 
 
 class TestLoadPropositions:
