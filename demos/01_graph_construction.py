@@ -58,7 +58,7 @@ def main():
 
     g = build_graph(records, props)
     # g.edges holds each typed edge once, as (row a, row b, proposition)
-    ids = g.node_ids()
+    ids = g.node_ids.tolist()
     adjacency = {v: [] for v in ids}
     for a, b, k in g.edges.tolist():
         adjacency[ids[a]].append((ids[b], k))

@@ -24,7 +24,7 @@ def banner(title):
 
 def similarities(g, v, others):
     """exp(cosine) of v's features against each of others'."""
-    rows = np.array([g.index_of(u) for u in others], dtype=np.int64)
+    rows = g.rows_of(others)
     return pair_scores(g.unit_features, np.full(len(rows), g.index_of(v)),
                        rows, 1.0)
 
@@ -32,8 +32,7 @@ def similarities(g, v, others):
 def picks(g, v, cfg, fraud_pool=()):
     """v's neighbor ids in sample_layer's picks for a layer of cfg.z_hat[0]."""
     src, nbr = sample_layer(g, cfg.z_hat[0], cfg, fraud_pool)
-    ids = np.array(g.node_ids())
-    return ids[nbr[src == g.index_of(v)]].tolist()
+    return g.node_ids[nbr[src == g.index_of(v)]].tolist()
 
 
 def main():
@@ -50,7 +49,7 @@ def main():
     print(f"scenario: {len(records)} records, {g.n_edges} edges")
 
     # the busiest node makes the nicest table
-    v = max(g.node_ids(), key=lambda u: len(g.neighbors(u)))
+    v = max(g.node_ids, key=lambda u: len(g.neighbors(u)))
     rec = g.record(v)
     nbrs = g.neighbors(v)
     print(f"focus node {v}: label={rec.label}, {len(nbrs)} neighbors")
@@ -83,7 +82,7 @@ def main():
     print(f"  weighted, new seed:   {picks(g, v, other_seed)}")
 
     banner("fraud over-sampling")
-    fraud = next(u for u in g.node_ids() if g.record(u).label == 1
+    fraud = next(u for u in g.node_ids if g.record(u).label == 1
                  and len(g.neighbors(u)) > 0)
     base = picks(g, fraud, cfg)
     pool = [r.id for r in records if r.label == 1]

@@ -47,7 +47,7 @@ def main():
     cfg = ModelConfig(k_layers=1, hidden_dim=8, tau_seconds=1800.0)
     scfg = SamplerConfig(z_hat=(5,), seed=0)
     nb = pack_rows(g, *sample_layer(g, scfg.z_hat[0], scfg))
-    labels = g.labels()
+    labels = g.labels
 
     banner("neighborhood diversity and the resulting gates")
     stats = diversity_stats(labels, nb)
@@ -66,7 +66,7 @@ def main():
 
     banner("attention coefficients versus plain averaging")
     params = init_params(scen.feature_dim, cfg, seed=0)
-    h0 = Tensor(g.features())
+    h0 = Tensor(g.features)
     # one weight per cell of nb.cells; lay the real entries out as nb's table
     cells = attention_weights(h0, nb, params.layers[0], cfg).data.ravel()
     alpha = np.zeros(nb.idx.shape)

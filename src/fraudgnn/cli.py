@@ -22,8 +22,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .config import (RunConfig, dump_run_config, load_propositions,
-                     load_run_config, load_scenario)
+from .config import (_RUN_KEYS, RunConfig, dump_run_config,
+                     load_propositions, load_run_config, load_scenario)
 from .datagen import csv_text, generate, ingest_csv
 from .errors import ConfigError, FraudGnnError, InputError, unreadable
 from .metrics import evaluate_scores, roc_points
@@ -162,8 +162,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     params = load_params(args.ckpt)
-    # predict's model is the checkpoint's, so its layer count is pinned
-    run = _load_run(args, {"model.K": str(params.config.k_layers)})
+    # predict runs the checkpoint's model, so every model key is pinned to it
+    run = _load_run(args, {key: fmt(getattr(params.config, attr))
+                           for key, (part, attr, (_, fmt)) in _RUN_KEYS.items()
+                           if part == "model"})
     result, graph = _ingest(args, run)
     known = result.train_ids if args.known == "train" else None
     subset = {"all": None, "train": result.train_ids,
@@ -255,17 +257,19 @@ def cmd_ablate(args) -> int:
     seeds = [int(s) for s in items]
     run = _load_run(args)
     result, graph = _ingest(args, run)
-    test_rows = [graph.index_of(v) for v in result.test_ids]
-    if not test_rows:
+    if not result.test_ids:
         raise InputError("ablate needs a non-empty test split; "
                          "check trainer.split settings")
-    y_test = graph.labels()[test_rows]
+    y_test = graph.labels[graph.rows_of(result.test_ids)]
 
+    mode = run.sampler.mode  # an adaptive arm samples adaptively whatever it is
+    adaptive = "deterministic_topz" if mode == "uniform" else mode
     lines = ["sampling,attention,gate,seed,auc,f1,recall,precision"]
     for sampling, attention, gate in itertools.product(
             ("adaptive", "random"), ("on", "off"), ("on", "off")):
         # an "on" arm switches its mechanism on whatever the config says
-        arm = {"model.use_attention": "true", "model.use_gate": "true"}
+        arm = {"model.use_attention": "true", "model.use_gate": "true",
+               "sampler.mode": adaptive}
         for off, flag in ((sampling == "random", "random_sampling"),
                           (attention == "off", "no_attention"),
                           (gate == "off", "no_gate")):

@@ -16,6 +16,7 @@ min-max scales numeric ones using training-split statistics only.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -243,15 +244,22 @@ class SplitSpec:
 def split_records(records: list[TransactionRecord], spec: SplitSpec,
                   seed: int) -> tuple[list[int], list[int]]:
     """Return (train_ids, test_ids). Unlabeled records never train."""
-    ids = [r.id for r in records]
+    return _split_ids(np.array([r.id for r in records], dtype=np.int64),
+                      np.array([r.timestamp for r in records], dtype=np.int64),
+                      np.array([r.label for r in records], dtype=np.int64),
+                      spec, seed)
+
+
+def _split_ids(ids: np.ndarray, timestamps: np.ndarray, labels: np.ndarray,
+               spec: SplitSpec, seed: int) -> tuple[list[int], list[int]]:
+    """split_records over the id, timestamp and label columns of distinct ids."""
     if spec.kind == "all":
-        return list(ids), []
+        return ids.tolist(), []
     if spec.kind == "cutoff":
-        train = [r.id for r in records if r.timestamp <= spec.cutoff_timestamp]
-        test = [r.id for r in records if r.timestamp > spec.cutoff_timestamp]
-        return train, test
+        return (ids[timestamps <= spec.cutoff_timestamp].tolist(),
+                ids[timestamps > spec.cutoff_timestamp].tolist())
     if spec.kind == "explicit":
-        known = set(ids)
+        known = set(ids.tolist())
         for v in (*spec.train_ids, *spec.test_ids):
             if v not in known:
                 raise InputError(f"explicit split references unknown id {v}")
@@ -262,22 +270,14 @@ def split_records(records: list[TransactionRecord], spec: SplitSpec,
         return list(spec.train_ids), list(spec.test_ids)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, SPLIT_SEED_TAG)))
-    train: list[int] = []
-    test: list[int] = []
-    by_label: dict[int, list[int]] = {}
-    for r in sorted(records, key=lambda r: r.id):
-        by_label.setdefault(r.label, []).append(r.id)
-    for label in sorted(by_label):
-        group = by_label[label]
-        if label == UNLABELED:
-            test.extend(group)
-            continue
-        perm = rng.permutation(len(group))
+    order = np.argsort(ids)
+    ids, labels = ids[order], labels[order]
+    test = labels == UNLABELED
+    for label in np.unique(labels[~test]).tolist():
+        group = np.flatnonzero(labels == label)
         n_test = round(spec.test_fraction * len(group))
-        chosen = {group[i] for i in perm[:n_test]}
-        for v in group:
-            (test if v in chosen else train).append(v)
-    return sorted(train), sorted(test)
+        test[group[rng.permutation(len(group))[:n_test]]] = True
+    return ids[~test].tolist(), ids[test].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def _parse_rows(path: str, schema: DataSchema):
                               f"declare them in the schema or drop them")
     col_pos = {name: i for i, name in enumerate(header)}
 
-    parsed = []
+    ids, stamps, labels, values = [], [], [], []
     problems = []
     for line_no, row in enumerate(rows, start=2):
         if len(row) != len(header):
@@ -357,23 +357,22 @@ def _parse_rows(path: str, schema: DataSchema):
                 raise ValueError(f"label must be 0, 1 or {UNLABELED}")
             if max(abs(rid), abs(ts)) >= 2**62:  # int64 arrays, gaps too
                 raise ValueError("id and timestamp must lie within +-2**62")
-            nums = {}
+            # a bad row fails the file, so no column keeps its partial values
             for c in numeric:
                 text = row[col_pos[c]]
                 try:
-                    nums[c] = float(text)
+                    values.append(float(text))
                 except ValueError:
-                    nums[c] = math.nan
-                if not math.isfinite(nums[c]):
+                    values.append(math.nan)
+                if not math.isfinite(values[-1]):
                     raise ValueError(
                         f"column {c!r}: {text!r} is not a finite number")
-            raw = {c: row[col_pos[c]] for c in schema.raw_fields}
-            cats = {c: row[col_pos[c]] for c in schema.categorical}
         except ValueError as exc:
             problems.append(f"line {line_no}: {exc}")
             continue
-        parsed.append({"id": rid, "timestamp": ts, "label": label,
-                       "raw": raw, "cats": cats, "nums": nums})
+        ids.append(rid)
+        stamps.append(ts)
+        labels.append(label)
 
     if problems:
         shown = "; ".join(problems[:10])
@@ -382,15 +381,18 @@ def _parse_rows(path: str, schema: DataSchema):
 
     seen: dict[int, int] = {}
     dupes = []
-    for line_no, row in enumerate(parsed, start=2):
-        if row["id"] in seen:
-            dupes.append(f"id {row['id']} on lines {seen[row['id']]} "
-                         f"and {line_no}")
+    for line_no, rid in enumerate(ids, start=2):
+        if rid in seen:
+            dupes.append(f"id {rid} on lines {seen[rid]} and {line_no}")
         else:
-            seen[row["id"]] = line_no
+            seen[rid] = line_no
     if dupes:
         raise IngestError(f"{path}: duplicate ids: {'; '.join(dupes[:5])}")
-    return parsed, numeric
+    strings = {c: [row[col_pos[c]] for row in rows]
+               for c in (*schema.raw_fields, *schema.categorical)}
+    return (np.array(ids, dtype=np.int64), np.array(stamps, dtype=np.int64),
+            np.array(labels, dtype=np.int64),
+            np.array(values).reshape(len(rows), len(numeric)), strings, numeric)
 
 
 def ingest_csv(path: str, schema: DataSchema | None = None,
@@ -406,72 +408,58 @@ def ingest_csv(path: str, schema: DataSchema | None = None,
     """
     schema = schema or DataSchema()
     split = split or SplitSpec()
-    parsed, numeric = _parse_rows(path, schema)
-    if not parsed:
+    ids, stamps, labels, x, strings, numeric = _parse_rows(path, schema)
+    if not len(ids):
         raise IngestError(f"{path}: no data rows")
 
-    stubs = [TransactionRecord(id=p["id"], attrs=np.zeros(1), raw=p["raw"],
-                               timestamp=p["timestamp"], label=p["label"])
-             for p in parsed]
-    train_ids, test_ids = split_records(stubs, split, seed)
-    train_set = set(train_ids)
+    train_ids, test_ids = _split_ids(ids, stamps, labels, split, seed)
+    in_train = np.isin(ids, train_ids)
 
     if downsample_legit_ratio is not None:
         if not 0 < downsample_legit_ratio < math.inf:
             raise ConfigError("downsample_legit_ratio must be finite and > 0")
-        train_fraud = [p["id"] for p in parsed
-                       if p["id"] in train_set and p["label"] == 1]
-        train_legit = [p["id"] for p in parsed
-                       if p["id"] in train_set and p["label"] == 0]
-        keep = round(downsample_legit_ratio * len(train_fraud))
-        if keep < len(train_legit):
+        legit = np.flatnonzero(in_train & (labels == 0))
+        keep = round(downsample_legit_ratio
+                     * np.count_nonzero(in_train & (labels == 1)))
+        if keep < len(legit):
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, DOWNSAMPLE_SEED_TAG)))
-            kept = {train_legit[i]
-                    for i in rng.permutation(len(train_legit))[:keep]}
-            dropped = set(train_legit) - kept
-            parsed = [p for p in parsed if p["id"] not in dropped]
+            kept = np.ones(len(ids), dtype=bool)
+            kept[np.delete(legit, rng.permutation(len(legit))[:keep])] = False
+            dropped = set(ids[~kept].tolist())
             train_ids = [v for v in train_ids if v not in dropped]
-            train_set -= dropped
+            ids, stamps, labels, x, in_train = (
+                a[kept] for a in (ids, stamps, labels, x, in_train))
+            strings = {c: list(itertools.compress(col, kept))
+                       for c, col in strings.items()}
             log.info("down-sampled legitimate training rows: kept %d of %d",
-                     keep, len(train_legit))
+                     keep, len(legit))
 
-    train_rows = [p for p in parsed if p["id"] in train_set]
-    if not train_rows:
+    if not in_train.any():
         raise IngestError(f"{path}: training split is empty")
 
-    stats: dict[str, tuple[float, float]] = {}
-    for c in numeric:
-        vals = [p["nums"][c] for p in train_rows]
-        stats[c] = (min(vals), max(vals))
-    vocab: dict[str, list[str]] = {}
-    for c in schema.categorical:
-        vocab[c] = sorted({p["cats"][c] for p in train_rows})
-
+    # the first of tied extremes, as min() and max() keep: 0.0 and -0.0 tie
+    fit, cols = x[in_train], np.arange(len(numeric))
+    lo, hi = fit[fit.argmin(axis=0), cols], fit[fit.argmax(axis=0), cols]
+    stats = {c: (a, b) for c, a, b in zip(numeric, lo.tolist(), hi.tolist())}
+    with np.errstate(all="ignore"):  # inf past 1e308, 0/0 where span is 0
+        span = hi - lo
+        x = np.where(span > 0, (x - lo) / span, 0.0)
+    x = np.where(x > 0.0, x, 0.0)  # as max(0.0, x): -0.0 and nan give 0.0
+    blocks = [np.where(x < 1.0, x, 1.0)]
     feature_names = list(numeric)
     for c in schema.categorical:
-        feature_names.extend(f"{c}={v}" for v in vocab[c])
+        vocab = sorted(set(itertools.compress(strings[c], in_train)))
+        feature_names.extend(f"{c}={v}" for v in vocab)
+        slot = {v: i for i, v in enumerate(vocab)}
+        hot = np.array([slot.get(v, -1) for v in strings[c]])
+        blocks.append((hot[:, None] == np.arange(len(vocab))).astype(np.float64))
 
-    records = []
-    for p in parsed:
-        feats: list[float] = []
-        for c in numeric:
-            lo, hi = stats[c]
-            span = hi - lo
-            x = (p["nums"][c] - lo) / span if span > 0 else 0.0
-            feats.append(min(1.0, max(0.0, x)))
-        for c in schema.categorical:
-            block = [0.0] * len(vocab[c])
-            val = p["cats"][c]
-            if val in vocab[c]:
-                block[vocab[c].index(val)] = 1.0
-            feats.extend(block)
-        raw = dict(p["raw"])
-        raw.update(p["cats"])
-        records.append(TransactionRecord(
-            id=p["id"], attrs=np.asarray(feats, dtype=np.float64),
-            raw=raw, timestamp=p["timestamp"], label=p["label"]))
-
+    records = [TransactionRecord(id=v, attrs=a, timestamp=t, label=y,
+                                 raw={c: col[i] for c, col in strings.items()})
+               for i, (v, t, y, a) in enumerate(zip(
+                   ids.tolist(), stamps.tolist(), labels.tolist(),
+                   np.hstack(blocks)))]
     return IngestResult(records=records, train_ids=list(train_ids),
                         test_ids=list(test_ids), feature_names=feature_names,
                         numeric_stats=stats)

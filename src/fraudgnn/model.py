@@ -171,7 +171,7 @@ def pack_rows(graph: TransactionGraph, src: np.ndarray,
     idx = np.zeros((graph.n_nodes, width), dtype=np.int64)
     mask = np.zeros((graph.n_nodes, width), dtype=bool)
     dt = np.zeros((graph.n_nodes, width), dtype=np.float64)
-    ts = graph.timestamps()
+    ts = graph.timestamps
     idx[src, col] = nbr
     mask[src, col] = True
     dt[src, col] = np.abs(ts[nbr] - ts[src])

@@ -72,11 +72,10 @@ def _fraud_extras(g: TransactionGraph, cfg: SamplerConfig,
     in ascending id. The trainer pools train-split fraud, so ground truth is
     never read off held-out nodes.
     """
-    labels = g.labels()
-    pool = np.array([g.index_of(v) for v in fraud_pool], dtype=np.int64)
-    pool = pool[labels[pool] == 1]
+    pool = g.rows_of(fraud_pool)
+    pool = pool[g.labels[pool] == 1]
     src, extra = [], []  # grouped by ascending node row
-    csr, u, ids = g.csr, g.unit_features, np.array(g.node_ids())
+    csr, u, ids = g.csr, g.unit_features, g.node_ids
     near = np.zeros(g.n_nodes, dtype=bool)  # v and its neighbors, reset per v
     for r in np.unique(pool).tolist():
         nbrs = csr.rows[csr.span(r)]
@@ -108,7 +107,7 @@ def sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
     another in record order, and over-samples nothing.
     """
     csr = g.csr
-    bounds, ids, node_ids = csr.indptr.tolist(), csr.ids, g.node_ids()
+    bounds, ids = csr.indptr.tolist(), csr.ids
     p_all = None if cfg.mode == "uniform" else g.edge_scores
     keep = np.ones(len(ids), dtype=bool)  # rows of at most z keep every entry
     for row in np.flatnonzero(np.diff(csr.indptr) > z).tolist():
@@ -119,7 +118,7 @@ def sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
             pos = np.lexsort((ids[lo:hi], -p_all[lo:hi]))[:z]
         else:  # choice over the row's length draws the indices it does over ids
             p = p_all[lo:hi]
-            pos = _node_rng(cfg, node_ids[row]).choice(
+            pos = _node_rng(cfg, int(g.node_ids[row])).choice(
                 hi - lo, size=z, replace=False, p=p / p.sum())
         keep[lo:hi] = False
         keep[lo + pos] = True

@@ -91,27 +91,32 @@ class NeighborCSR:
 class TransactionGraph:
     """Immutable-after-build multigraph over transaction records.
 
-    ``edges`` is an (E, 3) int64 array holding each undirected typed edge
-    once as (row a, row b, proposition index), in no particular order; no
-    edge joins a row to itself. ``csr`` is the distinct-neighbor view that
-    build_graph derives from ``edges``. ``unit_features`` and
-    ``edge_scores`` are derived on first use and cached, which is only
-    sound because the graph is not edited after build.
+    ``node_ids``, ``timestamps`` and ``labels`` (int64) and ``features``
+    ((n, l) float64) are read-only columns in record order. ``edges`` is an
+    (E, 3) int64 array holding each undirected typed edge once as (row a,
+    row b, proposition index), in no particular order; no edge joins a row
+    to itself. ``csr`` is the distinct-neighbor view that build_graph
+    derives from ``edges``. ``unit_features`` and ``edge_scores`` are
+    derived on first use and cached, which is only sound because the graph
+    is not edited after build.
     """
 
     records: list[TransactionRecord]
     propositions: list[Proposition]
     edges: np.ndarray
     csr: NeighborCSR
-    _index: dict[int, int] = field(default_factory=dict, repr=False)
+    node_ids: np.ndarray
+    timestamps: np.ndarray
+    labels: np.ndarray
+    features: np.ndarray
+    _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {r.id: i for i, r in enumerate(self.records)}
+        self._index = dict(zip(self.node_ids.tolist(), range(self.n_nodes)))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.records)
+        return len(self.node_ids)
 
     @property
     def n_edges(self) -> int:
@@ -119,6 +124,13 @@ class TransactionGraph:
 
     def index_of(self, node_id: int) -> int:
         return self._index[node_id]
+
+    def rows_of(self, node_ids) -> np.ndarray:
+        """The rows of ``node_ids``, in their order."""
+        try:
+            return np.array([self._index[v] for v in node_ids], dtype=np.int64)
+        except KeyError as exc:
+            raise InputError(f"unknown node id {exc.args[0]}") from None
 
     def record(self, node_id: int) -> TransactionRecord:
         return self.records[self._index[node_id]]
@@ -131,7 +143,7 @@ class TransactionGraph:
     @functools.cached_property
     def unit_features(self) -> np.ndarray:
         """Row-normalized feature matrix; all-zero rows stay zero."""
-        x = self.features()
+        x = self.features
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
@@ -147,19 +159,6 @@ class TransactionGraph:
         for lo, hi in zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist()):
             probs[lo:hi] = raw[lo:hi] / raw[lo:hi].sum()
         return probs
-
-    def features(self) -> np.ndarray:
-        """(n, l) float64 feature matrix in record order."""
-        return np.stack([r.attrs for r in self.records])
-
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int64)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([r.timestamp for r in self.records], dtype=np.int64)
-
-    def node_ids(self) -> list[int]:
-        return [r.id for r in self.records]
 
 
 # Edges per gather in pair_scores: bounds the two (chunk, l) temporaries
@@ -223,10 +222,16 @@ def build_graph(records: list[TransactionRecord], props: list[Proposition]) -> T
 
     node_ids = np.array(ids, dtype=np.int64)
     ts = np.array([r.timestamp for r in records], dtype=np.int64)
+    labels = np.array([r.label for r in records], dtype=np.int64)
+    features = np.stack([r.attrs for r in records])
+    for column in (node_ids, ts, labels, features):
+        column.flags.writeable = False
     edges = np.concatenate([_window_pairs(records, node_ids, ts, pi, prop)
                             for pi, prop in enumerate(props)])
     g = TransactionGraph(records=list(records), propositions=list(props),
-                         edges=edges, csr=_neighbor_csr(node_ids, edges, props))
+                         edges=edges, csr=_neighbor_csr(node_ids, edges, props),
+                         node_ids=node_ids, timestamps=ts, labels=labels,
+                         features=features)
     logger.debug("built graph: %d nodes, %d edges, %d propositions",
                  g.n_nodes, g.n_edges, len(props))
     return g
@@ -294,7 +299,7 @@ def serialize_graph(g: TransactionGraph) -> str:
     Each undirected parallel edge appears once as ``EDGE a b prop_index`` with
     a < b; output is byte-identical for identical graphs.
     """
-    ids = np.array(g.node_ids(), dtype=np.int64)
+    ids = g.node_ids
     a, b, prop = ids[g.edges[:, 0]], ids[g.edges[:, 1]], g.edges[:, 2]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.lexsort((prop, hi, lo))

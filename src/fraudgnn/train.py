@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as model_mod, nn, sampler as sampler_mod
-from .datagen import SplitSpec, split_records
+from .datagen import SplitSpec, _split_ids
 from .errors import CheckpointError, ConfigError, TrainError
 from .model import ModelConfig, ModelParams, Neighborhoods
 from .nn import Tensor
@@ -132,12 +132,13 @@ def train(graph: TransactionGraph, config: TrainConfig,
     unlabeled nodes, or the loss leaves the finite range.
     """
     if train_ids is None:
-        train_ids, _ = split_records(graph.records, config.split, config.seed)
+        train_ids, _ = _split_ids(graph.node_ids, graph.timestamps,
+                                  graph.labels, config.split, config.seed)
     train_ids = sorted(train_ids)
     if not train_ids:
         raise TrainError("training split is empty")
-    labels = graph.labels()
-    train_rows = np.array([graph.index_of(v) for v in train_ids])
+    labels = graph.labels
+    train_rows = graph.rows_of(train_ids)
     y_train = labels[train_rows]
     if np.any(y_train == UNLABELED):
         raise TrainError("training split contains unlabeled records")
@@ -146,11 +147,11 @@ def train(graph: TransactionGraph, config: TrainConfig,
         raise TrainError(
             f"training labels must include both classes, found {sorted(classes)}")
 
-    features = graph.features()
+    features = graph.features
     params = model_mod.init_params(features.shape[1], config.model, config.seed)
     opt = nn.AdamState(params.parameters(), lr=config.lr)
 
-    in_train = np.zeros(len(graph.records), dtype=bool)
+    in_train = np.zeros(graph.n_nodes, dtype=bool)
     in_train[train_rows] = True
     labels_eff = np.where(in_train, np.maximum(labels, 0), 0)
     fraud_pool = sorted(int(v) for v, r in zip(train_ids, y_train) if r == 1)
@@ -206,7 +207,7 @@ def predict(graph: TransactionGraph, params: ModelParams,
     (normally the training split). Remaining nodes start as class 0, get a
     provisional hard prediction, and the pass repeats once with those labels.
     """
-    features = graph.features()
+    features = graph.features
     if features.shape[1] != params.feature_dim:
         raise CheckpointError(
             f"graph features have width {features.shape[1]} but the "
@@ -216,16 +217,19 @@ def predict(graph: TransactionGraph, params: ModelParams,
         sampler_cfg = SamplerConfig(z_hat=z, seed=seed)
     cfg = TrainConfig(model=params.config, sampler=sampler_cfg,
                       epochs=0, seed=seed)
-    neighborhoods = _sample_layers(graph, cfg, 0, [])
+    if nodes is None:
+        nodes = graph.node_ids.tolist()
+    rows = graph.rows_of(nodes)
+    known_ids = known_ids or []
+    known_rows = graph.rows_of(known_ids)
+    stray = np.flatnonzero(graph.labels[known_rows] == UNLABELED)
+    if len(stray):
+        raise TrainError(f"known id {known_ids[stray[0]]} has no stored label")
+    known = np.zeros(graph.n_nodes, dtype=bool)
+    known[known_rows] = True
+    labels_eff = np.where(known, np.maximum(graph.labels, 0), 0)
 
-    labels = graph.labels()
-    known = np.zeros(len(graph.records), dtype=bool)
-    for v in known_ids or []:
-        row = graph.index_of(v)
-        if labels[row] == UNLABELED:
-            raise TrainError(f"known id {v} has no stored label")
-        known[row] = True
-    labels_eff = np.where(known, np.maximum(labels, 0), 0)
+    neighborhoods = _sample_layers(graph, cfg, 0, [])
 
     gates = _gates_for(params.config, labels_eff, neighborhoods[0])
     p = model_mod.forward(params, features, neighborhoods, gates).data.ravel()
@@ -235,11 +239,6 @@ def predict(graph: TransactionGraph, params: ModelParams,
         gates = _gates_for(params.config, labels_eff, neighborhoods[0])
         p = model_mod.forward(params, features, neighborhoods, gates).data.ravel()
 
-    if nodes is None:
-        nodes = [rec.id for rec in graph.records]
-    out = []
-    for v in nodes:
-        row = graph.index_of(v)
-        out.append(Prediction(node_id=v, p_fraud=float(p[row]),
-                              label_pred=int(p[row] >= 0.5)))
-    return out
+    return [Prediction(node_id=v, p_fraud=float(p[row]),
+                       label_pred=int(p[row] >= 0.5))
+            for v, row in zip(nodes, rows.tolist())]

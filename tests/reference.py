@@ -10,6 +10,8 @@ sampler.sample_layer's and model.pack_rows' picks one node at a time.
 
 from __future__ import annotations
 
+import csv
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -17,12 +19,18 @@ import numpy as np
 import scipy.sparse
 
 from fraudgnn import nn
-from fraudgnn.errors import ConfigError, InputError, ShapeError
+from fraudgnn.datagen import (_FIXED_COLUMNS, DOWNSAMPLE_SEED_TAG,
+                              SPLIT_SEED_TAG, DataSchema, IngestResult,
+                              SplitSpec)
+from fraudgnn.errors import (ConfigError, IngestError, InputError, ShapeError,
+                             unreadable)
 from fraudgnn.model import (ACTIVATIONS, Neighborhoods, time_factors,
                             uniform_weights)
 from fraudgnn.sampler import SamplerConfig, _node_rng, combine_seed
-from fraudgnn.tgraph import (Proposition, TransactionGraph, TransactionRecord,
-                             pair_scores)
+from fraudgnn.tgraph import (UNLABELED, Proposition, TransactionGraph,
+                             TransactionRecord, pair_scores)
+
+log = logging.getLogger(__name__)
 
 
 def evaluate_proposition(p: Proposition, a: TransactionRecord, b: TransactionRecord) -> bool:
@@ -59,12 +67,12 @@ def typed_neighbors(g: TransactionGraph, v) -> list:
     row, (a, b, k) = g.index_of(v), g.edges.T
     nbr = np.concatenate([b[a == row], a[b == row]])
     prop = np.concatenate([k[a == row], k[b == row]])
-    return sorted(zip(np.array(g.node_ids())[nbr].tolist(), prop.tolist()))
+    return sorted(zip(np.array(g.node_ids)[nbr].tolist(), prop.tolist()))
 
 
 def adjacency(g: TransactionGraph) -> dict:
     """Node id -> typed_neighbors, the per-node lists g.adj once held."""
-    return {v: typed_neighbors(g, v) for v in g.node_ids()}
+    return {v: typed_neighbors(g, v) for v in g.node_ids}
 
 
 def naive_max_weight(records_by_id, props, a_id, b_id):
@@ -261,7 +269,7 @@ def loop_selection_probabilities(g: TransactionGraph, v) -> dict:
     nbrs = sorted(best_w)
     if not nbrs:
         return {}
-    x = g.features()
+    x = g.features
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     u = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
     vi = g.index_of(v)
@@ -442,7 +450,7 @@ def pack_neighborhoods(graph: TransactionGraph,
     idx = np.zeros((n, width), dtype=np.int64)
     mask = np.zeros((n, width), dtype=bool)
     dt = np.zeros((n, width), dtype=np.float64)
-    ts = graph.timestamps()
+    ts = graph.timestamps
     for row, s in enumerate(sampled):
         if graph.index_of(s.node) != row:
             raise ShapeError("sampled neighborhoods must follow graph node order")
@@ -641,3 +649,219 @@ def random_transaction_records(rng: np.random.Generator, n: int,
             label=int(rng.random() < label_rate),
         ))
     return records
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest one row at a time: each row parsed into a dict, stub records
+# for the split, and features scaled one Python float at a time. The
+# columnar datagen.ingest_csv must match it on every result and error text.
+# ---------------------------------------------------------------------------
+
+def loop_split_records(records: list[TransactionRecord], spec: SplitSpec,
+                       seed: int) -> tuple[list[int], list[int]]:
+    """Return (train_ids, test_ids). Unlabeled records never train."""
+    ids = [r.id for r in records]
+    if spec.kind == "all":
+        return list(ids), []
+    if spec.kind == "cutoff":
+        train = [r.id for r in records if r.timestamp <= spec.cutoff_timestamp]
+        test = [r.id for r in records if r.timestamp > spec.cutoff_timestamp]
+        return train, test
+    if spec.kind == "explicit":
+        known = set(ids)
+        for v in (*spec.train_ids, *spec.test_ids):
+            if v not in known:
+                raise InputError(f"explicit split references unknown id {v}")
+        overlap = set(spec.train_ids) & set(spec.test_ids)
+        if overlap:
+            raise InputError(
+                f"explicit split overlaps on ids {sorted(overlap)[:5]}")
+        return list(spec.train_ids), list(spec.test_ids)
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, SPLIT_SEED_TAG)))
+    train: list[int] = []
+    test: list[int] = []
+    by_label: dict[int, list[int]] = {}
+    for r in sorted(records, key=lambda r: r.id):
+        by_label.setdefault(r.label, []).append(r.id)
+    for label in sorted(by_label):
+        group = by_label[label]
+        if label == UNLABELED:
+            test.extend(group)
+            continue
+        perm = rng.permutation(len(group))
+        n_test = round(spec.test_fraction * len(group))
+        chosen = {group[i] for i in perm[:n_test]}
+        for v in group:
+            (test if v in chosen else train).append(v)
+    return sorted(train), sorted(test)
+
+
+def loop_parse_rows(path: str, schema: DataSchema):
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable("data CSV", path, exc) from None
+    if not rows:
+        raise IngestError(f"{path}: empty file, header required")
+    header, rows = rows[0], rows[1:]
+
+    if tuple(header[:3]) != _FIXED_COLUMNS:
+        raise IngestError(
+            f"{path}: header must start with id,timestamp,label; "
+            f"got {header[:3]}")
+    rest = header[3:]
+    missing = [c for c in (*schema.raw_fields, *schema.categorical)
+               if c not in rest]
+    if schema.numeric is not None:
+        missing += [c for c in schema.numeric if c not in rest]
+    if missing:
+        raise IngestError(f"{path}: declared columns missing from header: "
+                          f"{missing}")
+    if schema.numeric is None:
+        claimed = set(schema.raw_fields) | set(schema.categorical)
+        numeric = tuple(c for c in rest if c not in claimed)
+    else:
+        numeric = tuple(schema.numeric)
+        claimed = (set(schema.raw_fields) | set(schema.categorical)
+                   | set(numeric))
+        extra = [c for c in rest if c not in claimed]
+        if extra:
+            raise IngestError(f"{path}: undeclared columns {extra}; "
+                              f"declare them in the schema or drop them")
+    col_pos = {name: i for i, name in enumerate(header)}
+
+    parsed = []
+    problems = []
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            problems.append(f"line {line_no}: {len(row)} fields, "
+                            f"expected {len(header)}")
+            continue
+        try:
+            rid = int(row[col_pos["id"]])
+            ts = int(row[col_pos["timestamp"]])
+            label = int(row[col_pos["label"]])
+            if label not in (0, 1, UNLABELED):
+                raise ValueError(f"label must be 0, 1 or {UNLABELED}")
+            if max(abs(rid), abs(ts)) >= 2**62:  # int64 arrays, gaps too
+                raise ValueError("id and timestamp must lie within +-2**62")
+            nums = {}
+            for c in numeric:
+                text = row[col_pos[c]]
+                try:
+                    nums[c] = float(text)
+                except ValueError:
+                    nums[c] = math.nan
+                if not math.isfinite(nums[c]):
+                    raise ValueError(
+                        f"column {c!r}: {text!r} is not a finite number")
+            raw = {c: row[col_pos[c]] for c in schema.raw_fields}
+            cats = {c: row[col_pos[c]] for c in schema.categorical}
+        except ValueError as exc:
+            problems.append(f"line {line_no}: {exc}")
+            continue
+        parsed.append({"id": rid, "timestamp": ts, "label": label,
+                       "raw": raw, "cats": cats, "nums": nums})
+
+    if problems:
+        shown = "; ".join(problems[:10])
+        more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
+        raise IngestError(f"{path}: {len(problems)} bad rows: {shown}{more}")
+
+    seen: dict[int, int] = {}
+    dupes = []
+    for line_no, row in enumerate(parsed, start=2):
+        if row["id"] in seen:
+            dupes.append(f"id {row['id']} on lines {seen[row['id']]} "
+                         f"and {line_no}")
+        else:
+            seen[row["id"]] = line_no
+    if dupes:
+        raise IngestError(f"{path}: duplicate ids: {'; '.join(dupes[:5])}")
+    return parsed, numeric
+
+
+def loop_ingest_csv(path: str, schema: DataSchema | None = None,
+                    split: SplitSpec | None = None, seed: int = 0,
+                    downsample_legit_ratio: float | None = None) -> IngestResult:
+    """Read, split, and preprocess a transaction CSV.
+
+    Scaling and one-hot vocabularies come from the training split only;
+    test values outside the training range clamp into [0, 1] and unseen
+    categories encode as all-zero blocks. Optional down-sampling keeps at
+    most ratio * (train fraud count) legitimate training rows, dropping the
+    rest from the dataset.
+    """
+    schema = schema or DataSchema()
+    split = split or SplitSpec()
+    parsed, numeric = loop_parse_rows(path, schema)
+    if not parsed:
+        raise IngestError(f"{path}: no data rows")
+
+    stubs = [TransactionRecord(id=p["id"], attrs=np.zeros(1), raw=p["raw"],
+                               timestamp=p["timestamp"], label=p["label"])
+             for p in parsed]
+    train_ids, test_ids = loop_split_records(stubs, split, seed)
+    train_set = set(train_ids)
+
+    if downsample_legit_ratio is not None:
+        if not 0 < downsample_legit_ratio < math.inf:
+            raise ConfigError("downsample_legit_ratio must be finite and > 0")
+        train_fraud = [p["id"] for p in parsed
+                       if p["id"] in train_set and p["label"] == 1]
+        train_legit = [p["id"] for p in parsed
+                       if p["id"] in train_set and p["label"] == 0]
+        keep = round(downsample_legit_ratio * len(train_fraud))
+        if keep < len(train_legit):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, DOWNSAMPLE_SEED_TAG)))
+            kept = {train_legit[i]
+                    for i in rng.permutation(len(train_legit))[:keep]}
+            dropped = set(train_legit) - kept
+            parsed = [p for p in parsed if p["id"] not in dropped]
+            train_ids = [v for v in train_ids if v not in dropped]
+            train_set -= dropped
+            log.info("down-sampled legitimate training rows: kept %d of %d",
+                     keep, len(train_legit))
+
+    train_rows = [p for p in parsed if p["id"] in train_set]
+    if not train_rows:
+        raise IngestError(f"{path}: training split is empty")
+
+    stats: dict[str, tuple[float, float]] = {}
+    for c in numeric:
+        vals = [p["nums"][c] for p in train_rows]
+        stats[c] = (min(vals), max(vals))
+    vocab: dict[str, list[str]] = {}
+    for c in schema.categorical:
+        vocab[c] = sorted({p["cats"][c] for p in train_rows})
+
+    feature_names = list(numeric)
+    for c in schema.categorical:
+        feature_names.extend(f"{c}={v}" for v in vocab[c])
+
+    records = []
+    for p in parsed:
+        feats: list[float] = []
+        for c in numeric:
+            lo, hi = stats[c]
+            span = hi - lo
+            x = (p["nums"][c] - lo) / span if span > 0 else 0.0
+            feats.append(min(1.0, max(0.0, x)))
+        for c in schema.categorical:
+            block = [0.0] * len(vocab[c])
+            val = p["cats"][c]
+            if val in vocab[c]:
+                block[vocab[c].index(val)] = 1.0
+            feats.extend(block)
+        raw = dict(p["raw"])
+        raw.update(p["cats"])
+        records.append(TransactionRecord(
+            id=p["id"], attrs=np.asarray(feats, dtype=np.float64),
+            raw=raw, timestamp=p["timestamp"], label=p["label"]))
+
+    return IngestResult(records=records, train_ids=list(train_ids),
+                        test_ids=list(test_ids), feature_names=feature_names,
+                        numeric_stats=stats)

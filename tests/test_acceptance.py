@@ -141,7 +141,7 @@ def oracle_scores(g, v):
 def layer_picks(g, z, cfg):
     """Each node's sample_layer picks as neighbor ids, in the order given."""
     src, nbr = sample_layer(g, z, cfg)
-    ids = np.array(g.node_ids())
+    ids = np.array(g.node_ids)
     return [ids[nbr[src == row]].tolist() for row in range(g.n_nodes)]
 
 
@@ -154,7 +154,7 @@ def test_sampler_matches_sort_oracle(capsys):
             records, props = random_instance(rng, n, grid_attrs=True)
             g = build_graph(records, props)
             picks = [layer_picks(g, z, cfg) for z in cfg.z_hat]
-            for row, v in enumerate(g.node_ids()):
+            for row, v in enumerate(g.node_ids):
                 span = g.csr.span(row)
                 probs = dict(zip(g.csr.ids[span].tolist(),
                                  g.edge_scores[span].tolist()))

@@ -8,6 +8,8 @@ import pytest
 from fraudgnn.cli import main
 from fraudgnn.model import load_params
 
+from test_config import README_RUN_CFG
+
 SCENARIO = """\
 n_legit = 60
 n_fraud = 20
@@ -476,6 +478,28 @@ class TestPredictVariants:
         assert out.read_text() == (workspace / "scores.csv").read_text()
         assert "model.K = 1" in config_lines(out)
 
+    def test_model_keys_come_from_the_checkpoint(self, workspace, tmp_path):
+        """A baseline checkpoint's switches reach the manifest; the config's
+        switches change neither the manifest nor the scores."""
+        cfg, ckpt = tmp_path / "readme.cfg", tmp_path / "baseline.ckpt"
+        cfg.write_text(README_RUN_CFG)
+        common = ["--data", str(workspace / "data.csv"),
+                  "--props", str(workspace / "props.cfg"), "--config", str(cfg)]
+        assert main(["train", *common, "--model", "baseline",
+                     "--out", str(ckpt)]) == 0
+        outs = []
+        for name, flags in (("plain", []),
+                            ("off", ["--set", "model.use_attention=false",
+                                     "--set", "model.use_gate=false"])):
+            outs.append(tmp_path / f"{name}.csv")
+            assert main(["predict", "--ckpt", str(ckpt), *common, *flags,
+                         "--out", str(outs[-1])]) == 0
+        lines = config_lines(outs[0])
+        assert "model.use_attention = false" in lines
+        assert "model.use_gate = false" in lines
+        assert lines == config_lines(outs[1])
+        assert outs[0].read_text() == outs[1].read_text()
+
     def test_z_hat_defaults_to_twenty_per_checkpoint_layer(self, workspace,
                                                            tmp_path):
         run_text = RUN.replace("model.K = 1\n", "").replace(
@@ -598,3 +622,22 @@ class TestAblate:
             assert code == 0
             grids.append(out.read_text())
         assert grids[0] == grids[1]
+
+    def test_adaptive_arms_sample_adaptively(self, workspace, tmp_path):
+        """A config that samples uniformly leaves the grid as it is: an
+        adaptive arm samples adaptively, and differs from its random arm."""
+        grids = []
+        for name, flags in (("plain.csv", []),
+                            ("uniform.csv", ["--set", "sampler.mode=uniform"])):
+            out = tmp_path / name
+            code = main(["ablate", "--data", str(workspace / "data.csv"),
+                         "--props", str(workspace / "props.cfg"),
+                         "--config", str(workspace / "run.cfg"),
+                         "--set", "trainer.epochs=2", *flags,
+                         "--out", str(out)])
+            assert code == 0
+            grids.append(out.read_text())
+        assert grids[0] == grids[1]
+        rows = [ln.split(",") for ln in grids[1].splitlines()[1:]]
+        assert ([r[4:] for r in rows if r[0] == "adaptive"]
+                != [r[4:] for r in rows if r[0] == "random"])

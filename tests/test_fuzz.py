@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 from fraudgnn.cli import _read_scores
 from fraudgnn.config import (_RUN_KEYS, dump_run_config, load_run_config,
                              parse_kv)
-from fraudgnn.datagen import DataSchema, SplitSpec, ingest_csv
+from fraudgnn.datagen import (DataSchema, ScenarioConfig, SplitSpec,
+                              generate, ingest_csv, write_csv)
 from fraudgnn.errors import FraudGnnError
 from fraudgnn.model import (ModelConfig, checkpoint_text, init_params,
                             load_params)
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 
-from reference import adjacency, naive_build_graph, naive_max_weight
+from reference import (adjacency, loop_ingest_csv, naive_build_graph,
+                       naive_max_weight)
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -137,14 +139,90 @@ def csv_texts(draw):
     return end.join(",".join(r) for r in [header, *rows]) + end
 
 
+def _ingest_outcome(fn, *args):
+    """fn(*args) as plain data: every IngestResult field, each record's raw
+    dict in key order and attrs bytes, and repr(stats) so that -0.0 shows;
+    or the text of the package error it raised."""
+    try:
+        res = fn(*args)
+    except FraudGnnError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (res.train_ids, res.test_ids, res.feature_names,
+            repr(res.numeric_stats),
+            [(r.id, r.timestamp, r.label, list(r.raw.items()), r.attrs.shape,
+              r.attrs.tobytes()) for r in res.records])
+
+
+def _matches_row_oracle(path, *args):
+    assert (_ingest_outcome(ingest_csv, path, *args)
+            == _ingest_outcome(loop_ingest_csv, path, *args))
+
+
 @FUZZ
 @given(text=csv_texts(), kind=st.sampled_from(["fraction", "cutoff", "all"]),
        ratio=st.sampled_from([None, 0.5, 3.0]))
 def test_ingest_csv_text(text_path, text, kind, ratio):
     _write(text_path, text)
     split = SplitSpec(kind=kind, test_fraction=0.5, cutoff_timestamp=1)
-    _raises_only_package_errors(ingest_csv, text_path, DataSchema(),
-                                split, 0, ratio)
+    _matches_row_oracle(text_path, DataSchema(), split, 0, ratio)
+
+
+SCHEMAS = [
+    DataSchema(raw_fields=("device", "ip", "country")),
+    DataSchema(categorical=("country",)),
+    DataSchema(raw_fields=("device",), categorical=("country", "ip")),
+    DataSchema(categorical=("country",), numeric=("f1", "f2")),
+]
+# zeros of both signs, ties, and values whose gaps overflow
+AMOUNTS = st.sampled_from(["0", "-0", "0.0", "-0.0", "1", "2.5", "-3", "0.1",
+                           "7", "1e308", "-1e308"])
+
+
+@st.composite
+def ingest_inputs(draw):
+    """A CSV of well-formed rows, a schema, one of the four split kinds and
+    a down-sampling ratio."""
+    ids = draw(st.lists(st.integers(-5, 40), min_size=1, max_size=14,
+                        unique=True))
+    lines = ["id,timestamp,label,device,ip,country,f1,f2"]
+    for v in ids:
+        lines.append(",".join([
+            str(v), str(draw(st.integers(0, 20))),
+            draw(st.sampled_from(["0", "0", "1", "1", "-1"])),
+            draw(st.sampled_from(["d0", "d1"])),
+            draw(st.sampled_from(["i0", "i1", "i2"])),
+            draw(st.sampled_from(["a", "b", "c"])),
+            draw(AMOUNTS), draw(AMOUNTS)]))
+    kind = draw(st.sampled_from(["fraction", "cutoff", "all", "explicit"]))
+    if kind == "explicit":
+        train = draw(st.lists(st.sampled_from(ids), unique=True))
+        test = draw(st.lists(st.sampled_from([*ids, 99]), unique=True,
+                             max_size=4))
+        split = SplitSpec(kind=kind, train_ids=tuple(train),
+                          test_ids=tuple(test))
+    else:
+        split = SplitSpec(kind=kind,
+                          test_fraction=draw(st.sampled_from([0.0, 0.3, 0.5])),
+                          cutoff_timestamp=draw(st.integers(-1, 21)))
+    return ("\n".join(lines) + "\n", draw(st.sampled_from(SCHEMAS)), split,
+            draw(st.integers(0, 3)),
+            draw(st.sampled_from([None, 0.5, 1.0, 3.0])))
+
+
+@FUZZ
+@given(inputs=ingest_inputs())
+def test_ingest_csv_matches_row_oracle(text_path, inputs):
+    text, *args = inputs
+    _write(text_path, text)
+    _matches_row_oracle(text_path, *args)
+
+
+@pytest.mark.parametrize("ratio", [None, 2.0])
+def test_ingest_of_generated_csv_matches_row_oracle(tmp_path, ratio):
+    path = str(tmp_path / "gen.csv")
+    write_csv(generate(ScenarioConfig(n_legit=140, n_fraud=60,
+                                      camouflage_rate=0.3)), path)
+    _matches_row_oracle(path, DataSchema(), SplitSpec(), 0, ratio)
 
 
 @st.composite

@@ -93,7 +93,7 @@ class TestPackNeighborhoods:
                    for r in g.records]
         nb = pack_neighborhoods(g, sampled)
         assert nb.n_nodes == 6
-        ts = g.timestamps()
+        ts = g.timestamps
         for row, s in enumerate(sampled):
             assert nb.mask[row].sum() == len(s.selected)
             for j, u in enumerate(s.selected):
@@ -390,13 +390,13 @@ class TestForward:
         self.nbs = [pack_neighborhoods(self.g, sampled)] * 2
 
     def test_output_shape_and_range(self):
-        p = forward(self.params, self.g.features(), self.nbs, None)
+        p = forward(self.params, self.g.features, self.nbs, None)
         assert p.shape == (8, 1)
         assert (p.data > 0.0).all() and (p.data < 1.0).all()
 
     def test_layer_count_mismatch(self):
         with pytest.raises(ShapeError, match="neighborhood"):
-            forward(self.params, self.g.features(), self.nbs[:1], None)
+            forward(self.params, self.g.features, self.nbs[:1], None)
 
     def test_feature_width_mismatch(self):
         with pytest.raises(ShapeError, match="features"):
@@ -404,7 +404,7 @@ class TestForward:
 
     def test_zero_head_predicts_half(self):
         self.params.head = Tensor(np.zeros((6, 2)), requires_grad=True)
-        p = forward(self.params, self.g.features(), self.nbs, None)
+        p = forward(self.params, self.g.features, self.nbs, None)
         assert_allclose(p.data, np.full((8, 1), 0.5), atol=1e-12)
 
 

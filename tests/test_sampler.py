@@ -103,7 +103,7 @@ class TestSelectionProbabilities:
         props = [Proposition(name="dev", field="device", weight=3),
                  Proposition(name="ip", field="ip", weight=1)]
         g = build_graph(records, props)
-        for v in g.node_ids():
+        for v in g.node_ids:
             probs = selection_probabilities(g, v)
             if probs:
                 assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
@@ -115,7 +115,7 @@ class TestSelectionProbabilities:
         props = [Proposition(name="dev", field="device", weight=2),
                  Proposition(name="ip", field="ip", weight=1)]
         g = build_graph(records, props)
-        for v in g.node_ids()[:15]:
+        for v in g.node_ids[:15]:
             mine = selection_probabilities(g, v)
             oracle = naive_selection_probabilities(records, props, v)
             assert set(mine) == set(oracle)
@@ -177,7 +177,7 @@ class TestSampleTopZ:
             records = random_transaction_records(rng, 60)
             g = build_graph(records, props)
             cfg = SamplerConfig(z_hat=(4,))
-            for v in g.node_ids():
+            for v in g.node_ids:
                 probs = selection_probabilities(g, v)
                 assert sample_topz(g, v, 0, cfg) == naive_topz(probs, 4)
 
@@ -187,7 +187,7 @@ class TestSampleTopZ:
         g = build_graph(records, [Proposition(name="dev", field="device")])
         cfg = SamplerConfig(z_hat=(3,), mode="weighted_without_replacement",
                             seed=99)
-        for v in g.node_ids():
+        for v in g.node_ids:
             first = sample_topz(g, v, 0, cfg)
             second = sample_topz(g, v, 0, cfg)
             assert first == second
@@ -286,7 +286,7 @@ class TestSampleNeighborhood:
         g = build_graph(records, [Proposition(name="dev", field="device")])
         cfg = SamplerConfig(z_hat=(3,), oversample_count=2)
         fraud = [r.id for r in records if r.label == 1]
-        for v in g.node_ids():
+        for v in g.node_ids:
             nb = sample_neighborhood(g, v, 0, cfg,
                                      oversample=g.record(v).label == 1,
                                      fraud_pool=fraud)
@@ -326,7 +326,7 @@ class TestScoreEdgesMatchesLoopReference:
         for _, g in instances(41):
             scores = g.edge_scores
             assert len(scores) == len(g.csr.ids)
-            for row, v in enumerate(g.node_ids()):
+            for row, v in enumerate(g.node_ids):
                 span = g.csr.span(row)
                 want = loop_selection_probabilities(g, v)
                 assert g.csr.ids[span].tolist() == sorted(want)
@@ -352,7 +352,7 @@ class TestScoreEdgesMatchesLoopReference:
             if mode != "deterministic_topz":  # _sample_layers salts by epoch
                 scfg = replace(scfg, seed=combine_seed(5, 3))
             for k in range(2):
-                for v in g.node_ids():
+                for v in g.node_ids:
                     over = oversample and v in pool
                     got = sample_neighborhood(g, v, k, scfg, over, pool,
                                               scores=scores)
@@ -403,5 +403,5 @@ class TestScoreEdgesMatchesLoopReference:
         (_, g), (_, other) = instances(47, count=2)
         wrong = np.ones(len(other.csr.ids) + 1)
         with pytest.raises(InputError, match="edge_scores"):
-            sample_topz(g, g.node_ids()[0], 0, SamplerConfig(z_hat=(2,)),
+            sample_topz(g, g.node_ids[0], 0, SamplerConfig(z_hat=(2,)),
                         scores=wrong)

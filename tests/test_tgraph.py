@@ -155,7 +155,7 @@ class TestBuildGraph:
         g = build_graph(records, [Proposition(name="p", field="ip",
                                               window_seconds=float("inf"))])
         assert g.neighbors(big) == [-big]
-        assert g.timestamps().tolist() == [-big, big]
+        assert g.timestamps.tolist() == [-big, big]
 
     def test_inconsistent_attr_lengths_rejected(self):
         a = rec(1, 0, ip="x")
@@ -209,8 +209,8 @@ class TestMaxEdgeWeight:
         assert max_edge_weight(g, 1, 2) == 0
 
     def test_symmetric(self, six_graph):
-        for a in six_graph.node_ids():
-            for b in six_graph.node_ids():
+        for a in six_graph.node_ids:
+            for b in six_graph.node_ids:
                 if a != b:
                     assert (max_edge_weight(six_graph, a, b)
                             == max_edge_weight(six_graph, b, a))
@@ -259,11 +259,23 @@ class TestGraphAccessors:
         assert six_graph.neighbors(1) == [2, 3, 4]
 
     def test_features_shape_and_order(self, six_graph, six_records):
-        feats = six_graph.features()
+        feats = six_graph.features
         assert feats.shape == (6, 2)
         np.testing.assert_array_equal(feats[0], six_records[0].attrs)
 
     def test_labels_and_timestamps_align(self, six_graph, six_records):
-        assert six_graph.labels().tolist() == [r.label for r in six_records]
-        assert six_graph.timestamps().tolist() == [r.timestamp
+        assert six_graph.labels.tolist() == [r.label for r in six_records]
+        assert six_graph.timestamps.tolist() == [r.timestamp
                                                    for r in six_records]
+
+    def test_columns_are_read_only(self, six_graph, six_records):
+        assert six_graph.node_ids.tolist() == [r.id for r in six_records]
+        for column in (six_graph.node_ids, six_graph.timestamps,
+                       six_graph.labels, six_graph.features):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_rows_of_names_an_unknown_id(self, six_graph):
+        assert six_graph.rows_of([6, 1, 6]).tolist() == [5, 0, 5]
+        with pytest.raises(InputError, match="unknown node id 7"):
+            six_graph.rows_of([1, 7])

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fraudgnn import sampler as sampler_mod, tgraph
 from fraudgnn.datagen import ScenarioConfig, generate
-from fraudgnn.errors import CheckpointError, ConfigError, TrainError
+from fraudgnn.errors import (CheckpointError, ConfigError, InputError,
+                              TrainError)
 from fraudgnn.model import ModelConfig, checkpoint_text, init_params
 from fraudgnn.nn import Tensor
 from fraudgnn.sampler import SamplerConfig
@@ -149,6 +150,11 @@ class TestTrainLoop:
         with pytest.raises(TrainError, match="non-finite"):
             with np.errstate(invalid="ignore"):
                 train(g, small_config(epochs=1), train_ids=list(range(10)))
+
+    def test_unknown_train_id(self):
+        with pytest.raises(InputError, match="unknown node id 99999"):
+            train(cluster_graph(), small_config(epochs=1),
+                  train_ids=[0, 1, 99999])
 
     def test_train_ids_echoed_sorted(self):
         g = cluster_graph()
@@ -424,6 +430,16 @@ class TestPredict:
         g, result = self.make_trained(epochs=3)
         preds = predict(g, result.params, nodes=[7, 2, 11])
         assert [p.node_id for p in preds] == [7, 2, 11]
+
+    def test_unknown_node(self):
+        g, result = self.make_trained(epochs=1)
+        with pytest.raises(InputError, match="unknown node id 99999"):
+            predict(g, result.params, nodes=[7, 99999])
+
+    def test_unknown_known_id(self):
+        g, result = self.make_trained(epochs=1)
+        with pytest.raises(InputError, match="unknown node id 99999"):
+            predict(g, result.params, known_ids=[0, 99999])
 
     def test_known_id_must_have_label(self):
         records = make_two_cluster_records(10)
