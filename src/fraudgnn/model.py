@@ -145,6 +145,12 @@ class Neighborhoods:
     def width(self) -> int:
         return self.idx.shape[1]
 
+    def take(self, rows: np.ndarray) -> Neighborhoods:
+        """The table of `rows` alone, in their order; idx still names rows of
+        the whole node table."""
+        return Neighborhoods(idx=self.idx[rows], mask=self.mask[rows],
+                             dt=self.dt[rows])
+
     @cached_property
     def cells(self) -> nn.CellLayout:
         return nn.CellLayout(self.idx, self.mask)
@@ -253,7 +259,7 @@ def diversity_stats(labels: np.ndarray, nb: Neighborhoods) -> DiversityStats:
 # ---------------------------------------------------------------------------
 
 def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
-                      config: ModelConfig) -> Tensor:
+                      config: ModelConfig, rows: np.ndarray | None = None) -> Tensor:
     """Per-neighbor coefficients: damped softmax of pair scores.
 
     Each endpoint is projected by W's neighbor-facing row block; the attn
@@ -262,12 +268,18 @@ def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     through LeakyReLU, a masked softmax over each node's neighbors, and the
     time-gap damping. Rows with no neighbors come out all zero. There is
     one coefficient per cell of nb.cells (see nn.CellLayout).
+
+    h_prev holds every node. nb is the table of `rows` (of every node when
+    rows is None); the projections stay graph-size and only the per-cell
+    work runs on nb (README, determinism).
     """
     d_in, d_out = layer.d_in, layer.d_out
     cells = nb.cells
     proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
     score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
     score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
+    if rows is not None:
+        score_self = nn.pick_rows(score_self, rows)
     raw = nn.add_rows(score_self, nn.gather(score_neigh, cells), cells)
     alpha = nn.softmax_cells(nn.leaky_relu(raw), cells)
     return nn.mul(alpha, nb.time_cells(config))
@@ -280,29 +292,68 @@ def uniform_weights(nb: Neighborhoods) -> np.ndarray:
 
 
 def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
-                  gates: np.ndarray | None, config: ModelConfig) -> Tensor:
+                  gates: np.ndarray | None, config: ModelConfig,
+                  rows: np.ndarray | None = None) -> Tensor:
     """One layer: weighted neighbor sum, gate, concat update, row normalize.
 
     gates is a per-node column of constants (no gradient flows through it);
-    pass None to skip gating (treated as all ones).
+    pass None to skip gating (treated as all ones). With `rows` (distinct,
+    ascending), nb is their table and the result is exact on those rows
+    and zero elsewhere; both products run on every node's row, so each
+    row gets the bits the whole-graph pass gives it.
     """
     if h_prev.cols != layer.d_in:
         raise ShapeError(
             f"layer expects width {layer.d_in}, got {h_prev.cols}")
-    weights = (attention_weights(h_prev, nb, layer, config)
+    weights = (attention_weights(h_prev, nb, layer, config, rows)
                if config.use_attention else nb.uniform_cells)
     h_agg = nn.neighbor_sum(weights, h_prev, nb.cells)
     if config.use_gate and gates is not None:
-        h_agg = nn.mul(h_agg, np.asarray(gates).reshape(-1, 1))
+        gates = np.asarray(gates).reshape(-1, 1)
+        h_agg = nn.mul(h_agg, gates if rows is None else gates[rows])
+    if rows is not None:
+        h_agg = nn.put_rows(h_agg, rows, h_prev.rows)
     combined = nn.matmul(nn.concat(h_prev, h_agg), layer.W)
-    activated = ACTIVATIONS[config.activation](combined)
-    return nn.l2_normalize_rows(activated)
+    if rows is not None:
+        combined = nn.pick_rows(combined, rows)
+    out = nn.l2_normalize_rows(ACTIVATIONS[config.activation](combined))
+    return out if rows is None else nn.put_rows(out, rows, h_prev.rows)
+
+
+def receptive_rows(neighborhoods: list[Neighborhoods],
+                   rows: np.ndarray | None) -> list[np.ndarray | None]:
+    """The rows each layer must produce for the output at `rows`.
+
+    The last layer produces `rows`; each layer below produces the rows
+    above it plus their sampled neighbors. Sets come ascending. A set of
+    more than half the graph, and every set below it, is None: that layer
+    runs on every row with its cached table.
+    """
+    out: list[np.ndarray | None] = [None] * len(neighborhoods)
+    if rows is None:
+        return out
+    n = neighborhoods[0].n_nodes
+    need = np.zeros(n, dtype=bool)
+    need[rows] = True
+    for k in range(len(neighborhoods) - 1, -1, -1):
+        field_rows = np.flatnonzero(need)
+        if 2 * len(field_rows) > n:
+            break
+        out[k] = field_rows
+        nb = neighborhoods[k]
+        need[nb.idx[field_rows][nb.mask[field_rows]]] = True
+    return out
 
 
 def forward(params: ModelParams, features: np.ndarray,
-            neighborhoods: list[Neighborhoods],
-            gates: np.ndarray | None) -> Tensor:
-    """Full pass to fraud probabilities, one row per node, column shape (n,1)."""
+            neighborhoods: list[Neighborhoods], gates: np.ndarray | None,
+            rows: np.ndarray | None = None) -> Tensor:
+    """Fraud probabilities as a column: one per node, or with `rows` (node
+    rows) one per entry of rows, in their order.
+
+    With rows, each layer runs on its receptive_rows, and the result has
+    the bits of the whole-graph pass at those rows.
+    """
     if len(neighborhoods) != params.config.k_layers:
         raise ShapeError(
             f"need {params.config.k_layers} neighborhood sets, "
@@ -312,11 +363,14 @@ def forward(params: ModelParams, features: np.ndarray,
         raise ShapeError(
             f"features must be (n, {params.feature_dim}), got {features.shape}")
     h = Tensor(features)
-    for layer, nb in zip(params.layers, neighborhoods):
-        h = layer_forward(h, nb, layer, gates, params.config)
+    for layer, nb, field_rows in zip(params.layers, neighborhoods,
+                                     receptive_rows(neighborhoods, rows)):
+        if field_rows is not None:
+            nb = nb.take(field_rows)
+        h = layer_forward(h, nb, layer, gates, params.config, field_rows)
     logits = nn.matmul(h, params.head)
-    probs = nn.softmax_rows(logits)
-    return nn.slice_cols(probs, 1, 2)
+    probs = nn.slice_cols(nn.softmax_rows(logits), 1, 2)
+    return probs if rows is None else nn.take_rows(probs, rows)
 
 
 # ---------------------------------------------------------------------------

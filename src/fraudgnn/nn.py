@@ -66,9 +66,14 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _traced(t: Tensor) -> bool:
+    """Whether backward() reaches t: a trainable leaf or a traced result."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(out_data)
-    if any(p.requires_grad or p._parents for p in parents):
+    if any(_traced(p) for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -94,9 +99,10 @@ def matmul(a, b) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    da, db = _traced(a), _traced(b)
 
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+    def vjp(g):  # a constant operand gets no gradient
+        return (g @ b.data.T if da else None), (a.data.T @ g if db else None)
 
     return _record(out, (a, b), vjp)
 
@@ -133,9 +139,11 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul broadcast mismatch: {a.shape} * {b.shape}") from None
+    da, db = _traced(a), _traced(b)
 
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+    def vjp(g):  # a constant operand gets no gradient
+        return (_unbroadcast(g * b.data, a.shape) if da else None,
+                _unbroadcast(g * a.data, b.shape) if db else None)
 
     return _record(out, (a, b), vjp)
 
@@ -176,6 +184,22 @@ def slice_rows(a, r0: int, r1: int) -> Tensor:
 
 def slice_cols(a, c0: int, c1: int) -> Tensor:
     return _slice(a, np.s_[:, c0:c1])
+
+
+def pick_rows(a, rows) -> Tensor:
+    """a[rows] for distinct rows; the adjoint of put_rows. Its gradient is
+    assigned into zeros, with no scatter."""
+    return _slice(a, np.asarray(rows, dtype=np.int64))
+
+
+def put_rows(a, rows, m: int) -> Tensor:
+    """(len(rows), d) -> (m, d): row i of a lands at distinct row rows[i]
+    and every other row is zero; the gradient is pick_rows'."""
+    a = _wrap(a)
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.zeros((m, a.cols))
+    out[rows] = a.data
+    return _record(out, (a,), lambda g: (g[rows],))
 
 
 def _scatter_rows(coef: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
@@ -441,7 +465,7 @@ def backward(loss: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and (p._parents or p.requires_grad):
+            if id(p) not in seen and _traced(p):
                 stack.append((p, False))
 
     loss.grad = np.ones((1, 1))
@@ -450,7 +474,7 @@ def backward(loss: Tensor):
             continue
         grads = node._vjp(node.grad)
         for parent, g in zip(node._parents, grads):
-            if g is None or not (parent.requires_grad or parent._parents):
+            if g is None or not _traced(parent):
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
 

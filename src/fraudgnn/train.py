@@ -2,9 +2,11 @@
 
 Each epoch: (re)sample neighborhoods per layer, refresh the per-node label
 view (ground truth on training nodes, current hard predictions elsewhere),
-derive diversity gates, then run seeded mini-batches of full-graph forward
-passes with a mean binary cross-entropy loss on the batch rows and an Adam
-step. Gates and neighbor choices are constants to the gradient.
+derive diversity gates, then run seeded mini-batches, each a forward pass
+over the batch's receptive field (model.receptive_rows) with a mean binary
+cross-entropy loss on the batch rows and an Adam step. Gates and neighbor
+choices are constants to the gradient. The epoch ends with a forward pass
+over every node, whose hard predictions feed the next epoch's gates.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ def _bce_tensor(y: np.ndarray, p: Tensor) -> Tensor:
 def batch_loss(params: ModelParams, features: np.ndarray,
                neighborhoods: list[Neighborhoods], gates: np.ndarray | None,
                rows: np.ndarray, y: np.ndarray) -> Tensor:
-    """Forward over the whole graph, loss on the selected rows only."""
-    p_all = model_mod.forward(params, features, neighborhoods, gates)
-    return _bce_tensor(y, nn.take_rows(p_all, rows))
+    """Loss on the selected rows, from a forward pass over the layers'
+    receptive rows only; it has the bits of a whole-graph pass."""
+    return _bce_tensor(y, model_mod.forward(params, features, neighborhoods,
+                                            gates, rows))
 
 
 def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,

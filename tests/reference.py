@@ -24,11 +24,12 @@ from fraudgnn.datagen import (_FIXED_COLUMNS, DOWNSAMPLE_SEED_TAG,
                               SplitSpec)
 from fraudgnn.errors import (ConfigError, IngestError, InputError, ShapeError,
                              unreadable)
-from fraudgnn.model import (ACTIVATIONS, Neighborhoods, time_factors,
-                            uniform_weights)
+from fraudgnn.model import (ACTIVATIONS, Neighborhoods, forward,
+                            time_factors, uniform_weights)
 from fraudgnn.sampler import SamplerConfig, _node_rng, combine_seed
 from fraudgnn.tgraph import (UNLABELED, Proposition, TransactionGraph,
                              TransactionRecord, pair_scores)
+from fraudgnn.train import _bce_tensor
 
 log = logging.getLogger(__name__)
 
@@ -542,6 +543,13 @@ def sum_all(a) -> nn.Tensor:
     a = nn._wrap(a)
     out = np.array([[a.data.sum()]])
     return nn._record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
+
+
+def full_graph_batch_loss(params, features, neighborhoods, gates, rows, y):
+    """train.batch_loss as it was before receptive-field batches: a forward
+    pass over every node, then the loss on the batch rows."""
+    p_all = forward(params, features, neighborhoods, gates)
+    return _bce_tensor(y, nn.take_rows(p_all, rows))
 
 
 def reference_layer_forward(graph: TransactionGraph, h_prev: np.ndarray,

@@ -17,7 +17,7 @@ sys.path.insert(0, PERFBENCH)
 
 import pipeline  # noqa: E402
 import run  # noqa: E402
-from spans import HOOKS, Tracer  # noqa: E402
+from spans import HOOKS, Tracer, layer_metrics  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 # Hooks of functions that left the package before this contract was written;
@@ -55,3 +55,36 @@ def test_hooks_resolve(tiny):
         tracer.uninstall()
     assert tracer.missing == KNOWN_MISSING
     assert len(HOOKS) - len(tracer.missing) == 13
+
+
+def test_traced_run_times_each_layer_of_a_batch(tiny):
+    """Mini-batches run the layers on their receptive rows; the layer spans
+    must still nest under each batch loss and time both layers."""
+    pkg, csv_path, edges = tiny
+    tracer = Tracer()
+    try:
+        tracer.install()
+        rec = pipeline.run_once(pkg, WORKLOADS["tiny"], csv_path, edges)
+    finally:
+        tracer.uninstall()
+    assert rec["failures"] == []
+    spans = tracer.arrays()
+    name_of = dict(zip(spans["id"].tolist(), spans["name"].tolist()))
+    parent_of = dict(zip(spans["id"].tolist(), spans["parent"].tolist()))
+    batch_loss = tracer.names.index("train.batch_loss")
+
+    def under_batch_loss(name):
+        hits = 0
+        for sid in spans["id"][spans["name"] == tracer.names.index(name)]:
+            sid = parent_of[int(sid)]
+            while sid != -1 and name_of[sid] != batch_loss:
+                sid = parent_of[sid]
+            hits += sid != -1
+        return hits
+
+    for name in ("model.forward", "model.layer_forward",
+                 "model.attention_weights"):
+        assert under_batch_loss(name) > 0, name
+    metrics, _ = layer_metrics(tracer, 0, k_layers=2)
+    assert metrics["model.layer0.forward_s"] > 0
+    assert metrics["model.layer1.forward_s"] > 0

@@ -140,6 +140,15 @@ class TestBackwardMechanics:
         assert c.grad is None
         assert_allclose(w.grad, [[2.0]])
 
+    def test_constant_operands_get_no_vjp(self):
+        c = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        g = np.ones((2, 2))
+        dc, dw = nn.matmul(c, w)._vjp(g)
+        assert dc is None and dw.shape == (3, 2)
+        dh, dk = nn.mul(nn.matmul(c, w), np.full((2, 1), 0.5))._vjp(g)
+        assert dk is None and dh.shape == (2, 2)
+
     def test_auto_wrap_of_raw_arrays(self):
         w = Tensor([[1.0, 2.0]], requires_grad=True)
         loss = sum_all(nn.mul(w, np.array([[3.0, 4.0]])))
@@ -230,6 +239,21 @@ class TestFiniteDifferenceGradients:
 
         def forward():
             return sum_all(nn.mul(nn.take_rows(a, idx), coef))
+
+        backward(forward())
+        fd_check(lambda: forward().item(), [a])
+
+    def test_put_and_pick_rows(self):
+        a = Tensor(self.rng.normal(size=(3, 2)), requires_grad=True)
+        rows = np.array([4, 0, 2])
+        coef = self.rng.normal(size=(5, 2))
+        put = nn.put_rows(a, rows, 5)
+        assert np.array_equal(put.data[[1, 3]], np.zeros((2, 2)))
+        assert np.array_equal(nn.pick_rows(put, rows).data, a.data)
+
+        def forward():
+            big = nn.put_rows(a, rows, 5)
+            return sum_all(nn.mul(nn.pick_rows(nn.mul(big, coef), rows), coef[:3]))
 
         backward(forward())
         fd_check(lambda: forward().item(), [a])

@@ -279,3 +279,17 @@ class TestGraphAccessors:
         assert six_graph.rows_of([6, 1, 6]).tolist() == [5, 0, 5]
         with pytest.raises(InputError, match="unknown node id 7"):
             six_graph.rows_of([1, 7])
+
+    def test_index_of_names_an_unknown_id(self, six_graph):
+        assert six_graph.index_of(6) == 5
+        with pytest.raises(InputError, match="unknown node id 99"):
+            six_graph.index_of(99)
+
+    def test_record_names_an_unknown_id(self, six_graph, six_records):
+        assert six_graph.record(6) is six_records[5]
+        with pytest.raises(InputError, match="unknown node id 99"):
+            six_graph.record(99)
+
+    def test_neighbors_names_an_unknown_id(self, six_graph):
+        with pytest.raises(InputError, match="unknown node id 99"):
+            six_graph.neighbors(99)

@@ -4,21 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fraudgnn import sampler as sampler_mod, tgraph
+from fraudgnn import model as model_mod, nn, sampler as sampler_mod, tgraph
 from fraudgnn.datagen import ScenarioConfig, generate
 from fraudgnn.errors import (CheckpointError, ConfigError, InputError,
                               TrainError)
-from fraudgnn.model import ModelConfig, checkpoint_text, init_params
+from fraudgnn.model import (ACTIVATIONS, TIME_MODES, ModelConfig,
+                            checkpoint_text, init_params, receptive_rows)
 from fraudgnn.nn import Tensor
 from fraudgnn.sampler import SamplerConfig
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import (SAMPLER_SEED_TAG, TrainConfig, _bce_tensor,
-                            _sample_layers, predict, train)
+                            _gates_for, _sample_layers, batch_loss, predict,
+                            train)
 
 from conftest import make_two_cluster_records
-from reference import loop_sample_layers, uniform_neighborhoods
+from reference import (full_graph_batch_loss, loop_sample_layers,
+                       uniform_neighborhoods)
 
 
 def cluster_graph(n=20, noise=0.05, seed=0):
@@ -492,3 +497,96 @@ class TestPredict:
                              known_ids=result.train_ids)
         blind = predict(g, result.params, SamplerConfig(z_hat=(4, 4)))
         assert len(with_known) == len(blind) == 20
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def field_case(seed, k, window, z_hat, mode, model_kw):
+    """A sparse generated graph (a short window leaves nodes isolated), its
+    sampled layers and gates, as one training epoch would have them."""
+    records = generate(ScenarioConfig(
+        n_legit=48, n_fraud=12, n_devices=10, n_ips=6, feature_dim=3,
+        time_span_seconds=7200, seed=seed))
+    graph = build_graph(records, [Proposition(
+        name="dev", field="device", window_seconds=window)])
+    cfg = TrainConfig(model=ModelConfig(k_layers=k, **model_kw),
+                      sampler=SamplerConfig(z_hat=z_hat[:k], mode=mode,
+                                            oversample_count=2, seed=seed),
+                      seed=seed)
+    fraud = graph.node_ids[graph.labels == 1].tolist()
+    nbs = _sample_layers(graph, cfg, 1, fraud)
+    gates = _gates_for(cfg.model, np.maximum(graph.labels, 0), nbs[0])
+    return graph, cfg, nbs, gates
+
+
+class TestReceptiveFieldBatches:
+    """batch_loss runs each layer on its receptive rows only; loss, every
+    gradient and the probabilities keep the whole-graph pass's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 3),
+           window=st.sampled_from([30, 300, 3600]),
+           z_hat=st.tuples(*[st.integers(1, 12)] * 3),
+           mode=st.sampled_from(sampler_mod.MODES),
+           attention=st.booleans(), gate=st.booleans(),
+           time_mode=st.sampled_from(TIME_MODES),
+           activation=st.sampled_from(sorted(ACTIVATIONS)),
+           hidden=st.integers(1, 5),
+           batch=st.sampled_from(["one", "all", "some"]))
+    @example(seed=0, k=3, window=300, z_hat=(3, 3, 3),
+             mode="deterministic_topz", attention=True, gate=True,
+             time_mode="decay", activation="relu", hidden=4, batch="some")
+    def test_matches_the_full_graph_pass(self, seed, k, window, z_hat, mode,
+                                         attention, gate, time_mode,
+                                         activation, hidden, batch):
+        graph, cfg, nbs, gates = field_case(
+            seed, k, window, z_hat, mode,
+            dict(hidden_dim=hidden, use_attention=attention, use_gate=gate,
+                 time_mode=time_mode, activation=activation))
+        rng = np.random.default_rng(seed)
+        n_train = 2 * graph.n_nodes // 3
+        size = {"one": 1, "all": n_train,
+                "some": int(rng.integers(1, n_train + 1))}[batch]
+        rows = rng.permutation(n_train)[:size]
+        y = graph.labels[rows]
+
+        got_params, want_params = (init_params(graph.features.shape[1],
+                                               cfg.model, seed)
+                                   for _ in range(2))
+        got = batch_loss(got_params, graph.features, nbs, gates, rows, y)
+        want = full_graph_batch_loss(want_params, graph.features, nbs,
+                                     gates, rows, y)
+        assert bits(got.data) == bits(want.data)
+        nn.backward(got)
+        nn.backward(want)
+        for g, w in zip(got_params.parameters(), want_params.parameters()):
+            assert (g.grad is None) == (w.grad is None)
+            if w.grad is not None:
+                assert bits(g.grad) == bits(w.grad)
+
+        p_rows = model_mod.forward(want_params, graph.features, nbs, gates,
+                                   rows)
+        p_all = model_mod.forward(want_params, graph.features, nbs, gates)
+        assert bits(p_rows.data) == bits(p_all.data[rows])
+
+    def test_row_sets_grow_downwards_and_stop_above_half(self):
+        graph, _, nbs, _ = field_case(0, 3, 3600, (3, 3, 3),
+                                      "deterministic_topz", {})
+        n = graph.n_nodes
+        rows = np.flatnonzero(nbs[2].mask.any(axis=1))[:12][::-1]
+        sets = receptive_rows(nbs, rows)
+        assert sets[2].tolist() == sorted(rows)
+        for k in (2, 1):
+            nb, upper = nbs[k], sets[k]
+            below = np.union1d(upper, nb.idx[upper][nb.mask[upper]])
+            assert len(below) > len(upper)
+            if k == 2:
+                assert sets[1].tolist() == below.tolist() and 2 * len(below) <= n
+            else:  # more than half the graph: every row, cached table
+                assert sets[0] is None and 2 * len(below) > n
+        assert receptive_rows(nbs, None) == [None] * 3
+        assert receptive_rows(nbs, np.arange(n // 2 + 1)) == [None] * 3
+        assert receptive_rows(nbs, np.arange(n // 2))[2].tolist() == list(
+            range(n // 2))
