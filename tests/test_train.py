@@ -578,14 +578,14 @@ class TestReceptiveFieldBatches:
         rows = np.flatnonzero(nbs[2].mask.any(axis=1))[:12][::-1]
         sets = receptive_rows(nbs, rows)
         assert sets[2].tolist() == sorted(rows)
-        for k in (2, 1):
+
+        def grown(k):  # layer k's rows plus their sampled neighbors
             nb, upper = nbs[k], sets[k]
-            below = np.union1d(upper, nb.idx[upper][nb.mask[upper]])
-            assert len(below) > len(upper)
-            if k == 2:
-                assert sets[1].tolist() == below.tolist() and 2 * len(below) <= n
-            else:  # more than half the graph: every row, cached table
-                assert sets[0] is None and 2 * len(below) > n
+            return np.union1d(upper, nb.idx[upper][nb.mask[upper]])
+
+        assert sets[1].tolist() == grown(2).tolist()
+        assert 2 * len(sets[1]) <= n < 2 * len(grown(1))
+        assert sets[0] is None  # more than half: every row, cached table
         assert receptive_rows(nbs, None) == [None] * 3
         assert receptive_rows(nbs, np.arange(n // 2 + 1)) == [None] * 3
         assert receptive_rows(nbs, np.arange(n // 2))[2].tolist() == list(
