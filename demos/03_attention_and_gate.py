@@ -56,7 +56,8 @@ def main():
     print(f"  {'row':>4} {'own label':>9} {'nbr labels':>12} "
           f"{'entropy':>8} {'gate':>6}")
     for i in show:
-        nbr_labels = [int(x) for x in labels[nb.idx[i]][nb.mask[i]]]
+        row = slice(nb.indptr[i], nb.indptr[i + 1])
+        nbr_labels = [int(x) for x in labels[nb.nbr[row]]]
         print(f"  {i:>4} {labels[i]:>9} {str(nbr_labels):>12} "
               f"{stats.diversity[i] + 0.0:>8.4f} {stats.gate[i]:>6.3f}")
     print(f"  entropy spans [{stats.diversity.min() + 0.0:.4f}, "
@@ -67,24 +68,23 @@ def main():
     banner("attention coefficients versus plain averaging")
     params = init_params(scen.feature_dim, cfg, seed=0)
     h0 = Tensor(g.features)
-    # one weight per cell of nb.cells; lay the real entries out as nb's table
+    # one weight per cell of nb; its entries, in row order, sit at entry_cells
     cells = attention_weights(h0, nb, params.layers[0], cfg).data.ravel()
-    alpha = np.zeros(nb.idx.shape)
-    alpha[nb.mask] = cells[nb.cells.entry_cells]
+    alpha = cells[nb.entry_cells]
     flat = uniform_weights(nb)
     i = int(order[-1])  # the most mixed row
-    m = nb.mask[i]
-    print(f"  row {i}: attention {np.round(alpha[i][m], 3)}")
-    print(f"  row {i}: uniform   {np.round(flat[i][m], 3)}")
+    row = slice(nb.indptr[i], nb.indptr[i + 1])
+    print(f"  row {i}: attention {np.round(alpha[row], 3)}")
+    print(f"  row {i}: uniform   {np.round(flat[row], 3)}")
     print("  attention rows sum to at most 1; damping eats the rest:")
-    print(f"  row sum = {alpha[i].sum():.4f}")
+    print(f"  row sum = {alpha[row].sum():.4f}")
 
     banner("time damping")
-    gaps = nb.dt[i][m]
-    decay = time_factors(nb, cfg)[i][m]
+    gaps = nb.dt[row]
+    decay = time_factors(nb, cfg)[row]
     interval_cfg = ModelConfig(k_layers=1, hidden_dim=8, tau_seconds=1800.0,
                                time_mode="interval")
-    interval = time_factors(nb, interval_cfg)[i][m]
+    interval = time_factors(nb, interval_cfg)[row]
     print(f"  gaps (s):      {np.round(gaps, 0)}")
     print(f"  decay factor:  {np.round(decay, 3)}   exp(-gap/tau)")
     print(f"  interval mode: {np.round(interval, 3)}   min-max of the gap")

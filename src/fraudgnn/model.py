@@ -120,87 +120,76 @@ def init_params(feature_dim: int, config: ModelConfig, seed: int) -> ModelParams
 # neighborhood batching
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Neighborhoods:
-    """Padded per-node neighbor indices for one layer.
+class Neighborhoods(nn.CellLayout):
+    """One layer's sampled neighbors of each node row, as compressed rows.
 
-    idx holds row positions into the node table, mask marks real entries,
-    dt holds |timestamp gap| in seconds. Padding entries point at row 0 with
-    mask False and contribute nothing downstream. The layer runs on `cells`,
-    the table in width buckets; it and the weights on its cells are built
-    on first use and kept here, so the arrays must not change after that.
+    Node row i's neighbor rows are nbr[indptr[i]:indptr[i + 1]], and dt
+    holds each entry's |timestamp gap| in seconds. The layer runs on the
+    rows' cells (see nn.CellLayout) at `width`: pack_rows sets the longest
+    row's entry count (at least 1), and take keeps it. The weights on the
+    cells are built on first use and kept here, so the arrays must not
+    change after that.
     """
 
-    idx: np.ndarray
-    mask: np.ndarray
-    dt: np.ndarray
-    _time_cells: dict = field(default_factory=dict, init=False,
-                              repr=False, compare=False)
+    def __init__(self, indptr: np.ndarray, nbr: np.ndarray, dt: np.ndarray,
+                 width: int):
+        super().__init__(indptr, nbr, width)
+        self.dt = dt
+        self._time_cells: dict = {}
 
     @property
     def n_nodes(self) -> int:
-        return self.idx.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.idx.shape[1]
+        return self.n_rows
 
     def take(self, rows: np.ndarray) -> Neighborhoods:
-        """The table of `rows` alone, in their order; idx still names rows of
-        the whole node table."""
-        return Neighborhoods(idx=self.idx[rows], mask=self.mask[rows],
-                             dt=self.dt[rows])
-
-    @cached_property
-    def cells(self) -> nn.CellLayout:
-        return nn.CellLayout(self.idx, self.mask)
+        """The rows `rows` alone, in their order, at this width (README,
+        determinism); nbr still names rows of the whole node table."""
+        counts = np.diff(self.indptr)[rows]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        pos = (np.repeat(self.indptr[rows] - indptr[:-1], counts)
+               + np.arange(indptr[-1]))
+        return Neighborhoods(indptr, self.nbr[pos], self.dt[pos], self.width)
 
     @cached_property
     def uniform_cells(self) -> np.ndarray:
-        return self.cells.take(uniform_weights(self)).reshape(-1, 1)
+        return self.put(uniform_weights(self)).reshape(-1, 1)
 
     def time_cells(self, config: ModelConfig) -> np.ndarray:
         """time_factors on the cells, one column; tau keys decay mode only."""
         key = (config.time_mode, config.time_mode == "decay" and config.tau_seconds)
         if key not in self._time_cells:
-            self._time_cells[key] = self.cells.take(time_factors(self, config)).reshape(-1, 1)
+            self._time_cells[key] = self.put(time_factors(self, config)).reshape(-1, 1)
         return self._time_cells[key]
 
 
 def pack_rows(graph: TransactionGraph, src: np.ndarray,
               nbr: np.ndarray) -> Neighborhoods:
-    """Pad (node row, neighbor row) pairs grouped by ascending node row into
-    rectangular index/mask/gap arrays; a row keeps its pairs' order."""
+    """(node row, neighbor row) pairs grouped by ascending node row, as
+    compressed rows; a row keeps its pairs' order."""
     counts = np.bincount(src, minlength=graph.n_nodes)
-    width = max(int(counts.max()), 1)
-    col = np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
-    idx = np.zeros((graph.n_nodes, width), dtype=np.int64)
-    mask = np.zeros((graph.n_nodes, width), dtype=bool)
-    dt = np.zeros((graph.n_nodes, width), dtype=np.float64)
     ts = graph.timestamps
-    idx[src, col] = nbr
-    mask[src, col] = True
-    dt[src, col] = np.abs(ts[nbr] - ts[src])
-    return Neighborhoods(idx=idx, mask=mask, dt=dt)
+    return Neighborhoods(np.concatenate(([0], np.cumsum(counts))), nbr,
+                         np.abs(ts[nbr] - ts[src]).astype(np.float64),
+                         max(int(counts.max()), 1))
 
 
 def time_factors(nb: Neighborhoods, config: ModelConfig) -> np.ndarray:
-    """Per-neighbor damping in (0,1] from the transaction time gap.
+    """Per-entry damping in (0,1] from the transaction time gap.
 
     decay mode shrinks with the gap (nearby interactions matter more).
     interval mode is the literal per-node min-max rescaling of the gap,
     kept behind the config switch; rows with a single distinct gap get 1.
     """
     if config.time_mode == "decay":
-        out = np.exp(-nb.dt / config.tau_seconds)
-    else:
-        lo = np.where(nb.mask, nb.dt, np.inf).min(axis=1, keepdims=True)
-        hi = np.where(nb.mask, nb.dt, -np.inf).max(axis=1, keepdims=True)
-        span = hi - lo
-        degenerate = ~np.isfinite(span) | (span <= 0)
-        safe = np.where(degenerate, 1.0, span)
-        out = np.where(degenerate, 1.0, (nb.dt - lo) / safe)
-    return np.where(nb.mask, out, 0.0)
+        return np.exp(-nb.dt / config.tau_seconds)
+    counts = np.diff(nb.indptr)
+    counts = counts[counts > 0]
+    starts = np.cumsum(counts) - counts
+    lo = np.repeat(np.minimum.reduceat(nb.dt, starts), counts)
+    span = np.repeat(np.maximum.reduceat(nb.dt, starts), counts) - lo
+    degenerate = ~np.isfinite(span) | (span <= 0)
+    safe = np.where(degenerate, 1.0, span)
+    return np.where(degenerate, 1.0, (nb.dt - lo) / safe)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +203,10 @@ def neighbor_diversity(labels: np.ndarray, nb: Neighborhoods) -> np.ndarray:
     get diversity 0. Pure neighborhoods land on exactly 0.0 and balanced
     ones on exactly ln 2.
     """
-    labels = np.asarray(labels)
-    counts = nb.mask.sum(axis=1).astype(np.float64)
-    ones = (labels[nb.idx] * nb.mask).sum(axis=1).astype(np.float64)
+    counts = np.diff(nb.indptr).astype(np.float64)
+    # sums of 0/1 weights are exact in any order
+    ones = np.bincount(nb.src, weights=np.asarray(labels)[nb.nbr],
+                       minlength=nb.n_nodes)
     safe = np.where(counts > 0, counts, 1.0)
     p1 = ones / safe
     p0 = (safe - ones) / safe
@@ -267,28 +257,26 @@ def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     and a neighbor part so no pairwise concat is materialized. Scores pass
     through LeakyReLU, a masked softmax over each node's neighbors, and the
     time-gap damping. Rows with no neighbors come out all zero. There is
-    one coefficient per cell of nb.cells (see nn.CellLayout).
+    one coefficient per cell of nb (see nn.CellLayout).
 
     h_prev holds every node. nb is the table of `rows` (of every node when
     rows is None); the projections stay graph-size and only the per-cell
     work runs on nb (README, determinism).
     """
     d_in, d_out = layer.d_in, layer.d_out
-    cells = nb.cells
     proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
     score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
     score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
     if rows is not None:
         score_self = nn.pick_rows(score_self, rows)
-    raw = nn.add_rows(score_self, nn.gather(score_neigh, cells), cells)
-    alpha = nn.softmax_cells(nn.leaky_relu(raw), cells)
+    raw = nn.add_rows(score_self, nn.gather(score_neigh, nb), nb)
+    alpha = nn.softmax_cells(nn.leaky_relu(raw), nb)
     return nn.mul(alpha, nb.time_cells(config))
 
 
 def uniform_weights(nb: Neighborhoods) -> np.ndarray:
-    """Plain averaging coefficients: 1/|neighbors| on real entries."""
-    counts = nb.mask.sum(axis=1, keepdims=True).astype(np.float64)
-    return np.where(nb.mask, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
+    """Plain averaging coefficients: 1/|neighbors| for each entry."""
+    return 1.0 / np.diff(nb.indptr)[nb.src]
 
 
 def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
@@ -307,7 +295,7 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
             f"layer expects width {layer.d_in}, got {h_prev.cols}")
     weights = (attention_weights(h_prev, nb, layer, config, rows)
                if config.use_attention else nb.uniform_cells)
-    h_agg = nn.neighbor_sum(weights, h_prev, nb.cells)
+    h_agg = nn.neighbor_sum(weights, h_prev, nb)
     if config.use_gate and gates is not None:
         gates = np.asarray(gates).reshape(-1, 1)
         h_agg = nn.mul(h_agg, gates if rows is None else gates[rows])
@@ -341,7 +329,7 @@ def receptive_rows(neighborhoods: list[Neighborhoods],
             break
         out[k] = field_rows
         nb = neighborhoods[k]
-        need[nb.idx[field_rows][nb.mask[field_rows]]] = True
+        need[nb.nbr[need[nb.src]]] = True
     return out
 
 

@@ -237,39 +237,42 @@ NARROW_WIDTH = 8
 
 
 class CellLayout:
-    """The cells of a padded (n, width) neighbor table, in width buckets.
+    """Compressed neighbor rows laid out as cells in width buckets.
 
-    Rows whose real entries all lie in the first NARROW_WIDTH columns form
-    the narrow bucket, trimmed to that width; the others keep the width.
+    Row i owns entries indptr[i]:indptr[i + 1] of nbr. Rows of at most
+    NARROW_WIDTH entries form the narrow bucket at min(width, NARROW_WIDTH);
+    the others form the bucket at width. Entry k of row i sits in cell
+    (bucket start + i's place in its bucket * bucket width + k - indptr[i]);
+    the other cells are padding, with neighbor row 0 and mask False.
     A bucket of every row has rows slice(None), so its blocks are views.
-    A per-entry tensor is an (n_cells, 1) column of the buckets' cells;
-    `cells[entry_cells]` lists its real entries as `table[mask]` would.
+    A per-entry tensor is an (n_cells, 1) column of the buckets' cells.
     Results equal the padded table's bit for bit (README, determinism)."""
 
-    def __init__(self, idx: np.ndarray, mask: np.ndarray):
-        n, width = idx.shape
-        narrow = ~mask[:, NARROW_WIDTH:].any(axis=1)
+    def __init__(self, indptr: np.ndarray, nbr: np.ndarray, width: int):
+        self.indptr, self.nbr, self.width = indptr, nbr, width
+        counts = np.diff(indptr)
+        self.n_rows = n = len(counts)
+        self.src = np.repeat(np.arange(n), counts)  # each entry's row
+        narrow = counts <= NARROW_WIDTH
         groups = [(np.flatnonzero(narrow), min(width, NARROW_WIDTH)),
                   (np.flatnonzero(~narrow), width)]
         groups = [g for g in groups if len(g[0])] or groups[:1]
-        if len(groups) == 1:
-            groups = [(slice(None), groups[0][1])]
-        self.n_rows, self.buckets, start = n, [], 0
-        cell_of = np.zeros((n, width), dtype=np.int64)
+        self.buckets, self.n_cells = [], 0
+        first_cell = np.zeros(n, dtype=np.int64)
         for rows, w in groups:
-            size = cell_of[rows, :w].size
-            cell_of[rows, :w] = np.arange(start, start + size).reshape(-1, w)
-            self.buckets.append((rows, w, start, start + size))
-            start += size
-        self.idx, self.mask = self.take(idx), self.take(mask)
-        flat = np.flatnonzero(mask)  # the real entries, in (row, col) order
-        self.entry_cells, self.entry_nbr = cell_of.flat[flat], idx.flat[flat]
-        self.indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(flat // width, minlength=n))))
+            start, self.n_cells = self.n_cells, self.n_cells + w * len(rows)
+            first_cell[rows] = np.arange(start, self.n_cells, w)
+            self.buckets.append((rows if len(groups) > 1 else slice(None),
+                                 w, start, self.n_cells))
+        self.entry_cells = ((first_cell - indptr[:-1])[self.src]
+                            + np.arange(len(nbr)))
+        self.idx, self.mask = self.put(nbr), self.put(np.ones(len(nbr), bool))
 
-    def take(self, table: np.ndarray) -> np.ndarray:  # (n, width) -> cells
-        return np.concatenate([np.ravel(table[rows, :w])
-                               for rows, w, _, _ in self.buckets])
+    def put(self, values: np.ndarray) -> np.ndarray:  # entries -> cells
+        """One value per entry, in entry order -> one per cell; padding 0."""
+        cells = np.zeros(self.n_cells, dtype=values.dtype)
+        cells[self.entry_cells] = values
+        return cells
 
     def views(self, cells: np.ndarray) -> list[np.ndarray]:  # cells -> blocks
         return [cells[lo:hi].reshape(-1, w) for _, w, lo, hi in self.buckets]
@@ -300,7 +303,7 @@ def gather(values, layout: CellLayout) -> Tensor:
     def vjp(g):
         # bincount sums each bin in entry order from +0.0 and, like the 1-D
         # add.at it replaces, keeps the running sum's NaN when two NaNs meet
-        dv = np.bincount(layout.entry_nbr, weights=g[layout.entry_cells, 0],
+        dv = np.bincount(layout.nbr, weights=g[layout.entry_cells, 0],
                          minlength=values.rows)
         return (dv.reshape(-1, 1),)
 
@@ -346,7 +349,7 @@ def neighbor_sum(weights, values, layout: CellLayout) -> Tensor:
         dw = layout.join_cells([np.einsum("nd,nzd->nz", gb, x) for gb, x in
                                 zip(layout.row_blocks(g), gathered)])
         return dw, _scatter_rows(weights.data[layout.entry_cells, 0],
-                                 layout.entry_nbr, layout.indptr, g,
+                                 layout.nbr, layout.indptr, g,
                                  values.rows)
 
     return _record(out, (weights, values), vjp)

@@ -122,26 +122,23 @@ class TransactionGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def _row(self, node_id: int) -> int:
+    def index_of(self, node_id: int) -> int:
         try:
             return self._index[node_id]
         except KeyError:
             raise InputError(f"unknown node id {node_id}") from None
 
-    def index_of(self, node_id: int) -> int:
-        return self._row(node_id)
-
     def rows_of(self, node_ids) -> np.ndarray:
         """The rows of ``node_ids``, in their order."""
-        return np.array([self._row(v) for v in node_ids], dtype=np.int64)
+        return np.array([self.index_of(v) for v in node_ids], dtype=np.int64)
 
     def record(self, node_id: int) -> TransactionRecord:
-        return self.records[self._row(node_id)]
+        return self.records[self.index_of(node_id)]
 
     def neighbors(self, node_id: int) -> list[int]:
         """Distinct neighbor ids, ascending (parallel edges collapsed)."""
         csr = self.csr
-        return csr.ids[csr.span(self._row(node_id))].tolist()
+        return csr.ids[csr.span(self.index_of(node_id))].tolist()
 
     @functools.cached_property
     def unit_features(self) -> np.ndarray:

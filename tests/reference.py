@@ -5,7 +5,9 @@ loops, and brute-force pair counting. These implementations share as little
 structure as possible with the library's vectorized code paths so that
 agreement between the two is meaningful evidence. The per-node sampler
 (sample_neighborhood and the functions it calls) and pack_neighborhoods make
-sampler.sample_layer's and model.pack_rows' picks one node at a time.
+sampler.sample_layer's and model.pack_rows' picks one node at a time. The padded
+(n, width) neighbor table, which model.Neighborhoods' compressed rows
+replaced, is kept here with the functions that read it, as their oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -24,8 +27,7 @@ from fraudgnn.datagen import (_FIXED_COLUMNS, DOWNSAMPLE_SEED_TAG,
                               SplitSpec)
 from fraudgnn.errors import (ConfigError, IngestError, InputError, ShapeError,
                              unreadable)
-from fraudgnn.model import (ACTIVATIONS, Neighborhoods, forward,
-                            time_factors, uniform_weights)
+from fraudgnn.model import ACTIVATIONS, ModelConfig, Neighborhoods, forward
 from fraudgnn.sampler import SamplerConfig, _node_rng, combine_seed
 from fraudgnn.tgraph import (UNLABELED, Proposition, TransactionGraph,
                              TransactionRecord, pair_scores)
@@ -337,12 +339,130 @@ def add_at_neighbor_sum_vjp(weights, m: int, idx, g) -> np.ndarray:
     return dv
 
 
+class Rectangle(NamedTuple):
+    """A padded (n, width) neighbor table: idx holds neighbor rows, mask
+    marks real entries, dt holds |timestamp gap| in seconds. Padding points
+    at row 0 with mask False and gap 0."""
+
+    idx: np.ndarray
+    mask: np.ndarray
+    dt: np.ndarray
+
+
+def rectangle(nb: Neighborhoods) -> Rectangle:
+    """nb as a padded table at its width: row i's entries, in order, fill
+    columns 0 .. count - 1."""
+    col = np.arange(len(nb.nbr)) - nb.indptr[nb.src]
+    idx = np.zeros((nb.n_nodes, nb.width), dtype=np.int64)
+    mask = np.zeros((nb.n_nodes, nb.width), dtype=bool)
+    dt = np.zeros((nb.n_nodes, nb.width))
+    idx[nb.src, col], mask[nb.src, col], dt[nb.src, col] = nb.nbr, True, nb.dt
+    return Rectangle(idx, mask, dt)
+
+
+def neighborhoods(idx, mask, dt) -> Neighborhoods:
+    """A padded table as Neighborhoods at its width: each row's real
+    entries, in column order, are the row's entries. rectangle() gives a
+    table of left-packed rows (real entries first) back unchanged."""
+    mask = np.asarray(mask, dtype=bool)
+    return Neighborhoods(np.concatenate(([0], np.cumsum(mask.sum(axis=1)))),
+                         np.asarray(idx, dtype=np.int64)[mask],
+                         np.asarray(dt, dtype=np.float64)[mask],
+                         mask.shape[1])
+
+
 def padded(nb: Neighborhoods, cells) -> np.ndarray:
-    """Per-cell values of nb.cells laid out as nb's (n, width) table: the
-    real entries' values, zero on padding."""
-    out = np.zeros(nb.idx.shape)
-    out[nb.mask] = np.ravel(cells)[nb.cells.entry_cells]
+    """Per-cell values of nb laid out as its padded table: the real
+    entries' values, zero on padding."""
+    out = np.zeros((nb.n_nodes, nb.width))
+    out[rectangle(nb).mask] = np.ravel(cells)[nb.entry_cells]
     return out
+
+
+def padded_pack_rows(graph: TransactionGraph, src: np.ndarray,
+                     nbr: np.ndarray) -> Rectangle:
+    """model.pack_rows before compressed rows: pad (node row, neighbor row)
+    pairs grouped by ascending node row into a rectangle; a row keeps its
+    pairs' order."""
+    counts = np.bincount(src, minlength=graph.n_nodes)
+    width = max(int(counts.max()), 1)
+    col = np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
+    idx = np.zeros((graph.n_nodes, width), dtype=np.int64)
+    mask = np.zeros((graph.n_nodes, width), dtype=bool)
+    dt = np.zeros((graph.n_nodes, width), dtype=np.float64)
+    ts = graph.timestamps
+    idx[src, col] = nbr
+    mask[src, col] = True
+    dt[src, col] = np.abs(ts[nbr] - ts[src])
+    return Rectangle(idx=idx, mask=mask, dt=dt)
+
+
+class PaddedCellLayout:
+    """nn.CellLayout before compressed rows: the cells of a padded
+    (n, width) table, in width buckets. Rows whose real entries all lie in
+    the first NARROW_WIDTH columns form the narrow bucket, trimmed to that
+    width; the others keep the width."""
+
+    def __init__(self, idx: np.ndarray, mask: np.ndarray):
+        n, width = idx.shape
+        narrow = ~mask[:, nn.NARROW_WIDTH:].any(axis=1)
+        groups = [(np.flatnonzero(narrow), min(width, nn.NARROW_WIDTH)),
+                  (np.flatnonzero(~narrow), width)]
+        groups = [g for g in groups if len(g[0])] or groups[:1]
+        if len(groups) == 1:
+            groups = [(slice(None), groups[0][1])]
+        self.n_rows, self.buckets, start = n, [], 0
+        cell_of = np.zeros((n, width), dtype=np.int64)
+        for rows, w in groups:
+            size = cell_of[rows, :w].size
+            cell_of[rows, :w] = np.arange(start, start + size).reshape(-1, w)
+            self.buckets.append((rows, w, start, start + size))
+            start += size
+        self.idx, self.mask = self.take(idx), self.take(mask)
+        flat = np.flatnonzero(mask)  # the real entries, in (row, col) order
+        self.entry_cells, self.entry_nbr = cell_of.flat[flat], idx.flat[flat]
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(flat // width, minlength=n))))
+
+    def take(self, table: np.ndarray) -> np.ndarray:  # (n, width) -> cells
+        return np.concatenate([np.ravel(table[rows, :w])
+                               for rows, w, _, _ in self.buckets])
+
+
+def padded_time_factors(t: Rectangle, config: ModelConfig) -> np.ndarray:
+    """model.time_factors on a padded table; padding gets 0."""
+    if config.time_mode == "decay":
+        out = np.exp(-t.dt / config.tau_seconds)
+    else:
+        lo = np.where(t.mask, t.dt, np.inf).min(axis=1, keepdims=True)
+        hi = np.where(t.mask, t.dt, -np.inf).max(axis=1, keepdims=True)
+        span = hi - lo
+        degenerate = ~np.isfinite(span) | (span <= 0)
+        safe = np.where(degenerate, 1.0, span)
+        out = np.where(degenerate, 1.0, (t.dt - lo) / safe)
+    return np.where(t.mask, out, 0.0)
+
+
+def padded_uniform_weights(t: Rectangle) -> np.ndarray:
+    """model.uniform_weights on a padded table; padding gets 0."""
+    counts = t.mask.sum(axis=1, keepdims=True).astype(np.float64)
+    return np.where(t.mask, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
+
+
+def padded_neighbor_diversity(labels: np.ndarray, t: Rectangle) -> np.ndarray:
+    """model.neighbor_diversity on a padded table."""
+    labels = np.asarray(labels)
+    counts = t.mask.sum(axis=1).astype(np.float64)
+    ones = (labels[t.idx] * t.mask).sum(axis=1).astype(np.float64)
+    safe = np.where(counts > 0, counts, 1.0)
+    p1 = ones / safe
+    p0 = (safe - ones) / safe
+
+    def xlogx(p):
+        return np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+
+    d = -(xlogx(p0) + xlogx(p1))
+    return np.where(counts > 0, d, 0.0)
 
 
 def padded_scatter_rows(coef: np.ndarray, idx: np.ndarray, g: np.ndarray,
@@ -415,13 +535,14 @@ def padded_attention_weights(h_prev, nb: Neighborhoods, layer,
                              config) -> nn.Tensor:
     """model.attention_weights before width buckets: every op runs on the
     whole (n, width) table and returns it."""
+    t = rectangle(nb)
     d_in, d_out = layer.d_in, layer.d_out
     proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
     score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
     score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
-    raw = nn.add(score_self, padded_gather(score_neigh, nb.idx))
-    alpha = padded_softmax_rows(nn.leaky_relu(raw), nb.mask)
-    return nn.mul(alpha, time_factors(nb, config))
+    raw = nn.add(score_self, padded_gather(score_neigh, t.idx))
+    alpha = padded_softmax_rows(nn.leaky_relu(raw), t.mask)
+    return nn.mul(alpha, padded_time_factors(t, config))
 
 
 def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
@@ -430,11 +551,12 @@ def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
     if h_prev.cols != layer.d_in:
         raise ShapeError(
             f"layer expects width {layer.d_in}, got {h_prev.cols}")
+    t = rectangle(nb)
     if config.use_attention:
         weights = padded_attention_weights(h_prev, nb, layer, config)
     else:
-        weights = nn.Tensor(uniform_weights(nb))
-    h_agg = padded_neighbor_sum(weights, h_prev, nb.idx)
+        weights = nn.Tensor(padded_uniform_weights(t))
+    h_agg = padded_neighbor_sum(weights, h_prev, t.idx)
     if config.use_gate and gates is not None:
         h_agg = nn.mul(h_agg, np.asarray(gates).reshape(-1, 1))
     combined = nn.matmul(nn.concat(h_prev, h_agg), layer.W)
@@ -444,7 +566,7 @@ def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
 
 def pack_neighborhoods(graph: TransactionGraph,
                        sampled: list[SampledNeighborhood]) -> Neighborhoods:
-    """Pad per-node samples like pack_rows: its oracle."""
+    """Pack per-node samples like pack_rows: its oracle."""
     n = len(sampled)
     width = max((len(s.selected) for s in sampled), default=0)
     width = max(width, 1)
@@ -462,7 +584,7 @@ def pack_neighborhoods(graph: TransactionGraph,
         idx[row, :m] = cols
         mask[row, :m] = True
         dt[row, :m] = np.abs(ts[cols] - ts[row])
-    return Neighborhoods(idx=idx, mask=mask, dt=dt)
+    return neighborhoods(idx, mask, dt)
 
 
 def loop_sample_layers(graph: TransactionGraph, cfg, epoch: int,
@@ -528,8 +650,9 @@ def baseline_layer_forward(h_prev: np.ndarray, nb: Neighborhoods,
             f"combine matrix expects {2 * h_prev.shape[1]} rows, got {W.shape[0]}")
     if activation not in _ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
-    counts = nb.mask.sum(axis=1, keepdims=True).astype(np.float64)
-    gathered = h_prev[nb.idx] * nb.mask[:, :, None]
+    t = rectangle(nb)
+    counts = t.mask.sum(axis=1, keepdims=True).astype(np.float64)
+    gathered = h_prev[t.idx] * t.mask[:, :, None]
     mean = gathered.sum(axis=1) / np.where(counts > 0, counts, 1.0)
     combined = np.concatenate([h_prev, mean], axis=1) @ W
     out = _ACTIVATIONS[activation](combined)

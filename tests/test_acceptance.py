@@ -18,7 +18,6 @@ from fraudgnn.metrics import auc
 from fraudgnn.model import (
     LayerParams,
     ModelConfig,
-    Neighborhoods,
     aggregation_gate,
     init_params,
     layer_forward,
@@ -31,7 +30,7 @@ from fraudgnn.train import TrainConfig, batch_loss, predict, train
 from fraudgnn.cli import main as cli_main
 
 from conftest import make_two_cluster_records
-from reference import adjacency, typed_neighbors
+from reference import adjacency, neighborhoods, rectangle, typed_neighbors
 
 LN2 = math.log(2.0)
 
@@ -190,8 +189,9 @@ def scalar_layer(h_prev, nb, layer, gates, cfg):
         return [math.fsum(h_prev[row, a] * W[d_in + a, m] for a in range(d_in))
                 for m in range(d_out)]
 
+    t = rectangle(nb)
     for i in range(n):
-        cols = [j for j in range(nb.width) if nb.mask[i, j]]
+        cols = [j for j in range(nb.width) if t.mask[i, j]]
         h_agg = [0.0] * d_in
         if cols:
             if cfg.use_attention:
@@ -199,7 +199,7 @@ def scalar_layer(h_prev, nb, layer, gates, cfg):
                 s_self = math.fsum(pi[m] * A[m, 0] for m in range(d_out))
                 raws = []
                 for j in cols:
-                    pj = project(int(nb.idx[i, j]))
+                    pj = project(int(t.idx[i, j]))
                     s_nb = math.fsum(pj[m] * A[d_out + m, 0]
                                      for m in range(d_out))
                     r = s_self + s_nb
@@ -209,10 +209,10 @@ def scalar_layer(h_prev, nb, layer, gates, cfg):
                 tot = math.fsum(exps)
                 coef = [e / tot for e in exps]
                 if cfg.time_mode == "decay":
-                    damp = [math.exp(-float(nb.dt[i, j]) / cfg.tau_seconds)
+                    damp = [math.exp(-float(t.dt[i, j]) / cfg.tau_seconds)
                             for j in cols]
                 else:
-                    gaps = [float(nb.dt[i, j]) for j in cols]
+                    gaps = [float(t.dt[i, j]) for j in cols]
                     lo, hi = min(gaps), max(gaps)
                     span = hi - lo
                     damp = [1.0 if span <= 0 else (gv - lo) / span
@@ -221,7 +221,7 @@ def scalar_layer(h_prev, nb, layer, gates, cfg):
             else:
                 coef = [1.0 / len(cols)] * len(cols)
             for c, j in zip(coef, cols):
-                nbr = int(nb.idx[i, j])
+                nbr = int(t.idx[i, j])
                 for m in range(d_in):
                     h_agg[m] += c * h_prev[nbr, m]
         if cfg.use_gate and gates is not None:
@@ -253,7 +253,7 @@ def test_layer_forward_matches_scalar_reference(capsys):
             [False, True, True],
         ])
         dt = rng.uniform(0.0, 4000.0, size=(5, 3))
-        nb = Neighborhoods(idx=idx, mask=mask, dt=dt)
+        nb = neighborhoods(idx, mask, dt)
         layer = LayerParams(W=Tensor(rng.normal(size=(6, 4))),
                             attn=Tensor(rng.normal(size=(8, 1))))
         gates = rng.uniform(0.1, 0.9, size=5)
@@ -292,7 +292,7 @@ def test_gradients_match_finite_differences(capsys):
             mask[0] = True      # one full row
             mask[1] = False     # one isolated row
             dt = rng.uniform(0.0, 3000.0, size=(n, 4))
-            nbhds.append(Neighborhoods(idx=idx, mask=mask, dt=dt))
+            nbhds.append(neighborhoods(idx, mask, dt))
         gates = rng.uniform(0.2, 0.8, size=n)
         rows = np.arange(n)
         y = rng.integers(0, 2, size=n).astype(np.float64)
@@ -349,8 +349,7 @@ def test_diversity_bounds_and_gate_monotonicity(capsys):
         mask[2, :4] = True                                   # balanced 2+2
         idx[3, :2], mask[3] = np.r_[zeros[:1], ones[:1]], False
         mask[3, :2] = True                                   # balanced 1+1
-        nb = Neighborhoods(idx=idx, mask=mask,
-                           dt=rng.uniform(0, 100, size=(n, width)))
+        nb = neighborhoods(idx, mask, rng.uniform(0, 100, size=(n, width)))
 
         d = neighbor_diversity(labels, nb)
         assert d.shape == (n,)

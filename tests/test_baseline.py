@@ -9,7 +9,8 @@ from fraudgnn.model import LayerParams, ModelConfig, layer_forward
 from fraudgnn.nn import Tensor
 from fraudgnn.tgraph import Proposition, build_graph
 
-from reference import (baseline_layer_forward, random_transaction_records,
+from reference import (baseline_layer_forward, neighborhoods,
+                       random_transaction_records, rectangle,
                        uniform_neighborhoods, uniform_sample)
 
 
@@ -51,7 +52,7 @@ class TestUniformSample:
         g = small_graph()
         nb = uniform_neighborhoods(g, 3, np.random.default_rng(1))
         assert nb.n_nodes == 8
-        assert (nb.mask.sum(axis=1) <= 3).all()
+        assert (rectangle(nb).mask.sum(axis=1) <= 3).all()
 
 
 class TestBaselineLayer:
@@ -60,9 +61,8 @@ class TestBaselineLayer:
         h = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
         nb_idx = np.array([[0, 1], [0, 0], [0, 1]])
         nb_mask = np.array([[True, True], [True, False], [True, True]])
-        from fraudgnn.model import Neighborhoods
-        nb = Neighborhoods(idx=nb_idx, mask=nb_mask,
-                           dt=np.zeros_like(nb_idx, dtype=float))
+        nb = neighborhoods(nb_idx, nb_mask,
+                           np.zeros_like(nb_idx, dtype=float))
         W = np.vstack([np.zeros((2, 2)), np.eye(2)])  # reads only the mean part
         out = baseline_layer_forward(h, nb, W, activation="identity")
         mean_row2 = (h[0] + h[1]) / 2.0
@@ -71,11 +71,10 @@ class TestBaselineLayer:
 
     def test_three_basis_vectors_average(self):
         h = np.eye(3)
-        from fraudgnn.model import Neighborhoods
-        nb = Neighborhoods(idx=np.array([[0, 1, 2], [0, 0, 0], [0, 0, 0]]),
-                           mask=np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]],
-                                         dtype=bool),
-                           dt=np.zeros((3, 3)))
+        nb = neighborhoods(np.array([[0, 1, 2], [0, 0, 0], [0, 0, 0]]),
+                           np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]],
+                                    dtype=bool),
+                           np.zeros((3, 3)))
         W = np.vstack([np.zeros((3, 3)), np.eye(3)])
         out = baseline_layer_forward(h, nb, W, activation="identity")
         expected = np.full(3, 1 / 3.0)
@@ -83,27 +82,21 @@ class TestBaselineLayer:
 
     def test_no_neighbors_aggregates_zero(self):
         h = np.array([[3.0, 4.0]])
-        from fraudgnn.model import Neighborhoods
-        nb = Neighborhoods(idx=np.zeros((1, 1), dtype=int),
-                           mask=np.zeros((1, 1), dtype=bool),
-                           dt=np.zeros((1, 1)))
+        nb = neighborhoods(np.zeros((1, 1), dtype=int),
+                           np.zeros((1, 1), dtype=bool), np.zeros((1, 1)))
         W = np.vstack([np.eye(2), np.full((2, 2), 100.0)])
         out = baseline_layer_forward(h, nb, W, activation="identity")
         assert_allclose(out[0], [0.6, 0.8])
 
     def test_shape_validation(self):
-        from fraudgnn.model import Neighborhoods
-        nb = Neighborhoods(idx=np.zeros((1, 1), dtype=int),
-                           mask=np.zeros((1, 1), dtype=bool),
-                           dt=np.zeros((1, 1)))
+        nb = neighborhoods(np.zeros((1, 1), dtype=int),
+                           np.zeros((1, 1), dtype=bool), np.zeros((1, 1)))
         with pytest.raises(ShapeError):
             baseline_layer_forward(np.zeros((1, 3)), nb, np.zeros((4, 2)))
 
     def test_unknown_activation(self):
-        from fraudgnn.model import Neighborhoods
-        nb = Neighborhoods(idx=np.zeros((1, 1), dtype=int),
-                           mask=np.zeros((1, 1), dtype=bool),
-                           dt=np.zeros((1, 1)))
+        nb = neighborhoods(np.zeros((1, 1), dtype=int),
+                           np.zeros((1, 1), dtype=bool), np.zeros((1, 1)))
         with pytest.raises(ConfigError):
             baseline_layer_forward(np.zeros((1, 2)), nb, np.zeros((4, 2)),
                                    activation="swish")

@@ -27,6 +27,37 @@ adjacency (neighbor id, proposition index)
 """
 
 
+ATTENTION_03 = """\
+neighborhood diversity and the resulting gates
+==============================================
+   row own label   nbr labels  entropy   gate
+     0         1 [1, 1, 1, 1, 1]   0.0000  0.546
+     1         0 [0, 0, 0, 0, 0]   0.0000  0.546
+     2         0 [0, 0, 0, 0, 0]   0.0000  0.546
+    40         0 [0, 0, 1, 0, 0]   0.5004  0.005
+    35         0 [0, 0, 0, 1, 0]   0.5004  0.005
+     5         0 [0, 1, 0, 0, 0]   0.5004  0.005
+  entropy spans [0.0000, 0.5004]; ln 2 = 0.6931
+  pure neighborhoods sit at 0 and get the largest gates;
+  the most label-mixed rows are shrunk hardest.
+
+attention coefficients versus plain averaging
+=============================================
+  row 5: attention [0.064 0.084 0.165 0.269 0.153]
+  row 5: uniform   [0.2 0.2 0.2 0.2 0.2]
+  attention rows sum to at most 1; damping eats the rest:
+  row sum = 0.7358
+
+time damping
+============
+  gaps (s):      [2002.  130.   39.  510.  372.]
+  decay factor:  [0.329 0.93  0.979 0.753 0.813]   exp(-gap/tau)
+  interval mode: [1.    0.046 0.    0.24  0.17 ]   min-max of the gap
+  decay rewards recent interactions; interval mode rescales the
+  gaps so the nearest neighbor gets 0 and the farthest gets 1.
+"""
+
+
 def run_demo(script, cwd) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -51,3 +82,7 @@ def test_demo_runs(script, tmp_path):
 def test_demo_01_adjacency_block_unchanged(tmp_path):
     out = run_demo("01_graph_construction.py", tmp_path)
     assert "\n\n" + ADJACENCY_01 + "\n" in out
+
+
+def test_demo_03_prints_its_pinned_blocks(tmp_path):
+    assert run_demo("03_attention_and_gate.py", tmp_path) == "\n" + ATTENTION_03

@@ -8,23 +8,22 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fraudgnn import nn
 from fraudgnn.errors import CheckpointError, ConfigError, ShapeError
-from fraudgnn.model import (LayerParams, ModelConfig, Neighborhoods,
-                            aggregation_gate, attention_weights,
-                            checkpoint_text, diversity_stats, forward,
-                            init_params, layer_forward, load_params,
-                            neighbor_diversity, time_factors,
-                            uniform_weights)
+from fraudgnn.model import (LayerParams, ModelConfig, aggregation_gate,
+                            attention_weights, checkpoint_text,
+                            diversity_stats, forward, init_params,
+                            layer_forward, load_params, neighbor_diversity,
+                            time_factors, uniform_weights)
 from fraudgnn.nn import Tensor
 from fraudgnn.tgraph import Proposition, build_graph
 
-from reference import (SampledNeighborhood, pack_neighborhoods, padded,
-                       random_transaction_records, reference_layer_forward)
+from reference import (SampledNeighborhood, neighborhoods,
+                       pack_neighborhoods, padded, random_transaction_records,
+                       rectangle, reference_layer_forward)
 
 
-def make_nb(idx, mask, dt):
-    return Neighborhoods(idx=np.asarray(idx, dtype=np.int64),
-                         mask=np.asarray(mask, dtype=bool),
-                         dt=np.asarray(dt, dtype=np.float64))
+def table_of(nb, entries):
+    """Per-entry values laid out as nb's padded table, zero on padding."""
+    return padded(nb, nb.put(entries))
 
 
 def random_layer(rng, d_in, d_out):
@@ -94,11 +93,12 @@ class TestPackNeighborhoods:
         nb = pack_neighborhoods(g, sampled)
         assert nb.n_nodes == 6
         ts = g.timestamps
+        t = rectangle(nb)
         for row, s in enumerate(sampled):
-            assert nb.mask[row].sum() == len(s.selected)
+            assert t.mask[row].sum() == len(s.selected)
             for j, u in enumerate(s.selected):
-                assert nb.idx[row, j] == g.index_of(u)
-                assert nb.dt[row, j] == abs(ts[g.index_of(u)] - ts[row])
+                assert t.idx[row, j] == g.index_of(u)
+                assert t.dt[row, j] == abs(ts[g.index_of(u)] - ts[row])
 
     def test_wrong_order_rejected(self):
         g = self.make_graph()
@@ -112,29 +112,29 @@ class TestPackNeighborhoods:
         sampled = [SampledNeighborhood(node=r.id) for r in g.records]
         nb = pack_neighborhoods(g, sampled)
         assert nb.width == 1
-        assert not nb.mask.any()
+        assert not rectangle(nb).mask.any()
 
 
 class TestTimeFactors:
     def test_decay_values(self):
-        nb = make_nb([[0, 1, 2]], [[1, 1, 1]], [[0.0, 900.0, 1800.0]])
-        out = time_factors(nb, ModelConfig(tau_seconds=1800.0))
+        nb = neighborhoods([[0, 1, 2]], [[1, 1, 1]], [[0.0, 900.0, 1800.0]])
+        out = table_of(nb, time_factors(nb, ModelConfig(tau_seconds=1800.0)))
         assert_allclose(out, [[1.0, math.exp(-0.5), math.exp(-1.0)]], rtol=1e-15)
 
     def test_decay_masks_padding(self):
-        nb = make_nb([[0, 0]], [[1, 0]], [[0.0, 0.0]])
-        out = time_factors(nb, ModelConfig())
+        nb = neighborhoods([[0, 0]], [[1, 0]], [[0.0, 0.0]])
+        out = table_of(nb, time_factors(nb, ModelConfig()))
         assert_allclose(out, [[1.0, 0.0]])
 
     def test_interval_min_max(self):
-        nb = make_nb([[0, 1, 2]], [[1, 1, 1]], [[0.0, 900.0, 1800.0]])
-        out = time_factors(nb, ModelConfig(time_mode="interval"))
+        nb = neighborhoods([[0, 1, 2]], [[1, 1, 1]], [[0.0, 900.0, 1800.0]])
+        out = table_of(nb, time_factors(nb, ModelConfig(time_mode="interval")))
         assert_allclose(out, [[0.0, 0.5, 1.0]], atol=1e-15)
 
     def test_interval_degenerate_row_is_one(self):
-        nb = make_nb([[0, 1], [0, 0]], [[1, 1], [1, 0]],
+        nb = neighborhoods([[0, 1], [0, 0]], [[1, 1], [1, 0]],
                      [[600.0, 600.0], [5.0, 0.0]])
-        out = time_factors(nb, ModelConfig(time_mode="interval"))
+        out = table_of(nb, time_factors(nb, ModelConfig(time_mode="interval")))
         assert_allclose(out, [[1.0, 1.0], [1.0, 0.0]])
 
 
@@ -144,7 +144,7 @@ class TestAttentionWeights:
         rng = np.random.default_rng(0)
         layer = random_layer(rng, 3, 4)
         h = Tensor(rng.normal(size=(2, 3)))
-        nb = make_nb([[1], [0]], [[1], [1]], [[0.0], [0.0]])
+        nb = neighborhoods([[1], [0]], [[1], [1]], [[0.0], [0.0]])
         w = attention_weights(h, nb, layer, ModelConfig())
         assert_allclose(w.data, [[1.0], [1.0]], rtol=1e-12)
 
@@ -153,7 +153,7 @@ class TestAttentionWeights:
         layer = random_layer(rng, 3, 4)
         row = rng.normal(size=3)
         h = Tensor(np.stack([rng.normal(size=3), row, row]))
-        nb = make_nb([[1, 2], [0, 0], [0, 0]],
+        nb = neighborhoods([[1, 2], [0, 0], [0, 0]],
                      [[1, 1], [1, 0], [1, 0]],
                      np.zeros((3, 2)))
         w = attention_weights(h, nb, layer, ModelConfig())
@@ -167,7 +167,7 @@ class TestAttentionWeights:
         layer = random_layer(rng, 3, 4)
         row = rng.normal(size=3)
         h = Tensor(np.stack([rng.normal(size=3), row, row]))
-        nb = make_nb([[1, 2], [0, 0], [0, 0]],
+        nb = neighborhoods([[1, 2], [0, 0], [0, 0]],
                      [[1, 1], [1, 0], [1, 0]],
                      [[0.0, 1800.0], [0.0, 0.0], [0.0, 0.0]])
         w = attention_weights(h, nb, layer, ModelConfig(tau_seconds=1800.0))
@@ -182,9 +182,9 @@ class TestAttentionWeights:
         mask = rng.random((6, 3)) < 0.8
         mask[:, 0] = True
         dt = rng.uniform(0, 3600, size=(6, 3))
-        nb = make_nb(idx, mask, dt)
+        nb = neighborhoods(idx, mask, dt)
         post = padded(nb, attention_weights(h, nb, layer, ModelConfig()).data)
-        factors = time_factors(nb, ModelConfig())
+        factors = table_of(nb, time_factors(nb, ModelConfig()))
         pre = np.divide(post, factors, out=np.zeros_like(post),
                         where=factors > 0)
         assert_allclose(pre.sum(axis=1), np.ones(6), atol=1e-9)
@@ -194,44 +194,44 @@ class TestAttentionWeights:
         rng = np.random.default_rng(4)
         layer = random_layer(rng, 3, 4)
         h = Tensor(rng.normal(size=(2, 3)))
-        nb = make_nb([[0], [0]], [[0], [1]], [[0.0], [0.0]])
+        nb = neighborhoods([[0], [0]], [[0], [1]], [[0.0], [0.0]])
         w = attention_weights(h, nb, layer, ModelConfig())
         assert_allclose(w.data[0], [0.0])
 
 
 class TestUniformWeights:
     def test_counts(self):
-        nb = make_nb([[0, 1, 2], [0, 0, 0]], [[1, 1, 1], [1, 0, 0]],
+        nb = neighborhoods([[0, 1, 2], [0, 0, 0]], [[1, 1, 1], [1, 0, 0]],
                      np.zeros((2, 3)))
-        assert_allclose(uniform_weights(nb),
+        assert_allclose(table_of(nb, uniform_weights(nb)),
                         [[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0]])
 
     def test_empty_row_zero(self):
-        nb = make_nb([[0]], [[0]], [[0.0]])
-        assert_allclose(uniform_weights(nb), [[0.0]])
+        nb = neighborhoods([[0]], [[0]], [[0.0]])
+        assert_allclose(table_of(nb, uniform_weights(nb)), [[0.0]])
 
 
 class TestNeighborDiversity:
     def test_pure_neighborhood_exactly_zero(self):
         labels = np.array([0, 0, 0, 1])
-        nb = make_nb([[1, 2]], [[1, 1]], np.zeros((1, 2)))
+        nb = neighborhoods([[1, 2]], [[1, 1]], np.zeros((1, 2)))
         assert neighbor_diversity(labels, nb)[0] == 0.0
 
     def test_balanced_neighborhood_exactly_ln2(self):
         labels = np.array([0, 0, 1, 1])
-        nb = make_nb([[1, 2]], [[1, 1]], np.zeros((1, 2)))
+        nb = neighborhoods([[1, 2]], [[1, 1]], np.zeros((1, 2)))
         assert neighbor_diversity(labels, nb)[0] == math.log(2.0)
 
     def test_three_to_one_split(self):
         labels = np.array([0, 1, 0, 0, 0])
-        nb = make_nb([[1, 2, 3, 4]], [[1, 1, 1, 1]], np.zeros((1, 4)))
+        nb = neighborhoods([[1, 2, 3, 4]], [[1, 1, 1, 1]], np.zeros((1, 4)))
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
         assert_allclose(neighbor_diversity(labels, nb)[0], expected, rtol=1e-12)
         assert_allclose(expected, 0.5623, atol=5e-5)
 
     def test_empty_neighborhood_zero(self):
         labels = np.array([0, 1])
-        nb = make_nb([[0]], [[0]], [[0.0]])
+        nb = neighborhoods([[0]], [[0]], [[0.0]])
         assert neighbor_diversity(labels, nb)[0] == 0.0
 
     def test_range_bound(self):
@@ -239,7 +239,7 @@ class TestNeighborDiversity:
         labels = rng.integers(0, 2, size=40)
         idx = rng.integers(0, 40, size=(40, 6))
         mask = rng.random((40, 6)) < 0.7
-        nb = make_nb(idx, mask, np.zeros((40, 6)))
+        nb = neighborhoods(idx, mask, np.zeros((40, 6)))
         d = neighbor_diversity(labels, nb)
         assert (d >= 0.0).all() and (d <= math.log(2.0) + 1e-15).all()
 
@@ -269,7 +269,7 @@ class TestAggregationGate:
 
     def test_diversity_stats_bundles_both(self):
         labels = np.array([0, 1, 0])
-        nb = make_nb([[1, 2], [0, 2], [0, 1]], np.ones((3, 2), dtype=bool),
+        nb = neighborhoods([[1, 2], [0, 2], [0, 1]], np.ones((3, 2), dtype=bool),
                      np.zeros((3, 2)))
         stats = diversity_stats(labels, nb)
         assert stats.diversity.shape == (3,)
@@ -284,9 +284,9 @@ class TestLayerForward:
         rng = np.random.default_rng(5)
         layer = random_layer(rng, 3, 4)
         h = Tensor(rng.normal(size=(4, 3)))
-        nb = make_nb(rng.integers(0, 4, size=(4, 2)),
+        nb = neighborhoods(rng.integers(0, 4, size=(4, 2)),
                      np.ones((4, 2), dtype=bool), np.zeros((4, 2)))
-        empty = make_nb(np.zeros((4, 1), dtype=int),
+        empty = neighborhoods(np.zeros((4, 1), dtype=int),
                         np.zeros((4, 1), dtype=bool), np.zeros((4, 1)))
         cfg = ModelConfig(activation="tanh")
         gated = layer_forward(h, nb, layer, np.zeros(4), cfg)
@@ -297,7 +297,7 @@ class TestLayerForward:
         rng = np.random.default_rng(6)
         layer = random_layer(rng, 3, 5)
         h = np.vstack([rng.normal(size=(3, 3)), np.zeros((1, 3))])
-        nb = make_nb(np.zeros((4, 1), dtype=int),
+        nb = neighborhoods(np.zeros((4, 1), dtype=int),
                      np.array([[1], [1], [1], [0]], dtype=bool),
                      np.zeros((4, 1)))
         out = layer_forward(Tensor(h), nb, layer, None,
@@ -308,7 +308,7 @@ class TestLayerForward:
     def test_width_mismatch(self):
         rng = np.random.default_rng(7)
         layer = random_layer(rng, 3, 4)
-        nb = make_nb([[0]], [[1]], [[0.0]])
+        nb = neighborhoods([[0]], [[1]], [[0.0]])
         with pytest.raises(ShapeError, match="width"):
             layer_forward(Tensor(np.zeros((1, 5))), nb, layer, None,
                           ModelConfig())
@@ -317,15 +317,14 @@ class TestLayerForward:
         rng = np.random.default_rng(8)
         layer = random_layer(rng, 4, 4)
         h = Tensor(rng.normal(size=(5, 4)))
-        perm_nb = make_nb([[1, 2, 3]], [[1, 1, 1]], [[10.0, 20.0, 30.0]])
-        swapped = make_nb([[3, 1, 2]], [[1, 1, 1]], [[30.0, 10.0, 20.0]])
-        pad = make_nb(np.zeros((4, 3), dtype=int), np.zeros((4, 3), dtype=bool),
+        perm_nb = neighborhoods([[1, 2, 3]], [[1, 1, 1]], [[10.0, 20.0, 30.0]])
+        swapped = neighborhoods([[3, 1, 2]], [[1, 1, 1]], [[30.0, 10.0, 20.0]])
+        pad = neighborhoods(np.zeros((4, 3), dtype=int), np.zeros((4, 3), dtype=bool),
                       np.zeros((4, 3)))
 
         def with_first_row(nb0):
-            return Neighborhoods(idx=np.vstack([nb0.idx, pad.idx]),
-                                 mask=np.vstack([nb0.mask, pad.mask]),
-                                 dt=np.vstack([nb0.dt, pad.dt]))
+            return neighborhoods(*(np.vstack([a, b]) for a, b in zip(
+                rectangle(nb0), rectangle(pad))))
 
         a = layer_forward(h, with_first_row(perm_nb), layer, None, ModelConfig())
         b = layer_forward(h, with_first_row(swapped), layer, None, ModelConfig())

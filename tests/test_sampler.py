@@ -19,6 +19,7 @@ from reference import (loop_sample_layers, loop_sample_neighborhood,
                        loop_selection_probabilities,
                        naive_selection_probabilities, naive_topz,
                        oversample_fraud, random_transaction_records,
+                       rectangle,
                        sample_neighborhood, sample_topz,
                        selection_probabilities, similarity)
 
@@ -364,9 +365,9 @@ class TestScoreEdgesMatchesLoopReference:
                           loop_sample_neighborhood)
                 ref = loop_sample_layers(g, cfg, 3, pool, None)
             for a, b in zip(new, ref):
-                assert np.array_equal(a.idx, b.idx)
-                assert np.array_equal(a.mask, b.mask)
-                assert np.array_equal(a.dt, b.dt)
+                assert np.array_equal(rectangle(a).idx, rectangle(b).idx)
+                assert np.array_equal(rectangle(a).mask, rectangle(b).mask)
+                assert np.array_equal(rectangle(a).dt, rectangle(b).dt)
 
     def test_training_checkpoint_matches_loop_reference(self, monkeypatch):
         records = generate(ScenarioConfig(n_legit=70, n_fraud=30, n_devices=3,

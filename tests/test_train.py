@@ -23,7 +23,7 @@ from fraudgnn.train import (SAMPLER_SEED_TAG, TrainConfig, _bce_tensor,
 
 from conftest import make_two_cluster_records
 from reference import (full_graph_batch_loss, loop_sample_layers,
-                       uniform_neighborhoods)
+                       rectangle, uniform_neighborhoods)
 
 
 def cluster_graph(n=20, noise=0.05, seed=0):
@@ -210,14 +210,14 @@ class TestWeightedModeLayers:
 
     def test_equal_z_hat_layers_draw_identical_neighborhoods(self):
         first, second = self.layers(epoch=1)
-        assert_array_equal(first.idx, second.idx)
-        assert_array_equal(first.mask, second.mask)
+        assert_array_equal(rectangle(first).idx, rectangle(second).idx)
+        assert_array_equal(rectangle(first).mask, rectangle(second).mask)
         # 9 neighbors each, so a draw of 4 is a real choice
-        assert first.mask.sum(axis=1).tolist() == [4] * 20
+        assert rectangle(first).mask.sum(axis=1).tolist() == [4] * 20
 
     def test_epoch_salt_changes_the_draw(self):
         one, two = self.layers(epoch=1)[0], self.layers(epoch=2)[0]
-        assert not np.array_equal(one.idx, two.idx)
+        assert not np.array_equal(rectangle(one).idx, rectangle(two).idx)
 
 
 class TestDistinctZSampledOnce:
@@ -258,13 +258,14 @@ class TestDistinctZSampledOnce:
         assert layers[2] is not layers[0]
         expected = loop_sample_layers(g, cfg, 3, pool, scores)
         for got, want in zip(layers, expected):
-            assert_array_equal(got.idx, want.idx)
-            assert_array_equal(got.mask, want.mask)
-            assert_array_equal(got.dt, want.dt)
+            assert_array_equal(rectangle(got).idx, rectangle(want).idx)
+            assert_array_equal(rectangle(got).mask, rectangle(want).mask)
+            assert_array_equal(rectangle(got).dt, rectangle(want).dt)
         # not a trivial case: fraud extras widen rows past z = 8, and
         # layer 2's z = 4 keeps fewer neighbors
-        assert layers[0].mask.sum(axis=1).max() > 8
-        assert layers[2].mask.sum(axis=1).max() < layers[0].mask.sum(axis=1).max()
+        widths = [rectangle(nb).mask.sum(axis=1) for nb in layers]
+        assert widths[0].max() > 8
+        assert widths[2].max() < widths[0].max()
 
 
 def camouflage_scenario():
@@ -291,12 +292,13 @@ class TestUniformMode:
             rng = np.random.default_rng(np.random.SeedSequence(
                 (11, SAMPLER_SEED_TAG, 3, k)))
             want = uniform_neighborhoods(g, cfg.sampler.z_hat[k], rng)
-            assert_array_equal(got.idx, want.idx)
-            assert_array_equal(got.mask, want.mask)
-            assert_array_equal(got.dt, want.dt)
+            assert_array_equal(rectangle(got).idx, rectangle(want).idx)
+            assert_array_equal(rectangle(got).mask, rectangle(want).mask)
+            assert_array_equal(rectangle(got).dt, rectangle(want).dt)
         # pooled fraud gets no extras, and equal z_hat layers still draw apart
-        assert layers[0].mask.sum(axis=1).max() == 4
-        assert not np.array_equal(layers[0].idx, layers[1].idx)
+        assert rectangle(layers[0]).mask.sum(axis=1).max() == 4
+        assert not np.array_equal(rectangle(layers[0]).idx,
+                                  rectangle(layers[1]).idx)
 
     def test_predict_seed_keys_the_draws(self):
         g, _ = camouflage_scenario()
@@ -356,10 +358,10 @@ class TestLayerPassEdgeCases:
         got = _sample_layers(g, cfg, 2, pool)
         want = loop_sample_layers(g, cfg, 2, pool, None)
         for a, b in zip(got, want):
-            assert_array_equal(a.idx, b.idx)
-            assert_array_equal(a.mask, b.mask)
-            assert_array_equal(a.dt, b.dt)
-        widths = got[0].mask.sum(axis=1)
+            assert_array_equal(rectangle(a).idx, rectangle(b).idx)
+            assert_array_equal(rectangle(a).mask, rectangle(b).mask)
+            assert_array_equal(rectangle(a).dt, rectangle(b).dt)
+        widths = rectangle(got[0]).mask.sum(axis=1)
         degrees = np.diff(g.csr.indptr)
         assert {Z, Z + 1, 0} <= set(degrees.tolist())
         if case == "floor_excludes_all":
@@ -378,9 +380,9 @@ class TestLayerPassEdgeCases:
             rng = np.random.default_rng(np.random.SeedSequence(
                 (5, SAMPLER_SEED_TAG, 4, k)))
             want = uniform_neighborhoods(g, cfg.sampler.z_hat[k], rng)
-            assert_array_equal(got.idx, want.idx)
-            assert_array_equal(got.mask, want.mask)
-            assert_array_equal(got.dt, want.dt)
+            assert_array_equal(rectangle(got).idx, rectangle(want).idx)
+            assert_array_equal(rectangle(got).mask, rectangle(want).mask)
+            assert_array_equal(rectangle(got).dt, rectangle(want).dt)
 
 
 class TestScoresOncePerGraph:
@@ -482,7 +484,7 @@ class TestPredict:
         cfg = small_config(epochs=2)
         cfg.sampler = SamplerConfig(z_hat=(4, 4), oversample_count=5)
         # the same config does widen pooled fraud rows in training
-        widths = _sample_layers(g, cfg, 1, pool)[0].mask.sum(1)
+        widths = rectangle(_sample_layers(g, cfg, 1, pool)[0]).mask.sum(1)
         assert widths.max() > 4
         result = train(g, cfg)
         scores = [[p.p_fraud for p in predict(
@@ -575,13 +577,13 @@ class TestReceptiveFieldBatches:
         graph, _, nbs, _ = field_case(0, 3, 3600, (3, 3, 3),
                                       "deterministic_topz", {})
         n = graph.n_nodes
-        rows = np.flatnonzero(nbs[2].mask.any(axis=1))[:12][::-1]
+        rows = np.flatnonzero(rectangle(nbs[2]).mask.any(axis=1))[:12][::-1]
         sets = receptive_rows(nbs, rows)
         assert sets[2].tolist() == sorted(rows)
 
         def grown(k):  # layer k's rows plus their sampled neighbors
-            nb, upper = nbs[k], sets[k]
-            return np.union1d(upper, nb.idx[upper][nb.mask[upper]])
+            t, upper = rectangle(nbs[k]), sets[k]
+            return np.union1d(upper, t.idx[upper][t.mask[upper]])
 
         assert sets[1].tolist() == grown(2).tolist()
         assert 2 * len(sets[1]) <= n < 2 * len(grown(1))
