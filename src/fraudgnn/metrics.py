@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import EvalError, InputError
 
@@ -79,17 +78,52 @@ def recall_precision_f1(counts: ConfusionCounts) -> tuple[float, float, float]:
     return recall, precision, f1
 
 
-def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve by the rank-sum formula.
+def _ranked_input(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels as arrays of one shape, with no NaN score.
 
-    Ascending average ranks over all scores; ties between a positive and a
-    negative therefore count half, matching the pairwise definition.
+    A NaN has no place in a ranking: it would sort last and count as the
+    highest score. +-inf rank as the largest and smallest scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape:
         raise InputError(
             f"score/label length mismatch: {scores.shape} vs {labels.shape}")
+    nan = np.flatnonzero(np.isnan(scores))
+    if len(nan):
+        raise InputError(f"scores hold {len(nan)} NaN value(s), the first "
+                         f"at position {nan[0]}")
+    return scores, labels
+
+
+def _group_ends(xs: np.ndarray) -> np.ndarray:
+    """Exclusive end of each run of equal values in sorted, non-empty `xs`."""
+    return np.append(np.flatnonzero(xs[1:] != xs[:-1]) + 1, len(xs))
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks, ties sharing their group's mean rank.
+
+    The group at sorted positions first..end-1 holds ranks first+1..end,
+    whose mean (first + end + 1) / 2 is an integer or a half, so every rank
+    is exact. -0.0 ties with 0.0.
+    """
+    order = np.argsort(scores, kind="stable")
+    ends = _group_ends(scores[order])
+    firsts = np.append(0, ends[:-1])
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((firsts + ends + 1) / 2, ends - firsts)
+    return ranks
+
+
+def auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Area under the ROC curve by the rank-sum formula.
+
+    Ascending average ranks over all scores; ties between a positive and a
+    negative therefore count half, matching the pairwise definition. A NaN
+    score raises InputError.
+    """
+    scores, labels = _ranked_input(scores, labels)
     _check_binary("labels", labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
@@ -97,32 +131,27 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise EvalError("cannot compute AUC: no positive (fraud) samples")
     if n_neg == 0:
         raise EvalError("cannot compute AUC: no negative (legitimate) samples")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, float]]:
-    """(fpr, tpr) staircase from highest to lowest threshold, ends pinned."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    """(fpr, tpr) staircase from highest to lowest threshold, ends pinned.
+
+    One step per group of tied scores, taken after the whole group. A NaN
+    score raises InputError.
+    """
+    scores, labels = _ranked_input(scores, labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise EvalError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            tp += int(labels[order[j]] == 1)
-            fp += int(labels[order[j]] == 0)
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    return points
+    last = _group_ends(scores[order]) - 1
+    tp = np.cumsum(labels[order] == 1)[last] / n_pos
+    fp = np.cumsum(labels[order] == 0)[last] / n_neg
+    return [(0.0, 0.0)] + list(zip(fp.tolist(), tp.tolist()))
 
 
 def evaluate_scores(labels: np.ndarray, p_fraud: np.ndarray,

@@ -8,6 +8,8 @@ agreement between the two is meaningful evidence. The per-node sampler
 sampler.sample_layer's and model.pack_rows' picks one node at a time. The padded
 (n, width) neighbor table, which model.Neighborhoods' compressed rows
 replaced, is kept here with the functions that read it, as their oracle.
+scipy.stats.rankdata and the per-score ROC loop are the oracles of
+metrics.auc's and metrics.roc_points' tie groups.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
+import scipy.stats
 
 from fraudgnn import nn
 from fraudgnn.datagen import (_FIXED_COLUMNS, DOWNSAMPLE_SEED_TAG,
@@ -745,6 +748,46 @@ def pairwise_auc(scores, labels) -> float:
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def oracle_ranks(scores) -> np.ndarray:
+    """scipy's average ranks: ties share the mean of their 1-based ranks."""
+    return scipy.stats.rankdata(np.asarray(scores, dtype=np.float64),
+                                method="average")
+
+
+def oracle_rank_auc(scores, labels) -> float:
+    """metrics.auc's rank-sum formula over scipy's ranks."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    pos_rank_sum = float(oracle_ranks(scores)[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def loop_roc_points(scores, labels) -> list[tuple[float, float]]:
+    """(fpr, tpr) after each group of tied scores, walked one score at a time.
+
+    Never returns on a NaN score: NaN == NaN is False, so the inner loop
+    does not advance.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    order = np.argsort(-scores, kind="stable")
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and scores[order[j]] == scores[order[i]]:
+            tp += int(labels[order[j]] == 1)
+            fp += int(labels[order[j]] == 0)
+            j += 1
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    return points
 
 
 def fd_gradient(loss_fn, tensor, step: float = 1e-4) -> np.ndarray:

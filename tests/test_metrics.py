@@ -1,14 +1,48 @@
 """Evaluation metrics: confusion counts, rates, rank-sum AUC, ROC staircase."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fraudgnn
 from fraudgnn.errors import EvalError, InputError
-from fraudgnn.metrics import (ConfusionCounts, auc, confusion, evaluate_scores,
-                              recall_precision_f1, roc_points)
+from fraudgnn.metrics import (ConfusionCounts, _average_ranks, auc, confusion,
+                              evaluate_scores, recall_precision_f1, roc_points)
 
-from reference import pairwise_auc
+from reference import (loop_roc_points, oracle_rank_auc, oracle_ranks,
+                       pairwise_auc)
+
+SRC = os.path.dirname(os.path.dirname(fraudgnn.__file__))
+
+# Values whose ties are easy to get wrong: signed zeros, infinities and
+# subnormals, next to ordinary floats.
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 0.5]
+
+
+@st.composite
+def tied_scores(draw, min_size=1):
+    """1-300 scores drawn from a pool of at most 8 values: heavy ties."""
+    value = st.sampled_from(SPECIAL) | st.floats(allow_nan=False)
+    pool = draw(st.lists(value, min_size=1, max_size=8))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=min_size,
+                                  max_size=300)))
+
+
+@st.composite
+def scored_labels(draw):
+    """Tied scores and 0/1 labels of the same length, both classes present."""
+    scores = draw(tied_scores(min_size=2))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                                    max_size=len(scores))))
+    assume(0 < labels.sum() < len(labels))
+    return scores, labels
 
 
 class TestConfusion:
@@ -101,6 +135,23 @@ class TestAuc:
         assert auc(3.0 * s + 7.0, y) == base
         assert_allclose(auc(1 / (1 + np.exp(-s)), y), base, rtol=1e-15)
 
+    def test_nan_score_raises(self):
+        with pytest.raises(InputError) as exc:
+            auc([0.3, np.nan, 0.7, np.nan], [1, 0, 1, 0])
+        assert str(exc.value) == ("scores hold 2 NaN value(s), the first at "
+                                  "position 1")
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        assert auc([np.inf, -np.inf, 0.5, 0.5], [1, 0, 1, 0]) == 0.875
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scored_labels())
+    def test_bit_equal_to_the_oracle_rank_auc(self, case):
+        scores, labels = case
+        assert auc(scores, labels) == oracle_rank_auc(scores, labels)
+        assert (np.float64(auc(scores, labels)).tobytes()
+                == np.float64(oracle_rank_auc(scores, labels)).tobytes())
+
     def test_matches_pairwise_oracle_with_ties(self):
         """Rank-sum vs brute-force pair counting over tied, quantized scores."""
         rng = np.random.default_rng(77)
@@ -111,6 +162,17 @@ class TestAuc:
             labels[:2] = [0, 1]
             assert abs(auc(scores, labels) - pairwise_auc(scores, labels)) \
                 <= 1e-12
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=tied_scores())
+    def test_bit_equal_to_rankdata(self, scores):
+        assert _average_ranks(scores).tobytes() == oracle_ranks(scores).tobytes()
+
+    def test_signed_zeros_tie(self):
+        assert _average_ranks(np.array([0.0, -1.0, -0.0])).tolist() == \
+            [2.5, 1.0, 2.5]
 
 
 class TestRocPoints:
@@ -135,6 +197,30 @@ class TestRocPoints:
         pts = roc_points(s, y)
         assert pts[0] == (0.0, 0.0)
         assert pts[-1] == (1.0, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scored_labels())
+    def test_equals_the_per_score_loop(self, case):
+        scores, labels = case
+        pts = roc_points(scores, labels)
+        assert pts == loop_roc_points(scores, labels)
+        assert all(type(v) is float for pt in pts for v in pt)
+
+    def test_nan_score_raises(self):
+        """In a child process: a NaN once made roc_points loop forever."""
+        code = ("from fraudgnn.metrics import roc_points\n"
+                "roc_points([0.2, float('nan'), 0.7], [1, 0, 0])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        try:
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("roc_points did not return on a NaN score")
+        assert out.returncode != 0
+        assert out.stderr.strip().endswith(
+            "InputError: scores hold 1 NaN value(s), the first at position 1")
 
 
 class TestEvaluateScores:
