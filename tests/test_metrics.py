@@ -148,7 +148,6 @@ class TestAuc:
     @given(case=scored_labels())
     def test_bit_equal_to_the_oracle_rank_auc(self, case):
         scores, labels = case
-        assert auc(scores, labels) == oracle_rank_auc(scores, labels)
         assert (np.float64(auc(scores, labels)).tobytes()
                 == np.float64(oracle_rank_auc(scores, labels)).tobytes())
 
