@@ -55,8 +55,8 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, inputs: list[str],
-                    config_text: str):
+def _write_manifest(outs: list[str | None], command: str, inputs: list[str],
+                    config_text: str):  # outs: artifact paths, or None
     lines = [
         f"command = {command}",
         f"version = {__version__}",
@@ -64,7 +64,8 @@ def _write_manifest(out_path: str, command: str, inputs: list[str],
     for p in inputs:
         lines.append(f"input.{os.path.basename(p)} = sha256:{_sha256(p)}")
     body = "\n".join(lines) + "\n# resolved configuration\n" + config_text
-    _write_atomic(out_path + ".manifest", body)
+    for out in filter(None, outs):
+        _write_atomic(out + ".manifest", body)
 
 
 # Ablation flags are aliases of config keys: _overrides applies them after
@@ -127,7 +128,7 @@ def cmd_generate(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     records = generate(cfg)
     _write_atomic(args.out, csv_text(records))
-    _write_manifest(args.out, "generate", [args.scenario],
+    _write_manifest([args.out], "generate", [args.scenario],
                     f"scenario.seed = {cfg.seed}\n")
     log.info("wrote %d records to %s", len(records), args.out)
     return 0
@@ -137,7 +138,7 @@ def cmd_build_graph(args) -> int:
     run = _load_run(args)
     result, graph = _ingest(args, run)
     _write_atomic(args.out, serialize_graph(graph))
-    _write_manifest(args.out, "build-graph", [args.data, args.props],
+    _write_manifest([args.out], "build-graph", [args.data, args.props],
                     dump_run_config(run))
     log.info("graph: %d nodes, %d edges", graph.n_nodes, graph.n_edges)
     return 0
@@ -153,8 +154,8 @@ def cmd_train(args) -> int:
         lines += [f"{i},{repr(float(v))}"
                   for i, v in enumerate(outcome.loss_history, start=1)]
         _write_atomic(args.loss_history, "\n".join(lines) + "\n")
-    _write_manifest(args.out, "train", [args.data, args.props],
-                    dump_run_config(run))
+    _write_manifest([args.out, args.loss_history], "train",
+                    [args.data, args.props], dump_run_config(run))
     final = outcome.loss_history[-1] if outcome.loss_history else float("nan")
     log.info("trained %d epochs, final loss %.6f", run.epochs, final)
     return 0
@@ -173,7 +174,7 @@ def cmd_predict(args) -> int:
     preds = predict(graph, params, sampler_cfg=run.sampler, nodes=subset,
                     known_ids=known, seed=run.seed)
     _write_atomic(args.out, _scores_csv(preds))
-    _write_manifest(args.out, "predict", [args.data, args.props, args.ckpt],
+    _write_manifest([args.out], "predict", [args.data, args.props, args.ckpt],
                     dump_run_config(run))
     log.info("scored %d nodes", len(preds))
     return 0
@@ -244,7 +245,8 @@ def cmd_evaluate(args) -> int:
         lines += [f"{repr(float(f))},{repr(float(t))}"
                   for f, t in roc_points(probs, labels)]
         _write_atomic(args.roc, "\n".join(lines) + "\n")
-    _write_manifest(args.out, "evaluate", [args.scores, args.data], "")
+    _write_manifest([args.out, args.roc], "evaluate",
+                    [args.scores, args.data], "")
     sys.stdout.write(report.to_text())
     return 0
 
@@ -291,7 +293,7 @@ def cmd_ablate(args) -> int:
             log.info("ablate %s/%s/%s seed %d: auc %.4f",
                      sampling, attention, gate, seed, report.auc)
     _write_atomic(args.out, "\n".join(lines) + "\n")
-    _write_manifest(args.out, "ablate", [args.data, args.props],
+    _write_manifest([args.out], "ablate", [args.data, args.props],
                     dump_run_config(run))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

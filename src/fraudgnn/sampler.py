@@ -4,7 +4,8 @@ Each neighbor's selection probability is proportional to (strongest edge
 weight between the pair) x (exponential cosine similarity of the feature
 vectors). Top-z keeps the highest-probability neighbors; fraud nodes can
 additionally pull in non-adjacent fraud nodes with similar behavior.
-sample_layer makes every node's picks for one layer at once.
+sample_layer makes every node's picks for one layer at once: each mode is a
+sort key per (node, neighbor) entry, and a node keeps its z smallest keys.
 """
 
 from __future__ import annotations
@@ -45,17 +46,6 @@ class SamplerConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def _node_rng(cfg: SamplerConfig, v: int) -> np.random.Generator:
-    """Per-node stream keyed by (seed, node id), so order is irrelevant.
-
-    The key deliberately leaves out the layer: in weighted mode, layers with
-    equal z_hat draw the same neighborhood of a node within one pass. Only
-    the seed, which the trainer salts per epoch, changes the draw. Keying by
-    layer as well would change every weighted-mode output.
-    """
-    return np.random.default_rng((cfg.seed & _SEED_MASK, v & _SEED_MASK))
-
-
 def combine_seed(seed: int, salt: int) -> int:
     """Fold a salt (e.g. an epoch number) into a sampler seed, stably."""
     return (seed * 1_000_003 + salt) & _SEED_MASK
@@ -91,39 +81,57 @@ def _fraud_extras(g: TransactionGraph, cfg: SamplerConfig,
     return np.array(src, dtype=np.int64), np.array(extra, dtype=np.int64)
 
 
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output (Steele et al., OOPSLA 2014), wrapping in uint64."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _entry_uniforms(seed: int, node_ids: np.ndarray,
+                   nbr_ids: np.ndarray) -> np.ndarray:
+    """A uniform in (0, 1] per (node id, neighbor id) pair from the hash
+    mix(mix(mix(seed) ^ node id) ^ neighbor id), so never from row order."""
+    h = _mix(np.array([seed & _SEED_MASK], dtype=np.uint64))
+    h = _mix(h ^ np.asarray(node_ids, dtype=np.int64).view(np.uint64))
+    h = _mix(h ^ np.asarray(nbr_ids, dtype=np.int64).view(np.uint64))
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def _entry_keys(g: TransactionGraph, cfg: SamplerConfig,
+                src: np.ndarray) -> np.ndarray:
+    """Each CSR entry's sort key; ``src`` holds the entries' node rows.
+    Top-z ranks by -p, p being ``g.edge_scores``. The random modes race
+    (Efraimidis & Spirakis, IPL 2006): an entry finishes at -log(u) / p,
+    weighted, or at -log(u), uniform, and a row's z first finishers are z
+    successive draws in proportion to p, or z uniform ones."""
+    if cfg.mode == "deterministic_topz":
+        return -g.edge_scores
+    race = -np.log(_entry_uniforms(cfg.seed, g.node_ids[src], g.csr.ids))
+    return race if cfg.mode == "uniform" else race / g.edge_scores
+
+
 def sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
-                 fraud_pool=(), rng: np.random.Generator | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 fraud_pool=()) -> tuple[np.ndarray, np.ndarray]:
     """Every node's picks for a layer of size z as (node row, neighbor row)
     pairs, grouped by ascending node row.
 
-    A node with at most z neighbors keeps them all. Of more, mode
-    "deterministic_topz" keeps the z with the highest selection
-    probabilities (its row of ``g.edge_scores``), ties by ascending id, and
-    "weighted_without_replacement" draws z without replacement in
-    proportion to them from the node's own stream. A row's kept neighbors
-    come in ascending id, followed by _fraud_extras for nodes in
-    ``fraud_pool``. Mode "uniform" draws from ``rng`` instead, one row after
-    another in record order, and over-samples nothing.
+    A node with at most z neighbors keeps them all. Of more, it keeps the z
+    with the smallest _entry_keys, ties by ascending id. A row's kept
+    neighbors come in ascending id, followed by _fraud_extras for nodes in
+    ``fraud_pool``, except in uniform mode, which over-samples nothing.
     """
     csr = g.csr
-    bounds, ids = csr.indptr.tolist(), csr.ids
-    p_all = None if cfg.mode == "uniform" else g.edge_scores
+    bounds, ids, degree = csr.indptr.tolist(), csr.ids, np.diff(csr.indptr)
+    src = np.repeat(np.arange(g.n_nodes), degree)
+    key = _entry_keys(g, cfg, src)
     keep = np.ones(len(ids), dtype=bool)  # rows of at most z keep every entry
-    for row in np.flatnonzero(np.diff(csr.indptr) > z).tolist():
+    for row in np.flatnonzero(degree > z).tolist():
         lo, hi = bounds[row], bounds[row + 1]
-        if cfg.mode == "uniform":
-            pos = rng.choice(hi - lo, size=z, replace=False)
-        elif cfg.mode == "deterministic_topz":
-            pos = np.lexsort((ids[lo:hi], -p_all[lo:hi]))[:z]
-        else:  # choice over the row's length draws the indices it does over ids
-            p = p_all[lo:hi]
-            pos = _node_rng(cfg, int(g.node_ids[row])).choice(
-                hi - lo, size=z, replace=False, p=p / p.sum())
         keep[lo:hi] = False
-        keep[lo + pos] = True
-    src = np.repeat(np.arange(g.n_nodes), np.diff(csr.indptr))[keep]
-    nbr = csr.rows[keep]
+        keep[lo + np.lexsort((ids[lo:hi], key[lo:hi]))[:z]] = True
+    src, nbr = src[keep], csr.rows[keep]
     if cfg.mode == "uniform" or cfg.oversample_count == 0 or not len(fraud_pool):
         return src, nbr
     x_src, x_nbr = _fraud_extras(g, cfg, fraud_pool)

@@ -28,7 +28,6 @@ from .tgraph import TransactionGraph, UNLABELED
 log = logging.getLogger(__name__)
 
 BATCH_SEED_TAG = 3
-SAMPLER_SEED_TAG = 4
 
 PROB_CLAMP = 1e-7
 
@@ -93,24 +92,14 @@ def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
                    epoch: int, fraud_pool: list[int]) -> list[Neighborhoods]:
     """One Neighborhoods object per layer for this epoch.
 
-    Uniform mode draws each layer from a stream keyed by (trainer seed,
-    epoch, layer) and ignores ``fraud_pool``. Adaptive modes sample each
-    distinct z_hat once and share the result between the layers that have
-    it: a layer reaches the sampler only through z_hat[k], and weighted
-    draws are keyed by (seed, node). They read the graph's cached edge
+    The random modes salt the sampler seed by epoch. Each distinct z_hat is
+    sampled once and its result shared between the layers that have it: a
+    layer reaches the sampler only through z_hat[k], and draws are keyed by
+    (seed, node, neighbor). Every pass reads the graph's cached edge
     scores, so train and predict on one graph score it once.
     """
     scfg = cfg.sampler
-    if scfg.mode == "uniform":
-        out = []
-        for k, z in enumerate(scfg.z_hat):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                (cfg.seed, SAMPLER_SEED_TAG, epoch, k)))
-            out.append(model_mod.pack_rows(
-                graph, *sampler_mod.sample_layer(graph, z, scfg, rng=rng)))
-        return out
-
-    if scfg.mode == "weighted_without_replacement":
+    if scfg.mode != "deterministic_topz":
         scfg = replace(scfg, seed=combine_seed(scfg.seed, epoch))
     by_z: dict[int, Neighborhoods] = {}
     for z in scfg.z_hat:
@@ -204,7 +193,7 @@ def predict(graph: TransactionGraph, params: ModelParams,
             seed: int = 0) -> list[Prediction]:
     """Score nodes with a trained model. No node is over-sampled.
 
-    ``seed`` keys uniform-mode draws, as TrainConfig.seed does in training.
+    ``seed`` is the sampler seed when ``sampler_cfg`` is None.
 
     known_ids mark nodes whose stored labels may inform the diversity gate
     (normally the training split). Remaining nodes start as class 0, get a
@@ -216,10 +205,9 @@ def predict(graph: TransactionGraph, params: ModelParams,
             f"graph features have width {features.shape[1]} but the "
             f"checkpoint expects {params.feature_dim}")
     if sampler_cfg is None:
-        z = tuple(10 for _ in range(params.config.k_layers))
-        sampler_cfg = SamplerConfig(z_hat=z, seed=seed)
-    cfg = TrainConfig(model=params.config, sampler=sampler_cfg,
-                      epochs=0, seed=seed)
+        sampler_cfg = SamplerConfig(z_hat=(10,) * params.config.k_layers,
+                                    seed=seed)
+    cfg = TrainConfig(model=params.config, sampler=sampler_cfg, epochs=0)
     if nodes is None:
         nodes = graph.node_ids.tolist()
     rows = graph.rows_of(nodes)

@@ -9,7 +9,11 @@ sampler.sample_layer's and model.pack_rows' picks one node at a time. The padded
 (n, width) neighbor table, which model.Neighborhoods' compressed rows
 replaced, is kept here with the functions that read it, as their oracle.
 scipy.stats.rankdata and the per-score ROC loop are the oracles of
-metrics.auc's and metrics.roc_points' tie groups.
+metrics.auc's and metrics.roc_points' tie groups. The random modes' race
+over hashed uniforms is redone here in Python integers (splitmix64,
+race_uniform, race_pick); the draws it replaced, a numpy Generator per
+node (choice_pick) and one stream per layer in row order
+(uniform_neighborhoods), are kept as oracles of the old path.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fraudgnn.datagen import (_FIXED_COLUMNS, DOWNSAMPLE_SEED_TAG,
 from fraudgnn.errors import (ConfigError, IngestError, InputError, ShapeError,
                              unreadable)
 from fraudgnn.model import ACTIVATIONS, ModelConfig, Neighborhoods, forward
-from fraudgnn.sampler import SamplerConfig, _node_rng, combine_seed
+from fraudgnn.sampler import SamplerConfig, combine_seed
 from fraudgnn.tgraph import (UNLABELED, Proposition, TransactionGraph,
                              TransactionRecord, pair_scores)
 from fraudgnn.train import _bce_tensor
@@ -178,12 +182,52 @@ def selection_probabilities(g: TransactionGraph, v: int) -> dict[int, float]:
     return dict(zip(ids.tolist(), p.tolist()))
 
 
+_U64 = (1 << 64) - 1
+_SEED_MASK = (1 << 63) - 1
+
+
+def splitmix64(x: int) -> int:
+    """splitmix64's output function on a Python integer, modulo 2**64."""
+    x = (x + 0x9E3779B97F4A7C15) & _U64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
+    return x ^ (x >> 31)
+
+
+def race_uniform(seed: int, v: int, nb: int) -> float:
+    """The uniform of the (node v, neighbor nb) entry under seed; negative
+    ids enter as their two's complement."""
+    h = splitmix64(int(seed) & _SEED_MASK)
+    h = splitmix64(splitmix64(h ^ (int(v) & _U64)) ^ (int(nb) & _U64))
+    return ((h >> 11) + 0.5) * 2.0 ** -53
+
+
+def race_pick(seed: int, v: int, ids, p, z: int) -> list[int]:
+    """Node v's z first finishers, id-sorted: neighbor i finishes at
+    -log(u_i) / p_i, or at -log(u_i) when p is None (uniform), ties by
+    ascending id."""
+    weights = [1.0] * len(ids) if p is None else p
+    finish = sorted((-math.log(race_uniform(seed, v, i)) / w, i)
+                    for i, w in zip(ids, weights))
+    return sorted(i for _, i in finish[:z])
+
+
+def choice_pick(cfg: SamplerConfig, v: int, ids, p, z: int) -> list[int]:
+    """Weighted mode's draw before the race: Generator.choice of z ids
+    without replacement, in proportion to p, from node v's own stream,
+    keyed by (seed, node id)."""
+    p = np.asarray(p, dtype=np.float64)
+    rng = np.random.default_rng((cfg.seed & _SEED_MASK, v & _SEED_MASK))
+    chosen = rng.choice(np.asarray(ids), size=z, replace=False, p=p / p.sum())
+    return sorted(int(i) for i in chosen)
+
+
 def sample_topz(g: TransactionGraph, v: int, k: int, cfg: SamplerConfig,
                 scores: np.ndarray | None = None) -> list[int]:
     """Select up to z_hat[k] neighbors of v by selection probability.
 
     Deterministic mode keeps the top probabilities (ties broken by ascending
-    id); weighted mode draws without replacement proportionally to them;
+    id); weighted mode keeps the race's first finishers (race_pick);
     uniform mode is rejected with ConfigError.
     ``scores`` is g.edge_scores; without it v's neighbors are scored here.
     """
@@ -196,9 +240,7 @@ def sample_topz(g: TransactionGraph, v: int, k: int, cfg: SamplerConfig,
     if cfg.mode == "deterministic_topz":
         order = np.lexsort((ids, -p))[:z]
         return sorted(ids[order].tolist())
-    rng = _node_rng(cfg, v)
-    chosen = rng.choice(ids, size=z, replace=False, p=p / p.sum())
-    return sorted(chosen.tolist())
+    return race_pick(cfg.seed, v, ids.tolist(), p.tolist(), z)
 
 
 def oversample_fraud(
@@ -299,10 +341,7 @@ def loop_sample_topz(g: TransactionGraph, v, k: int, cfg) -> list:
     if cfg.mode == "deterministic_topz":
         order = np.lexsort((ids, -p))[:z]
         return sorted(int(ids[i]) for i in order)
-    mask = (1 << 63) - 1
-    rng = np.random.default_rng((cfg.seed & mask, v & mask))
-    chosen = rng.choice(ids, size=z, replace=False, p=p / p.sum())
-    return sorted(int(i) for i in chosen)
+    return race_pick(cfg.seed, v, ids.tolist(), p.tolist(), z)
 
 
 def loop_sample_neighborhood(g: TransactionGraph, v, k: int, cfg,
@@ -620,14 +659,22 @@ def uniform_sample(graph: TransactionGraph, node: int, z: int,
 def uniform_neighborhoods(graph: TransactionGraph, z: int,
                           rng: np.random.Generator) -> Neighborhoods:
     """Uniform-random neighborhoods for every node, packed for the model:
-    one layer of train._sample_layers in mode "uniform", given its stream."""
-    sampled = []
-    for rec in graph.records:
-        chosen = uniform_sample(graph, rec.id, z, rng)
-        probs = [1.0 / len(chosen)] * len(chosen) if chosen else []
-        sampled.append(SampledNeighborhood(node=rec.id, selected=chosen,
-                                           probabilities=probs))
-    return pack_neighborhoods(graph, sampled)
+    one layer of uniform mode before the race, one stream read row after
+    row in record order."""
+    return pack_neighborhoods(graph, [
+        SampledNeighborhood(node=rec.id,
+                            selected=uniform_sample(graph, rec.id, z, rng))
+        for rec in graph.records])
+
+
+def race_uniform_neighborhoods(graph: TransactionGraph, z: int,
+                               seed: int) -> Neighborhoods:
+    """One layer of uniform mode, node by node: each node's z first
+    finishers of the uniform race (race_pick with p None), packed."""
+    return pack_neighborhoods(graph, [
+        SampledNeighborhood(node=rec.id, selected=race_pick(
+            seed, rec.id, graph.neighbors(rec.id), None, z))
+        for rec in graph.records])
 
 
 _ACTIVATIONS = {

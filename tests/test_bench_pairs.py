@@ -60,3 +60,23 @@ def test_gap_against_the_parents_iqr(shift, exceeds):
     assert quart["q3"] - quart["q1"] == pytest.approx(0.045)
     for name in ("pipeline_s", "test_auc"):
         assert s[name]["gap_exceeds_parent_iqr"] is exceeds
+
+
+def test_digest_runs_record_each_sides_auc_per_seed(monkeypatch):
+    """Every digest run's held-out AUC lands in digests.test_auc, by side
+    and in seed order; a run that printed nothing records None."""
+    aucs = {"parent": [0.8, 0.81, 0.82], "change": [0.801, 0.811, None]}
+
+    def fake(cmd, cwd, timeout):
+        wl, seed = cmd[-2], int(cmd[-1])
+        auc = aucs[cwd][seed]
+        if auc is None:
+            return 1, None
+        return 0, {"digest": [wl, seed], "failures": [], "test_auc": auc}
+
+    monkeypatch.setattr(bench_pairs, "last_json", fake)
+    out = bench_pairs.compare_digests({"parent": "parent", "change": "change"},
+                                      ["a", "b"], 3)
+    assert out["test_auc"] == {"a": aucs, "b": aucs}
+    assert out["equal"] == 4
+    assert out["mismatches"] == ["a seed 2", "b seed 2"]

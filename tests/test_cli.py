@@ -124,6 +124,14 @@ class TestPipelineArtifacts:
             assert "command = " in body
             assert "version = " in body
 
+    @pytest.mark.parametrize("side, main_out", [("loss.csv", "model.ckpt"),
+                                                ("roc.csv", "report.txt")])
+    def test_side_outputs_have_manifests(self, workspace, side, main_out):
+        """--loss-history and --roc files get the manifest of the command
+        that wrote them, like its --out file."""
+        body = (workspace / f"{side}.manifest").read_text()
+        assert body == (workspace / f"{main_out}.manifest").read_text()
+
     def test_manifest_has_input_digests_and_config(self, workspace):
         body = (workspace / "model.ckpt.manifest").read_text()
         assert "input.data.csv = sha256:" in body

@@ -46,9 +46,8 @@ def test_session_on_a_tiny_scenario(tmp_path):
     assert list(result["seconds"]) == ["generate", "build-graph", "train",
                                        "predict", "evaluate"]
     assert result["total_s"] > 0
-    manifested = ["data.csv", "graph.txt", "model.ckpt", "scores.csv",
-                  "report.txt"]
+    manifested = ["data.csv", "graph.txt", "model.ckpt", "loss.csv",
+                  "scores.csv", "report.txt", "roc.csv"]
     assert sorted(result["artifacts"]) == sorted(
-        manifested + [name + ".manifest" for name in manifested]
-        + ["loss.csv", "roc.csv"])
+        manifested + [name + ".manifest" for name in manifested])
     assert all(len(digest) == 64 for digest in result["artifacts"].values())

@@ -6,20 +6,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraudgnn.datagen import ScenarioConfig, generate, split_records
 from fraudgnn.errors import ConfigError, InputError
 from fraudgnn.model import ModelConfig, checkpoint_text
-from fraudgnn.sampler import DEFAULT_SIMILARITY_FLOOR, SamplerConfig, combine_seed
+from fraudgnn.sampler import (DEFAULT_SIMILARITY_FLOOR, SamplerConfig,
+                              _entry_uniforms, combine_seed, sample_layer)
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import TrainConfig, _sample_layers, predict, train
 
 import reference
-from reference import (loop_sample_layers, loop_sample_neighborhood,
+from reference import (choice_pick, loop_sample_layers,
+                       loop_sample_neighborhood,
                        loop_selection_probabilities,
                        naive_selection_probabilities, naive_topz,
-                       oversample_fraud, random_transaction_records,
-                       rectangle,
+                       oversample_fraud, race_pick, race_uniform,
+                       random_transaction_records, rectangle,
                        sample_neighborhood, sample_topz,
                        selection_probabilities, similarity)
 
@@ -406,3 +410,112 @@ class TestScoreEdgesMatchesLoopReference:
         with pytest.raises(InputError, match="edge_scores"):
             sample_topz(g, g.node_ids[0], 0, SamplerConfig(z_hat=(2,)),
                         scores=wrong)
+
+
+# ids of every sign and size: small, near 2**62, and anywhere in int64;
+# GRAPH_IDS keep within the +-2**62 that build_graph accepts
+RACE_IDS = st.one_of(st.integers(-40, 40),
+                     st.integers(2**62 - 40, 2**62 + 40),
+                     st.integers(-2**63, 2**63 - 1))
+GRAPH_IDS = st.one_of(st.integers(-40, 40),
+                      st.integers(2**62 - 40, 2**62 - 1),
+                      st.integers(-2**62 + 1, -2**62 + 40))
+RANDOM_MODES = ["weighted_without_replacement", "uniform"]
+
+
+@st.composite
+def two_cliques(draw):
+    """Cliques of a and a + 1 records, so z = a - 1 meets rows of degree z
+    and z + 1; features from three rows, so selection probabilities tie."""
+    a = draw(st.integers(2, 6))
+    ids = draw(st.lists(GRAPH_IDS, min_size=2 * a + 1, max_size=2 * a + 1,
+                        unique=True))
+    rows = draw(st.lists(st.sampled_from([(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+                         min_size=len(ids), max_size=len(ids)))
+    records = [rec(i, x, raw={"device": str(j < a)})
+               for j, (i, x) in enumerate(zip(ids, rows))]
+    return build_graph(records, [Proposition(name="dev", field="device")]), a
+
+
+def picks(g, src, nbr) -> dict:
+    """sample_layer's output as {node id: its picked neighbor ids}."""
+    out = {int(v): [] for v in g.node_ids}
+    for r, c in zip(src.tolist(), nbr.tolist()):
+        out[int(g.node_ids[r])].append(int(g.node_ids[c]))
+    return out
+
+
+def layer_pairs(g, nb) -> set:
+    return set(zip(g.node_ids[nb.src].tolist(), g.node_ids[nb.nbr].tolist()))
+
+
+class TestRace:
+    """The random modes as a race over splitmix64-hashed uniforms, against
+    the Python-integer oracle, the exact inclusion probabilities and a
+    graph rebuilt in another row order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(-2**70, 2**70),
+           pairs=st.lists(st.tuples(RACE_IDS, RACE_IDS), min_size=1,
+                          max_size=20))
+    def test_uniforms_bit_equal_to_the_oracle(self, seed, pairs):
+        v, nb = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+        want = np.array([race_uniform(seed, a, b) for a, b in pairs])
+        got = _entry_uniforms(seed, v, nb)
+        assert got.tobytes() == want.tobytes()
+        assert ((got > 0) & (got <= 1)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=two_cliques(), seed=st.integers(0, 2**63 - 1),
+           mode=st.sampled_from(RANDOM_MODES))
+    def test_picks_equal_the_per_node_race(self, case, seed, mode):
+        g, a = case
+        z = a - 1
+        cfg = SamplerConfig(z_hat=(z,), mode=mode, seed=seed)
+        got = picks(g, *sample_layer(g, z, cfg))
+        for row, v in enumerate(g.node_ids.tolist()):
+            span = g.csr.span(row)
+            p = None if mode == "uniform" else g.edge_scores[span].tolist()
+            assert got[v] == race_pick(seed, v, g.csr.ids[span].tolist(), p, z)
+        assert sorted(len(c) for c in got.values()) == [z] * (2 * a + 1)
+
+    def test_inclusion_frequencies_match_successive_sampling(self):
+        """One row of five neighbors, z = 2, over 20,000 seeds: each
+        neighbor's inclusion frequency lies within four standard errors of
+        p_i + sum_j p_j p_i / (1 - p_j), for the race and the Generator
+        draws it replaced alike."""
+        p = [0.4, 0.3, 0.15, 0.1, 0.05]
+        ids, n = [10, 11, 12, 13, 14], 20_000
+        exact = np.array([pi + sum(pj * pi / (1 - pj)
+                                   for j, pj in enumerate(p) if j != i)
+                          for i, pi in enumerate(p)])
+        bound = 4 * np.sqrt(exact * (1 - exact) / n)
+        for draw in (lambda s: race_pick(s, 1, ids, p, 2),
+                     lambda s: choice_pick(SamplerConfig(seed=s), 1, ids, p, 2)):
+            counts = np.zeros(5)
+            for seed in range(n):
+                counts[np.subtract(draw(seed), 10)] += 1
+            assert (np.abs(counts / n - exact) <= bound).all()
+
+    @pytest.mark.parametrize("mode", RANDOM_MODES)
+    def test_picks_ignore_row_order(self, mode):
+        """A graph rebuilt from the records in reverse gives every node the
+        same (id, neighbor id) picks, over-sampled extras included."""
+        records = generate(ScenarioConfig(
+            n_legit=90, n_fraud=30, n_devices=4, n_ips=8,
+            camouflage_rate=0.3, time_span_seconds=21600, seed=2))
+        props = [Proposition(name="dev", field="device", weight=2,
+                             window_seconds=3600),
+                 Proposition(name="ip", field="ip", window_seconds=3600)]
+        pool = sorted(r.id for r in records if r.label == 1)[::2]
+        cfg = TrainConfig(model=ModelConfig(k_layers=2),
+                          sampler=SamplerConfig(z_hat=(4, 6), mode=mode,
+                                                seed=3, oversample_count=2))
+        layers = []
+        for order in (records, records[::-1]):
+            g = build_graph(order, props)
+            layers.append([layer_pairs(g, nb)
+                           for nb in _sample_layers(g, cfg, 2, pool)])
+        assert layers[0] == layers[1]
+        # a real choice: some node has more neighbors than it keeps
+        assert max(np.diff(g.csr.indptr)) > 6

@@ -1,6 +1,7 @@
 """Training loop behavior: losses, determinism, failure modes, inference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,21 +16,26 @@ from fraudgnn.errors import (CheckpointError, ConfigError, InputError,
 from fraudgnn.model import (ACTIVATIONS, TIME_MODES, ModelConfig,
                             checkpoint_text, init_params, receptive_rows)
 from fraudgnn.nn import Tensor
-from fraudgnn.sampler import SamplerConfig
+from fraudgnn.sampler import SamplerConfig, combine_seed
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
-from fraudgnn.train import (SAMPLER_SEED_TAG, TrainConfig, _bce_tensor,
-                            _gates_for, _sample_layers, batch_loss, predict,
-                            train)
+from fraudgnn.train import (TrainConfig, _bce_tensor, _gates_for,
+                            _sample_layers, batch_loss, predict, train)
 
 from conftest import make_two_cluster_records
 from reference import (full_graph_batch_loss, loop_sample_layers,
-                       rectangle, uniform_neighborhoods)
+                       race_uniform_neighborhoods, rectangle)
 
 
 def cluster_graph(n=20, noise=0.05, seed=0):
     records = make_two_cluster_records(n, noise=noise, seed=seed)
     props = [Proposition(name="dev", field="device", window_seconds=10**6)]
     return build_graph(records, props)
+
+
+def assert_same_layer(got, want):
+    assert_array_equal(rectangle(got).idx, rectangle(want).idx)
+    assert_array_equal(rectangle(got).mask, rectangle(want).mask)
+    assert_array_equal(rectangle(got).dt, rectangle(want).dt)
 
 
 def small_config(epochs=30, k=2, z=4, **kw):
@@ -258,9 +264,7 @@ class TestDistinctZSampledOnce:
         assert layers[2] is not layers[0]
         expected = loop_sample_layers(g, cfg, 3, pool, scores)
         for got, want in zip(layers, expected):
-            assert_array_equal(rectangle(got).idx, rectangle(want).idx)
-            assert_array_equal(rectangle(got).mask, rectangle(want).mask)
-            assert_array_equal(rectangle(got).dt, rectangle(want).dt)
+            assert_same_layer(got, want)
         # not a trivial case: fraud extras widen rows past z = 8, and
         # layer 2's z = 4 keeps fewer neighbors
         widths = [rectangle(nb).mask.sum(axis=1) for nb in layers]
@@ -281,7 +285,8 @@ def camouflage_scenario():
 
 
 class TestUniformMode:
-    """mode="uniform": one stream per layer keyed by the trainer seed."""
+    """mode="uniform": the uniform race keyed by the sampler seed, salted
+    by epoch, one pass per distinct z_hat as in the adaptive modes."""
 
     def test_layers_match_the_reference_draws(self):
         g, pool = camouflage_scenario()
@@ -289,27 +294,28 @@ class TestUniformMode:
         cfg.sampler = SamplerConfig(z_hat=(4, 4, 2), mode="uniform", seed=99)
         layers = _sample_layers(g, cfg, 3, pool)
         for k, got in enumerate(layers):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                (11, SAMPLER_SEED_TAG, 3, k)))
-            want = uniform_neighborhoods(g, cfg.sampler.z_hat[k], rng)
-            assert_array_equal(rectangle(got).idx, rectangle(want).idx)
-            assert_array_equal(rectangle(got).mask, rectangle(want).mask)
-            assert_array_equal(rectangle(got).dt, rectangle(want).dt)
-        # pooled fraud gets no extras, and equal z_hat layers still draw apart
+            assert_same_layer(got, race_uniform_neighborhoods(
+                g, cfg.sampler.z_hat[k], combine_seed(99, 3)))
+        # pooled fraud gets no extras, and equal z_hat layers share a pass
         assert rectangle(layers[0]).mask.sum(axis=1).max() == 4
-        assert not np.array_equal(rectangle(layers[0]).idx,
-                                  rectangle(layers[1]).idx)
+        assert layers[0] is layers[1]
 
-    def test_predict_seed_keys_the_draws(self):
+    def test_sampler_seed_keys_predict_draws(self):
+        """The sampler seed keys the draws; predict's seed argument only
+        seeds a default sampler config, so it leaves a given one alone."""
         g, _ = camouflage_scenario()
         cfg = small_config(epochs=2, seed=4)
         cfg.sampler = SamplerConfig(z_hat=(4, 4), mode="uniform")
         result = train(g, cfg)
-        a = predict(g, result.params, cfg.sampler, seed=4)
-        b = predict(g, result.params, cfg.sampler, seed=4)
-        c = predict(g, result.params, cfg.sampler, seed=5)
-        assert [p.p_fraud for p in a] == [p.p_fraud for p in b]
-        assert [p.p_fraud for p in a] != [p.p_fraud for p in c]
+        other = replace(cfg.sampler, seed=5)
+
+        def scores(sampler_cfg, seed=0):
+            return [p.p_fraud for p in predict(g, result.params, sampler_cfg,
+                                               seed=seed)]
+
+        assert scores(cfg.sampler, seed=4) == scores(cfg.sampler, seed=5)
+        assert scores(other) == scores(other)
+        assert scores(cfg.sampler) != scores(other)
 
 
 Z = 3  # layer sizes (Z, Z + 1) in TestLayerPassEdgeCases
@@ -358,9 +364,7 @@ class TestLayerPassEdgeCases:
         got = _sample_layers(g, cfg, 2, pool)
         want = loop_sample_layers(g, cfg, 2, pool, None)
         for a, b in zip(got, want):
-            assert_array_equal(rectangle(a).idx, rectangle(b).idx)
-            assert_array_equal(rectangle(a).mask, rectangle(b).mask)
-            assert_array_equal(rectangle(a).dt, rectangle(b).dt)
+            assert_same_layer(a, b)
         widths = rectangle(got[0]).mask.sum(axis=1)
         degrees = np.diff(g.csr.indptr)
         assert {Z, Z + 1, 0} <= set(degrees.tolist())
@@ -374,15 +378,11 @@ class TestLayerPassEdgeCases:
     def test_uniform_layers_match_the_reference_draws(self):
         g, records = edge_case_graph()
         cfg = small_config(k=2, seed=5)
-        cfg.sampler = SamplerConfig(z_hat=(Z, Z + 1), mode="uniform")
+        cfg.sampler = SamplerConfig(z_hat=(Z, Z + 1), mode="uniform", seed=6)
         pool = [r.id for r in records if r.label == 1]
         for k, got in enumerate(_sample_layers(g, cfg, 4, pool)):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                (5, SAMPLER_SEED_TAG, 4, k)))
-            want = uniform_neighborhoods(g, cfg.sampler.z_hat[k], rng)
-            assert_array_equal(rectangle(got).idx, rectangle(want).idx)
-            assert_array_equal(rectangle(got).mask, rectangle(want).mask)
-            assert_array_equal(rectangle(got).dt, rectangle(want).dt)
+            assert_same_layer(got, race_uniform_neighborhoods(
+                g, cfg.sampler.z_hat[k], combine_seed(6, 4)))
 
 
 class TestScoresOncePerGraph:

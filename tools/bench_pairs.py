@@ -9,8 +9,9 @@ Run it from the root of the repository, with nothing else running.
    temporary directories with `git archive`, so both sides
    run committed code only and uncommitted edits stay out.
 2. For seeds 0 .. DIGEST_SEEDS - 1 of every workload in BENCHMARK.json,
-   run one `perfbench/pipeline.run_once` per side and compare the sha256
-   digests of the scores text and of `checkpoint_text`.
+   run one `perfbench/pipeline.run_once` per side, compare the sha256
+   digests of the scores text and of `checkpoint_text`, and record each
+   side's held-out AUC per seed (`digests.test_auc`).
 3. Run PAIRS alternating pairs of `perfbench/run.py --workload W
    --seed i --seconds SECONDS` per workload: pair i runs seed i, even
    pairs run the parent first and odd pairs the change first.
@@ -61,7 +62,8 @@ with tempfile.TemporaryDirectory() as tmp:
     csv_path = os.path.join(tmp, "inputs.csv")
     inputs = run.make_inputs(pkg, wl, seed, csv_path)
     rec = pipeline.run_once(pkg, wl, csv_path, inputs["edges"])
-print(json.dumps({"digest": rec["digest"], "failures": rec["failures"]}))
+print(json.dumps({"digest": rec["digest"], "failures": rec["failures"],
+                  "test_auc": rec["test_auc"]}))
 """
 
 
@@ -100,6 +102,7 @@ def last_json(cmd: list[str], cwd: str, timeout: float) -> tuple[int, dict | Non
 
 def compare_digests(dirs: dict, workloads: list[str], seeds: int) -> dict:
     mismatches, failures = [], []
+    auc = {wl: {side: [] for side in dirs} for wl in workloads}  # per seed
     for wl in workloads:
         for seed in range(seeds):
             got = {}
@@ -107,6 +110,7 @@ def compare_digests(dirs: dict, workloads: list[str], seeds: int) -> dict:
                 _, out = last_json([sys.executable, "-c", DIGEST_SCRIPT, wl,
                                     str(seed)], path, timeout=600)
                 got[side] = out
+                auc[wl][side].append(out and out["test_auc"])
                 if out is None or out["failures"]:
                     failures.append(f"{side} {wl} seed {seed}: "
                                     f"{out and out['failures']}")
@@ -118,7 +122,7 @@ def compare_digests(dirs: dict, workloads: list[str], seeds: int) -> dict:
                   flush=True)
     equal = len(workloads) * seeds - len(mismatches)
     return {"equal": equal, "compared": len(workloads) * seeds,
-            "mismatches": mismatches, "failures": failures}
+            "mismatches": mismatches, "failures": failures, "test_auc": auc}
 
 
 def one_run(path: str, wl: str, seed: int, seconds: float,
