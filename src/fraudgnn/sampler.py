@@ -90,7 +90,7 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 
 def _entry_uniforms(seed: int, node_ids: np.ndarray,
-                   nbr_ids: np.ndarray) -> np.ndarray:
+                    nbr_ids: np.ndarray) -> np.ndarray:
     """A uniform in (0, 1] per (node id, neighbor id) pair from the hash
     mix(mix(mix(seed) ^ node id) ^ neighbor id), so never from row order."""
     h = _mix(np.array([seed & _SEED_MASK], dtype=np.uint64))
