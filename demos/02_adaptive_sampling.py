@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from fraudgnn.datagen import ScenarioConfig, generate
-from fraudgnn.sampler import SamplerConfig, sample_layer
+from fraudgnn.sampler import SamplerConfig, _fraud_extras, sample_layer
 from fraudgnn.tgraph import Proposition, build_graph, pair_scores
 
 
@@ -31,7 +31,8 @@ def similarities(g, v, others):
 
 def picks(g, v, cfg, fraud_pool=()):
     """v's neighbor ids in sample_layer's picks for a layer of cfg.z_hat[0]."""
-    src, nbr = sample_layer(g, cfg.z_hat[0], cfg, fraud_pool)
+    src, nbr = sample_layer(g, cfg.z_hat[0], cfg,
+                            _fraud_extras(g, cfg, fraud_pool))
     return g.node_ids[nbr[src == g.index_of(v)]].tolist()
 
 

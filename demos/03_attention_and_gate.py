@@ -68,9 +68,8 @@ def main():
     banner("attention coefficients versus plain averaging")
     params = init_params(scen.feature_dim, cfg, seed=0)
     h0 = Tensor(g.features)
-    # one weight per cell of nb; its entries, in row order, sit at entry_cells
-    cells = attention_weights(h0, nb, params.layers[0], cfg).data.ravel()
-    alpha = cells[nb.entry_cells]
+    # one weight per entry of nb, in row order
+    alpha = attention_weights(h0, nb, params.layers[0], cfg).data.ravel()
     flat = uniform_weights(nb)
     i = int(order[-1])  # the most mixed row
     row = slice(nb.indptr[i], nb.indptr[i + 1])

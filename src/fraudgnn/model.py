@@ -120,46 +120,43 @@ def init_params(feature_dim: int, config: ModelConfig, seed: int) -> ModelParams
 # neighborhood batching
 # ---------------------------------------------------------------------------
 
-class Neighborhoods(nn.CellLayout):
+class Neighborhoods(nn.CompressedRows):
     """One layer's sampled neighbors of each node row, as compressed rows.
 
     Node row i's neighbor rows are nbr[indptr[i]:indptr[i + 1]], and dt
-    holds each entry's |timestamp gap| in seconds. The layer runs on the
-    rows' cells (see nn.CellLayout) at `width`: pack_rows sets the longest
-    row's entry count (at least 1), and take keeps it. The weights on the
-    cells are built on first use and kept here, so the arrays must not
-    change after that.
+    holds each entry's |timestamp gap| in seconds. The layer's per-entry
+    weight columns are built on first use and kept here, so the arrays
+    must not change after that.
     """
 
-    def __init__(self, indptr: np.ndarray, nbr: np.ndarray, dt: np.ndarray,
-                 width: int):
-        super().__init__(indptr, nbr, width)
+    def __init__(self, indptr: np.ndarray, nbr: np.ndarray, dt: np.ndarray):
+        super().__init__(indptr, nbr)
         self.dt = dt
-        self._time_cells: dict = {}
+        self._time_columns: dict = {}
 
     @property
     def n_nodes(self) -> int:
         return self.n_rows
 
     def take(self, rows: np.ndarray) -> Neighborhoods:
-        """The rows `rows` alone, in their order, at this width (README,
-        determinism); nbr still names rows of the whole node table."""
+        """The rows `rows` alone, in their order; nbr still names rows of
+        the whole node table."""
         counts = np.diff(self.indptr)[rows]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         pos = (np.repeat(self.indptr[rows] - indptr[:-1], counts)
                + np.arange(indptr[-1]))
-        return Neighborhoods(indptr, self.nbr[pos], self.dt[pos], self.width)
+        return Neighborhoods(indptr, self.nbr[pos], self.dt[pos])
 
     @cached_property
-    def uniform_cells(self) -> np.ndarray:
-        return self.put(uniform_weights(self)).reshape(-1, 1)
+    def uniform_column(self) -> np.ndarray:
+        return uniform_weights(self).reshape(-1, 1)
 
-    def time_cells(self, config: ModelConfig) -> np.ndarray:
-        """time_factors on the cells, one column; tau keys decay mode only."""
+    def time_column(self, config: ModelConfig) -> np.ndarray:
+        """time_factors as one column; tau keys decay mode only."""
         key = (config.time_mode, config.time_mode == "decay" and config.tau_seconds)
-        if key not in self._time_cells:
-            self._time_cells[key] = self.put(time_factors(self, config)).reshape(-1, 1)
-        return self._time_cells[key]
+        if key not in self._time_columns:
+            self._time_columns[key] = time_factors(self, config).reshape(-1, 1)
+        return self._time_columns[key]
 
 
 def pack_rows(graph: TransactionGraph, src: np.ndarray,
@@ -169,8 +166,7 @@ def pack_rows(graph: TransactionGraph, src: np.ndarray,
     counts = np.bincount(src, minlength=graph.n_nodes)
     ts = graph.timestamps
     return Neighborhoods(np.concatenate(([0], np.cumsum(counts))), nbr,
-                         np.abs(ts[nbr] - ts[src]).astype(np.float64),
-                         max(int(counts.max()), 1))
+                         np.abs(ts[nbr] - ts[src]).astype(np.float64))
 
 
 def time_factors(nb: Neighborhoods, config: ModelConfig) -> np.ndarray:
@@ -204,9 +200,7 @@ def neighbor_diversity(labels: np.ndarray, nb: Neighborhoods) -> np.ndarray:
     ones on exactly ln 2.
     """
     counts = np.diff(nb.indptr).astype(np.float64)
-    # sums of 0/1 weights are exact in any order
-    ones = np.bincount(nb.src, weights=np.asarray(labels)[nb.nbr],
-                       minlength=nb.n_nodes)
+    ones = nb.row_sum(np.asarray(labels)[nb.nbr])  # 0/1 sums are exact
     safe = np.where(counts > 0, counts, 1.0)
     p1 = ones / safe
     p0 = (safe - ones) / safe
@@ -255,12 +249,12 @@ def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     Each endpoint is projected by W's neighbor-facing row block; the attn
     vector scores the concatenated projections, split here into a self part
     and a neighbor part so no pairwise concat is materialized. Scores pass
-    through LeakyReLU, a masked softmax over each node's neighbors, and the
-    time-gap damping. Rows with no neighbors come out all zero. There is
-    one coefficient per cell of nb (see nn.CellLayout).
+    through LeakyReLU, a softmax over each node's neighbors, and the
+    time-gap damping. There is one coefficient per entry of nb, as a
+    column in entry order.
 
     h_prev holds every node. nb is the table of `rows` (of every node when
-    rows is None); the projections stay graph-size and only the per-cell
+    rows is None); the projections stay graph-size and only the per-entry
     work runs on nb (README, determinism).
     """
     d_in, d_out = layer.d_in, layer.d_out
@@ -270,8 +264,8 @@ def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     if rows is not None:
         score_self = nn.pick_rows(score_self, rows)
     raw = nn.add_rows(score_self, nn.gather(score_neigh, nb), nb)
-    alpha = nn.softmax_cells(nn.leaky_relu(raw), nb)
-    return nn.mul(alpha, nb.time_cells(config))
+    alpha = nn.softmax_entries(nn.leaky_relu(raw), nb)
+    return nn.mul(alpha, nb.time_column(config))
 
 
 def uniform_weights(nb: Neighborhoods) -> np.ndarray:
@@ -294,7 +288,7 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
         raise ShapeError(
             f"layer expects width {layer.d_in}, got {h_prev.cols}")
     weights = (attention_weights(h_prev, nb, layer, config, rows)
-               if config.use_attention else nb.uniform_cells)
+               if config.use_attention else nb.uniform_column)
     h_agg = nn.neighbor_sum(weights, h_prev, nb)
     if config.use_gate and gates is not None:
         gates = np.asarray(gates).reshape(-1, 1)
@@ -336,8 +330,8 @@ def receptive_rows(neighborhoods: list[Neighborhoods],
 def forward(params: ModelParams, features: np.ndarray,
             neighborhoods: list[Neighborhoods], gates: np.ndarray | None,
             rows: np.ndarray | None = None) -> Tensor:
-    """Fraud probabilities as a column: one per node, or with `rows` (node
-    rows) one per entry of rows, in their order.
+    """Fraud probabilities as a column: one per node, or with `rows`
+    (distinct node rows) one per entry of rows, in their order.
 
     With rows, each layer runs on its receptive_rows, and the result has
     the bits of the whole-graph pass at those rows.
@@ -358,7 +352,7 @@ def forward(params: ModelParams, features: np.ndarray,
         h = layer_forward(h, nb, layer, gates, params.config, field_rows)
     logits = nn.matmul(h, params.head)
     probs = nn.slice_cols(nn.softmax_rows(logits), 1, 2)
-    return probs if rows is None else nn.take_rows(probs, rows)
+    return probs if rows is None else nn.pick_rows(probs, rows)
 
 
 # ---------------------------------------------------------------------------

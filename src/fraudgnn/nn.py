@@ -202,100 +202,37 @@ def put_rows(a, rows, m: int) -> Tensor:
     return _record(out, (a,), lambda g: (g[rows],))
 
 
-def _scatter_rows(coef: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
-                  g: np.ndarray, m: int) -> np.ndarray:
-    """out[cols[k]] += coef[k] * g[i] for each entry k of row i, as (m, d).
-
-    Row i owns entries indptr[i]:indptr[i + 1]. As A.T @ g, scipy's
-    csc_matvecs adds the products to each target row in entry order from
-    +0.0, so the result equals numpy's add.at of the same products bit for
-    bit, including which NaN survives when two meet.
-    """
-    a_t = scipy.sparse.csc_matrix((coef, cols, indptr),
-                                  shape=(m, len(indptr) - 1))
-    return a_t @ g
-
-
-def take_rows(a, idx) -> Tensor:
-    """Gather rows by integer index (duplicates allowed)."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = a.data[idx, :]
-
-    def vjp(g):
-        return (_scatter_rows(np.ones(len(idx)), idx,
-                              np.arange(len(idx) + 1), g, a.rows),)
-
-    return _record(out, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
-# per-entry ops over width-bucketed neighbor tables
+# per-entry ops over compressed neighbor rows
 # ---------------------------------------------------------------------------
 
-NARROW_WIDTH = 8
+class CompressedRows:
+    """Rows of entries: row i owns entries indptr[i]:indptr[i + 1], and
+    entry k names row nbr[k] of a value table; src[k] is entry k's row.
+    A per-entry tensor is an (n_entries, 1) column in entry order."""
 
-
-class CellLayout:
-    """Compressed neighbor rows laid out as cells in width buckets.
-
-    Row i owns entries indptr[i]:indptr[i + 1] of nbr. Rows of at most
-    NARROW_WIDTH entries form the narrow bucket at min(width, NARROW_WIDTH);
-    the others form the bucket at width. Entry k of row i sits in cell
-    (bucket start + i's place in its bucket * bucket width + k - indptr[i]);
-    the other cells are padding, with neighbor row 0 and mask False.
-    A bucket of every row has rows slice(None), so its blocks are views.
-    A per-entry tensor is an (n_cells, 1) column of the buckets' cells.
-    Results equal the padded table's bit for bit (README, determinism)."""
-
-    def __init__(self, indptr: np.ndarray, nbr: np.ndarray, width: int):
-        self.indptr, self.nbr, self.width = indptr, nbr, width
+    def __init__(self, indptr: np.ndarray, nbr: np.ndarray):
+        self.indptr, self.nbr = indptr, nbr
         counts = np.diff(indptr)
-        self.n_rows = n = len(counts)
-        self.src = np.repeat(np.arange(n), counts)  # each entry's row
-        narrow = counts <= NARROW_WIDTH
-        groups = [(np.flatnonzero(narrow), min(width, NARROW_WIDTH)),
-                  (np.flatnonzero(~narrow), width)]
-        groups = [g for g in groups if len(g[0])] or groups[:1]
-        self.buckets, self.n_cells = [], 0
-        first_cell = np.zeros(n, dtype=np.int64)
-        for rows, w in groups:
-            start, self.n_cells = self.n_cells, self.n_cells + w * len(rows)
-            first_cell[rows] = np.arange(start, self.n_cells, w)
-            self.buckets.append((rows if len(groups) > 1 else slice(None),
-                                 w, start, self.n_cells))
-        self.entry_cells = ((first_cell - indptr[:-1])[self.src]
-                            + np.arange(len(nbr)))
-        self.idx, self.mask = self.put(nbr), self.put(np.ones(len(nbr), bool))
+        self.n_rows = len(counts)
+        self.src = np.repeat(np.arange(self.n_rows), counts)
+        self._filled = counts > 0
 
-    def put(self, values: np.ndarray) -> np.ndarray:  # entries -> cells
-        """One value per entry, in entry order -> one per cell; padding 0."""
-        cells = np.zeros(self.n_cells, dtype=values.dtype)
-        cells[self.entry_cells] = values
-        return cells
+    def row_sum(self, x: np.ndarray) -> np.ndarray:
+        """Each row's entries of x added in entry order from +0.0."""
+        return np.bincount(self.src, weights=x, minlength=self.n_rows)
 
-    def views(self, cells: np.ndarray) -> list[np.ndarray]:  # cells -> blocks
-        return [cells[lo:hi].reshape(-1, w) for _, w, lo, hi in self.buckets]
-
-    def join_cells(self, blocks: list[np.ndarray]) -> np.ndarray:  # inverse
-        if len(blocks) == 1:
-            return blocks[0].reshape(-1, 1)
-        return np.concatenate([x.reshape(-1, 1) for x in blocks])
-
-    def row_blocks(self, a: np.ndarray) -> list[np.ndarray]:  # rows -> blocks
-        return [a[rows] for rows, _, _, _ in self.buckets]
-
-    def join_rows(self, blocks: list[np.ndarray]) -> np.ndarray:  # inverse
-        if len(blocks) == 1:
-            return blocks[0]
-        out = np.empty((self.n_rows,) + blocks[0].shape[1:])
-        for (rows, _, _, _), block in zip(self.buckets, blocks):
-            out[rows] = block
+    def row_max(self, x: np.ndarray) -> np.ndarray:
+        """Each row's largest entry of x; -inf for a row with none."""
+        out = np.full(self.n_rows, -np.inf)
+        if len(x):
+            out[self._filled] = np.maximum.reduceat(
+                x, self.indptr[:-1][self._filled])
         return out
 
 
-def gather(values, layout: CellLayout) -> Tensor:
-    """A column vector (m,1) read at every cell's neighbor row -> cells."""
+def gather(values, rows: CompressedRows) -> Tensor:
+    """A column vector (m,1) read at every entry's neighbor row."""
     values = _wrap(values)
     if values.cols != 1:
         raise ShapeError(f"gather expects a column vector, got {values.shape}")
@@ -303,56 +240,58 @@ def gather(values, layout: CellLayout) -> Tensor:
     def vjp(g):
         # bincount sums each bin in entry order from +0.0 and, like the 1-D
         # add.at it replaces, keeps the running sum's NaN when two NaNs meet
-        dv = np.bincount(layout.nbr, weights=g[layout.entry_cells, 0],
-                         minlength=values.rows)
+        dv = np.bincount(rows.nbr, weights=g[:, 0], minlength=values.rows)
         return (dv.reshape(-1, 1),)
 
-    return _record(values.data[layout.idx], (values,), vjp)
+    return _record(values.data[rows.nbr], (values,), vjp)
 
 
-def add_rows(col, cells, layout: CellLayout) -> Tensor:
-    """col[i] + cells[c] for every cell c of row i: ((n,1), cells) -> cells."""
-    col, cells = _wrap(col), _wrap(cells)
-    out = layout.join_cells([c + x for c, x in zip(
-        layout.row_blocks(col.data), layout.views(cells.data))])
-
-    def vjp(g):
-        sums = [x.sum(axis=1, keepdims=True) for x in layout.views(g)]
-        return layout.join_rows(sums), g
-
-    return _record(out, (col, cells), vjp)
+def add_rows(col, x, rows: CompressedRows) -> Tensor:
+    """col[i] + x[k] for every entry k of row i: ((n,1), entries) -> entries."""
+    col, x = _wrap(col), _wrap(x)
+    return _record(col.data[rows.src] + x.data, (col, x),
+                   lambda g: (rows.row_sum(g[:, 0]).reshape(-1, 1), g))
 
 
-def softmax_cells(a, layout: CellLayout) -> Tensor:
-    """Softmax over each row's real cells; padding and empty rows get 0."""
+def softmax_entries(a, rows: CompressedRows) -> Tensor:
+    """Softmax over each row's entries."""
     a = _wrap(a)
-    out = layout.join_cells([_softmax(x, m) for x, m in zip(
-        layout.views(a.data), layout.views(layout.mask))])
-    return _record(out, (a,), lambda g: (layout.join_cells([
-        _softmax_vjp(o, gb) for o, gb in zip(layout.views(out),
-                                             layout.views(g))]),))
-
-
-def neighbor_sum(weights, values, layout: CellLayout) -> Tensor:
-    """out[i] = sum over row i's cells c of weights[c] * values[nbr(c)]
-    ((n_cells,1),(m,d) -> (n,d)). Padding cells must carry weight 0."""
-    weights, values = _wrap(weights), _wrap(values)
-    if weights.shape != layout.idx.shape + (1,):
-        raise ShapeError(f"neighbor_sum expects {len(layout.idx)} cell "
-                         f"weights, got {weights.shape}")
-    gathered = [np.take(values.data, idx, axis=0)  # (rows, width, d)
-                for idx in layout.views(layout.idx)]
-    out = layout.join_rows([np.einsum("nz,nzd->nd", w, x) for w, x in zip(
-        layout.views(weights.data), gathered)])
+    top = rows.row_max(a.data[:, 0])
+    top[~np.isfinite(top)] = 0.0
+    e = np.exp(a.data[:, 0] - top[rows.src])
+    s = rows.row_sum(e)
+    s[~(s > 0)] = 1.0
+    out = (e / s[rows.src]).reshape(-1, 1)
 
     def vjp(g):
-        dw = layout.join_cells([np.einsum("nd,nzd->nz", gb, x) for gb, x in
-                                zip(layout.row_blocks(g), gathered)])
-        return dw, _scatter_rows(weights.data[layout.entry_cells, 0],
-                                 layout.nbr, layout.indptr, g,
-                                 values.rows)
+        return (out * (g - rows.row_sum((g * out)[:, 0])[rows.src, None]),)
 
-    return _record(out, (weights, values), vjp)
+    return _record(out, (a,), vjp)
+
+
+def neighbor_sum(weights, values, rows: CompressedRows) -> Tensor:
+    """out[i] = sum over row i's entries k of weights[k] * values[nbr[k]]
+    ((n_entries,1),(m,d) -> (n,d)), as A @ values for the sparse A whose
+    row i holds row i's entries.
+
+    scipy's csr_matvecs adds a row's products in entry order from +0.0;
+    A.T @ g, the values gradient, walks the same entries as csc_matvecs,
+    which equals numpy's add.at of the products bit for bit, including
+    which NaN survives when two meet.
+    """
+    weights, values = _wrap(weights), _wrap(values)
+    if weights.shape != (len(rows.nbr), 1):
+        raise ShapeError(f"neighbor_sum expects {len(rows.nbr)} entry "
+                         f"weights, got {weights.shape}")
+    a = scipy.sparse.csr_matrix((weights.data[:, 0], rows.nbr, rows.indptr),
+                                shape=(rows.n_rows, values.rows))
+    dw, dv = _traced(weights), _traced(values)
+
+    def vjp(g):  # a constant operand gets no gradient
+        return (np.vecdot(g[rows.src], values.data[rows.nbr]).reshape(-1, 1)
+                if dw else None), (a.T @ g if dv else None)
+
+    return _record(a @ values.data, (weights, values), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +340,17 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * inside,))
 
 
-def _softmax(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    e = np.where(valid, x, -np.inf)
-    rowmax = e.max(axis=1, keepdims=True)
-    rowmax[~np.isfinite(rowmax)] = 0.0
-    np.exp(np.subtract(e, rowmax, out=e), out=e)  # invalid entries: +0.0
-    s = e.sum(axis=1, keepdims=True)
-    s[~(s > 0)] = 1.0
-    return np.divide(e, s, out=e)
-
-
-def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return out * (g - (g * out).sum(axis=1, keepdims=True))
-
-
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax, overflow-safe via per-row max subtraction."""
     a = _wrap(a)
-    out = _softmax(a.data, True)
-    return _record(out, (a,), lambda g: (_softmax_vjp(out, g),))
+    rowmax = a.data.max(axis=1, keepdims=True)
+    rowmax[~np.isfinite(rowmax)] = 0.0
+    e = np.exp(a.data - rowmax)
+    s = e.sum(axis=1, keepdims=True)
+    s[~(s > 0)] = 1.0
+    out = np.divide(e, s, out=e)
+    return _record(out, (a,), lambda g: (
+        out * (g - (g * out).sum(axis=1, keepdims=True)),))
 
 
 def l2_normalize_rows(a) -> Tensor:

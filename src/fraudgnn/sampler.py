@@ -59,9 +59,12 @@ def _fraud_extras(g: TransactionGraph, cfg: SamplerConfig,
     A node's candidates are the pooled fraud nodes other than itself and its
     graph neighbors whose similarity exp(cosine) clears similarity_floor;
     the oversample_count most similar (ties by ascending id) are its extras,
-    in ascending id. The trainer pools train-split fraud, so ground truth is
-    never read off held-out nodes.
+    in ascending id. Uniform mode over-samples nothing. The trainer pools
+    train-split fraud, so ground truth is never read off held-out nodes.
+    The pairs read no seed, epoch or z, so one call serves a whole run.
     """
+    if cfg.mode == "uniform" or cfg.oversample_count == 0:
+        fraud_pool = ()
     pool = g.rows_of(fraud_pool)
     pool = pool[g.labels[pool] == 1]
     src, extra = [], []  # grouped by ascending node row
@@ -113,14 +116,15 @@ def _entry_keys(g: TransactionGraph, cfg: SamplerConfig,
 
 
 def sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
-                 fraud_pool=()) -> tuple[np.ndarray, np.ndarray]:
+                 extras=None) -> tuple[np.ndarray, np.ndarray]:
     """Every node's picks for a layer of size z as (node row, neighbor row)
     pairs, grouped by ascending node row.
 
     A node with at most z neighbors keeps them all. Of more, it keeps the z
     with the smallest _entry_keys, ties by ascending id. A row's kept
-    neighbors come in ascending id, followed by _fraud_extras for nodes in
-    ``fraud_pool``, except in uniform mode, which over-samples nothing.
+    neighbors come in ascending id, followed by its pairs in ``extras``,
+    (node row, extra row) pairs grouped by ascending node row as
+    _fraud_extras gives them.
     """
     csr = g.csr
     bounds, ids, degree = csr.indptr.tolist(), csr.ids, np.diff(csr.indptr)
@@ -132,9 +136,9 @@ def sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
         keep[lo:hi] = False
         keep[lo + np.lexsort((ids[lo:hi], key[lo:hi]))[:z]] = True
     src, nbr = src[keep], csr.rows[keep]
-    if cfg.mode == "uniform" or cfg.oversample_count == 0 or not len(fraud_pool):
+    if extras is None or not len(extras[0]):
         return src, nbr
-    x_src, x_nbr = _fraud_extras(g, cfg, fraud_pool)
+    x_src, x_nbr = extras
     src, nbr = np.concatenate([src, x_src]), np.concatenate([nbr, x_nbr])
     order = np.argsort(src, kind="stable")  # extras after a row's neighbors
     return src[order], nbr[order]

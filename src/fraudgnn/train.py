@@ -88,9 +88,10 @@ def batch_loss(params: ModelParams, features: np.ndarray,
                                             gates, rows))
 
 
-def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
-                   epoch: int, fraud_pool: list[int]) -> list[Neighborhoods]:
-    """One Neighborhoods object per layer for this epoch.
+def _sample_layers(graph: TransactionGraph, cfg: TrainConfig, epoch: int,
+                   extras=None) -> list[Neighborhoods]:
+    """One Neighborhoods object per layer for this epoch, each row followed
+    by its over-sampled ``extras`` (see sampler.sample_layer).
 
     The random modes salt the sampler seed by epoch. Each distinct z_hat is
     sampled once and its result shared between the layers that have it: a
@@ -105,7 +106,7 @@ def _sample_layers(graph: TransactionGraph, cfg: TrainConfig,
     for z in scfg.z_hat:
         if z not in by_z:
             by_z[z] = model_mod.pack_rows(graph, *sampler_mod.sample_layer(
-                graph, z, scfg, fraud_pool))
+                graph, z, scfg, extras))
     return [by_z[z] for z in scfg.z_hat]
 
 
@@ -147,6 +148,7 @@ def train(graph: TransactionGraph, config: TrainConfig,
     in_train[train_rows] = True
     labels_eff = np.where(in_train, np.maximum(labels, 0), 0)
     fraud_pool = sorted(int(v) for v, r in zip(train_ids, y_train) if r == 1)
+    extras = sampler_mod._fraud_extras(graph, config.sampler, fraud_pool)
 
     deterministic = config.sampler.mode == "deterministic_topz"
     neighborhoods = None
@@ -154,7 +156,7 @@ def train(graph: TransactionGraph, config: TrainConfig,
 
     for epoch in range(1, config.epochs + 1):
         if neighborhoods is None or not deterministic:
-            neighborhoods = _sample_layers(graph, config, epoch, fraud_pool)
+            neighborhoods = _sample_layers(graph, config, epoch, extras)
         gates = _gates_for(config.model, labels_eff, neighborhoods[0])
 
         rng = np.random.default_rng(np.random.SeedSequence(
@@ -193,7 +195,9 @@ def predict(graph: TransactionGraph, params: ModelParams,
             seed: int = 0) -> list[Prediction]:
     """Score nodes with a trained model. No node is over-sampled.
 
-    ``seed`` is the sampler seed when ``sampler_cfg`` is None.
+    ``seed`` only seeds the default config built when ``sampler_cfg`` is
+    None, and that config is deterministic top-z, which reads no seed; so
+    no value of ``seed`` changes the scores.
 
     known_ids mark nodes whose stored labels may inform the diversity gate
     (normally the training split). Remaining nodes start as class 0, get a
@@ -220,7 +224,7 @@ def predict(graph: TransactionGraph, params: ModelParams,
     known[known_rows] = True
     labels_eff = np.where(known, np.maximum(graph.labels, 0), 0)
 
-    neighborhoods = _sample_layers(graph, cfg, 0, [])
+    neighborhoods = _sample_layers(graph, cfg, 0)
 
     gates = _gates_for(params.config, labels_eff, neighborhoods[0])
     p = model_mod.forward(params, features, neighborhoods, gates).data.ravel()

@@ -7,7 +7,8 @@ agreement between the two is meaningful evidence. The per-node sampler
 (sample_neighborhood and the functions it calls) and pack_neighborhoods make
 sampler.sample_layer's and model.pack_rows' picks one node at a time. The padded
 (n, width) neighbor table, which model.Neighborhoods' compressed rows
-replaced, is kept here with the functions that read it, as their oracle.
+replaced, is kept here with the functions and the layer that read it, as
+their oracle.
 scipy.stats.rankdata and the per-score ROC loop are the oracles of
 metrics.auc's and metrics.roc_points' tie groups. The random modes' race
 over hashed uniforms is redone here in Python integers (splitmix64,
@@ -357,14 +358,6 @@ def loop_sample_neighborhood(g: TransactionGraph, v, k: int, cfg,
         probabilities=[probs.get(s, 0.0) for s in selected])
 
 
-def add_at_take_rows_vjp(shape, idx, g) -> np.ndarray:
-    """nn.take_rows' gradient before the sparse A.T @ g: np.add.at of g's
-    rows."""
-    da = np.zeros(shape)
-    np.add.at(da, np.asarray(idx, dtype=np.int64), g)
-    return da
-
-
 def add_at_gather_vjp(m: int, idx, g) -> np.ndarray:
     """nn.gather's gradient before bincount: np.add.at into an (m, 1) column."""
     dv = np.zeros((m, 1))
@@ -391,33 +384,45 @@ class Rectangle(NamedTuple):
     dt: np.ndarray
 
 
+class Table(Neighborhoods):
+    """Neighborhoods read off a padded table `width` columns wide."""
+
+    def __init__(self, indptr, nbr, dt, width: int):
+        super().__init__(indptr, nbr, dt)
+        self.width = width
+
+
 def rectangle(nb: Neighborhoods) -> Rectangle:
-    """nb as a padded table at its width: row i's entries, in order, fill
-    columns 0 .. count - 1."""
+    """nb as a padded table: row i's entries, in order, fill columns
+    0 .. count - 1. A Table keeps its width; other Neighborhoods get their
+    longest row's entry count, at least 1."""
+    counts = np.diff(nb.indptr)
+    width = (nb.width if isinstance(nb, Table)
+             else max(int(counts.max(initial=0)), 1))
     col = np.arange(len(nb.nbr)) - nb.indptr[nb.src]
-    idx = np.zeros((nb.n_nodes, nb.width), dtype=np.int64)
-    mask = np.zeros((nb.n_nodes, nb.width), dtype=bool)
-    dt = np.zeros((nb.n_nodes, nb.width))
+    idx = np.zeros((nb.n_nodes, width), dtype=np.int64)
+    mask = np.zeros((nb.n_nodes, width), dtype=bool)
+    dt = np.zeros((nb.n_nodes, width))
     idx[nb.src, col], mask[nb.src, col], dt[nb.src, col] = nb.nbr, True, nb.dt
     return Rectangle(idx, mask, dt)
 
 
-def neighborhoods(idx, mask, dt) -> Neighborhoods:
-    """A padded table as Neighborhoods at its width: each row's real
-    entries, in column order, are the row's entries. rectangle() gives a
-    table of left-packed rows (real entries first) back unchanged."""
+def neighborhoods(idx, mask, dt) -> Table:
+    """A padded table as a Table: each row's real entries, in column order,
+    are the row's entries. rectangle() gives a table of left-packed rows
+    (real entries first) back unchanged."""
     mask = np.asarray(mask, dtype=bool)
-    return Neighborhoods(np.concatenate(([0], np.cumsum(mask.sum(axis=1)))),
-                         np.asarray(idx, dtype=np.int64)[mask],
-                         np.asarray(dt, dtype=np.float64)[mask],
-                         mask.shape[1])
+    return Table(np.concatenate(([0], np.cumsum(mask.sum(axis=1)))),
+                 np.asarray(idx, dtype=np.int64)[mask],
+                 np.asarray(dt, dtype=np.float64)[mask], mask.shape[1])
 
 
-def padded(nb: Neighborhoods, cells) -> np.ndarray:
-    """Per-cell values of nb laid out as its padded table: the real
-    entries' values, zero on padding."""
-    out = np.zeros((nb.n_nodes, nb.width))
-    out[rectangle(nb).mask] = np.ravel(cells)[nb.entry_cells]
+def padded(nb: Neighborhoods, entries) -> np.ndarray:
+    """Per-entry values of nb laid out as its padded table (rectangle):
+    the entries' values, zero on padding."""
+    mask = rectangle(nb).mask
+    out = np.zeros(mask.shape)
+    out[mask] = np.ravel(entries)
     return out
 
 
@@ -437,38 +442,6 @@ def padded_pack_rows(graph: TransactionGraph, src: np.ndarray,
     mask[src, col] = True
     dt[src, col] = np.abs(ts[nbr] - ts[src])
     return Rectangle(idx=idx, mask=mask, dt=dt)
-
-
-class PaddedCellLayout:
-    """nn.CellLayout before compressed rows: the cells of a padded
-    (n, width) table, in width buckets. Rows whose real entries all lie in
-    the first NARROW_WIDTH columns form the narrow bucket, trimmed to that
-    width; the others keep the width."""
-
-    def __init__(self, idx: np.ndarray, mask: np.ndarray):
-        n, width = idx.shape
-        narrow = ~mask[:, nn.NARROW_WIDTH:].any(axis=1)
-        groups = [(np.flatnonzero(narrow), min(width, nn.NARROW_WIDTH)),
-                  (np.flatnonzero(~narrow), width)]
-        groups = [g for g in groups if len(g[0])] or groups[:1]
-        if len(groups) == 1:
-            groups = [(slice(None), groups[0][1])]
-        self.n_rows, self.buckets, start = n, [], 0
-        cell_of = np.zeros((n, width), dtype=np.int64)
-        for rows, w in groups:
-            size = cell_of[rows, :w].size
-            cell_of[rows, :w] = np.arange(start, start + size).reshape(-1, w)
-            self.buckets.append((rows, w, start, start + size))
-            start += size
-        self.idx, self.mask = self.take(idx), self.take(mask)
-        flat = np.flatnonzero(mask)  # the real entries, in (row, col) order
-        self.entry_cells, self.entry_nbr = cell_of.flat[flat], idx.flat[flat]
-        self.indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(flat // width, minlength=n))))
-
-    def take(self, table: np.ndarray) -> np.ndarray:  # (n, width) -> cells
-        return np.concatenate([np.ravel(table[rows, :w])
-                               for rows, w, _, _ in self.buckets])
 
 
 def padded_time_factors(t: Rectangle, config: ModelConfig) -> np.ndarray:
@@ -509,8 +482,8 @@ def padded_neighbor_diversity(labels: np.ndarray, t: Rectangle) -> np.ndarray:
 
 def padded_scatter_rows(coef: np.ndarray, idx: np.ndarray, g: np.ndarray,
                         m: int) -> np.ndarray:
-    """nn's scatter over a padded (n, z) table before width buckets: every
-    cell, padding included, as A.T @ g in (i, j) order."""
+    """nn's scatter over a padded (n, z) table: every cell, padding
+    included, as A.T @ g in (i, j) order."""
     n, z = idx.shape
     a = scipy.sparse.csr_matrix(
         (coef.ravel(), idx.ravel(), np.arange(0, n * z + 1, z)), shape=(n, m))
@@ -518,7 +491,7 @@ def padded_scatter_rows(coef: np.ndarray, idx: np.ndarray, g: np.ndarray,
 
 
 def padded_gather(values, idx) -> nn.Tensor:
-    """nn.gather before width buckets: a column vector (m,1) indexed with an
+    """nn.gather on a padded table: a column vector (m,1) indexed with an
     (n,z) index matrix -> (n,z)."""
     values = nn._wrap(values)
     if values.cols != 1:
@@ -534,7 +507,7 @@ def padded_gather(values, idx) -> nn.Tensor:
 
 
 def padded_neighbor_sum(weights, values, idx) -> nn.Tensor:
-    """nn.neighbor_sum before width buckets:
+    """nn.neighbor_sum on a padded table:
     out[i] = sum_j weights[i,j] * values[idx[i,j]]  ((n,z),(m,d),(n,z) -> (n,d))."""
     weights, values = nn._wrap(weights), nn._wrap(values)
     idx = np.asarray(idx, dtype=np.int64)
@@ -551,7 +524,7 @@ def padded_neighbor_sum(weights, values, idx) -> nn.Tensor:
 
 
 def padded_softmax_rows(a, mask) -> nn.Tensor:
-    """nn.softmax_rows' masked form before width buckets: row-wise softmax
+    """nn.softmax_rows' masked form on a padded table: row-wise softmax
     over the entries of a padded table that mask marks; the rest get 0, and
     rows with no marked entry come out all zero."""
     a = nn._wrap(a)
@@ -575,7 +548,7 @@ def padded_softmax_rows(a, mask) -> nn.Tensor:
 
 def padded_attention_weights(h_prev, nb: Neighborhoods, layer,
                              config) -> nn.Tensor:
-    """model.attention_weights before width buckets: every op runs on the
+    """model.attention_weights on the padded table: every op runs on the
     whole (n, width) table and returns it."""
     t = rectangle(nb)
     d_in, d_out = layer.d_in, layer.d_out
@@ -589,7 +562,7 @@ def padded_attention_weights(h_prev, nb: Neighborhoods, layer,
 
 def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
                          config) -> nn.Tensor:
-    """model.layer_forward before width buckets."""
+    """model.layer_forward on the padded table."""
     if h_prev.cols != layer.d_in:
         raise ShapeError(
             f"layer expects width {layer.d_in}, got {h_prev.cols}")
@@ -722,7 +695,7 @@ def full_graph_batch_loss(params, features, neighborhoods, gates, rows, y):
     """train.batch_loss as it was before receptive-field batches: a forward
     pass over every node, then the loss on the batch rows."""
     p_all = forward(params, features, neighborhoods, gates)
-    return _bce_tensor(y, nn.take_rows(p_all, rows))
+    return _bce_tensor(y, nn.pick_rows(p_all, rows))
 
 
 def reference_layer_forward(graph: TransactionGraph, h_prev: np.ndarray,

@@ -191,7 +191,7 @@ def scalar_layer(h_prev, nb, layer, gates, cfg):
 
     t = rectangle(nb)
     for i in range(n):
-        cols = [j for j in range(nb.width) if t.mask[i, j]]
+        cols = [j for j in range(t.mask.shape[1]) if t.mask[i, j]]
         h_agg = [0.0] * d_in
         if cols:
             if cfg.use_attention:

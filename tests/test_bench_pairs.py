@@ -80,3 +80,16 @@ def test_digest_runs_record_each_sides_auc_per_seed(monkeypatch):
     assert out["test_auc"] == {"a": aucs, "b": aucs}
     assert out["equal"] == 4
     assert out["mismatches"] == ["a seed 2", "b seed 2"]
+
+
+def test_auc_deltas_per_seed_with_median_and_minimum():
+    """Each seed's AUC delta is change - parent; a seed missing on either
+    side is None and left out of the median and the minimum."""
+    auc = {"a": {"parent": [0.8, 0.81, 0.82, 0.9],
+                 "change": [0.805, 0.79, None, 0.9]},
+           "b": {"parent": [None], "change": [0.7]}}
+    out = bench_pairs.auc_deltas(auc)
+    assert out["a"]["per_seed"] == pytest.approx([0.005, -0.02, None, 0.0])
+    assert out["a"]["median"] == pytest.approx(0.0)
+    assert out["a"]["min"] == pytest.approx(-0.02)
+    assert out["b"] == {"per_seed": [None], "median": None, "min": None}

@@ -48,37 +48,37 @@ PROPS = [
 # (checkpoint sha256, scores sha256) per run variant
 GOLDEN = {
     "deterministic_topz": (
-        "efebaccb2aba2cc79e3b6d340123f0701eeab6cb86b258858e096294d1099cb8",
-        "360b13566a94bcccd2ade456de06d056f4af77b116e16af94e315a73270d65c9"),
+        "1b97e7ced465737a2bb1ce50c75fe50156c569c4342310764bf2a352cf499772",
+        "5473b39776047938c20767b1b0c8f6b2f739aef88a09d66d3bdc776304372b0b"),
     "weighted_without_replacement": (
-        "011dea8bb08b761cd5f98508f04a787521a57d721b8f587ec96831d1dd92face",
-        "c7f734a98d911d96fc821ecea0e103578c9dcaecf162daa47ec3548d5ec48084"),
+        "4c95bdf80b4a088c5032af31f084ddb99ba335824548f84118043f1463854e77",
+        "d6075910ae73e20a4de05a4c04c63e780728af676e10c7f74c1943a628d2241e"),
     "uniform": (
-        "fed1b7039268abbafb707710c362ad8361d9a4704edec766e0599ee042d82fc2",
-        "8c017e410f3eda1be50e542897e17a1956c76deb6962632120889f3a456f8e38"),
+        "dbfa1d19f74acb3b26919242dec3067496a689629f611d6d6d4fb1ce4fc1708b",
+        "35f549b9cc118e8afcc7d14cce83b8e6197c93c5dfabe7e72d5c806abc76a377"),
 }
 
 
 # same layout; run_variant(sampler mode, **variant settings)
 WIDE = {
     "wide-deterministic_topz": (
-        "9aaf287fa522ff3c7252b83eecf3005760d21cda4fa016d261dbe400a61ecef9",
-        "192d4153f7aa174c08896f39c4e984b7feba6442b969277c9a1d1dd11bbc241e"),
+        "446bae12a86ceffddd8516fc24364e02c2137b439996db3dc5f642449d8eb1e3",
+        "31cd355f76ef7c51a51ea7760554a52a2122df6dcbc8908e84964d5a7744cbc8"),
     "wide-weighted_without_replacement": (
-        "0b405bc6f91d0797890f4b1a0090f216ab7a7a4c97b1656c65784ff4e56e07c6",
-        "54b2811c29847b8fc6947fe029e452e8bd0dc3a372f46e2a5f408e851efb73e4"),
+        "c0d9c00aa996e069d47dba90823805516f375e2e6bc98cee1ab6b1e42f14b4b9",
+        "e035fdf181775102e1d632a31ca35919453d189f9fd75776f8132d4849df1c0c"),
     "wide-uniform": (
-        "66dd3084eae1145a60bc642d74c1e169d33b4429d6f59915ade146b751ded927",
-        "ec429d07c944431c4496ef2b53d8e15988da1b4e903a6e726396759094421ac4"),
+        "a6746c8eb4e5455d734a9deace4f42b5f4012369b4e9469aa063fc0c512bb5ba",
+        "6d31faaf80321b141008ab9439e3f7220d9160b774dcd19b69548c76d19730e1"),
     "wide-interval": (
-        "ef286817d5297937953a7fec5b96452dbe4b09c9ebe43c9babd0b5e748641b02",
-        "a8584e20d514792177dcdf6a41ce9de5151bbf060f8582b40d954fdd59bb4a3d"),
+        "b44f3f49b713fe96e09e744ccda496f85b0113b4c560d4d0d5bb456a1612084a",
+        "0bd7181330007bb0f8f66222893f7b9b681c4b7adb134b1c4f07fce62d3240c9"),
     "wide-no-attention": (
         "efe3d96eb60263c55024924ec3e4e419fd50202a9f1a3abc9b04a1100ff21955",
         "b83e9e788d1a004012039afd51a9b19ba074263cd227571ebea2a818f48399ea"),
     "wide-no-gate": (
-        "d85b2fa188fc751f6a0c5b66ca268a32f37ff536e87651342c443c426d6bb1bf",
-        "85b943c1c4b2997faa3893aaf518a5c06c51d0e838268b0204c12cc4466a45a3"),
+        "aabc04151bf6a5691c706aae0c422df748d6ea01dc93dfea414604315a139b08",
+        "c4375dadb33a18e226c50dbf9268eec721928def9a2e1a34f692f28d68c9c83f"),
     "wide-hidden-1": (
         "e3875804d6c823c4e18d8892823288da737ba4bceae21d8bbc57cd3b88c47f6e",
         "5839708b6cdb5e216fa96cb807103fd24688c74816aed1e35ec565baa8ccb4e5"),

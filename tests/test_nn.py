@@ -11,14 +11,13 @@ from fraudgnn.errors import ShapeError
 from fraudgnn.nn import AdamState, Tensor, UsageError, backward
 
 from reference import (add_at_gather_vjp, add_at_neighbor_sum_vjp,
-                       add_at_take_rows_vjp, fd_gradient, sum_all)
+                       fd_gradient, sum_all)
 
 
 def every_cell(idx):
-    """A layout whose cells are all real entries: the padded table itself."""
+    """Rows whose entries are every cell of an (n, width) table, in order."""
     n, width = idx.shape
-    return nn.CellLayout(np.arange(0, n * width + 1, width), idx.ravel(),
-                         width)
+    return nn.CompressedRows(np.arange(0, n * width + 1, width), idx.ravel())
 
 
 def fd_check(loss_fn, params, rel=1e-4, floor=1e-7):
@@ -234,17 +233,6 @@ class TestFiniteDifferenceGradients:
         backward(forward())
         fd_check(lambda: forward().item(), [a, b])
 
-    def test_take_rows_with_duplicates(self):
-        a = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
-        idx = np.array([0, 2, 2, 1, 0])
-        coef = self.rng.normal(size=(5, 3))
-
-        def forward():
-            return sum_all(nn.mul(nn.take_rows(a, idx), coef))
-
-        backward(forward())
-        fd_check(lambda: forward().item(), [a])
-
     def test_put_and_pick_rows(self):
         a = Tensor(self.rng.normal(size=(3, 2)), requires_grad=True)
         rows = np.array([4, 0, 2])
@@ -298,28 +286,29 @@ class TestFiniteDifferenceGradients:
         assert_allclose(out, ref, rtol=1e-12)
 
     def test_softmax_rows_masked(self):
-        a = Tensor(self.rng.normal(size=(12, 1)), requires_grad=True)
-        mask = np.array([[1, 1, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0]], dtype=bool)
-        # softmax_cells reads only the cells' mask, which may have holes
-        layout = every_cell(np.zeros((3, 4), dtype=int))
-        layout.mask = mask.ravel()
-        coef = self.rng.normal(size=(12, 1))
+        # rows of 3, 4, 0 and 2 entries: each row's entries are its mask
+        a = Tensor(self.rng.normal(size=(9, 1)), requires_grad=True)
+        layout = nn.CompressedRows(np.array([0, 3, 7, 7, 9]),
+                                   np.zeros(9, dtype=int))
+        coef = self.rng.normal(size=(9, 1))
 
         def forward():
-            return sum_all(nn.mul(nn.softmax_cells(a, layout), coef))
+            return sum_all(nn.mul(nn.softmax_entries(a, layout), coef))
 
-        out = nn.softmax_cells(a, layout)
-        assert (out.data[~mask.reshape(-1, 1)] == 0.0).all()
+        out = nn.softmax_entries(a, layout)
+        assert_allclose(layout.row_sum(out.data[:, 0]), [1.0, 1.0, 0.0, 1.0],
+                        atol=1e-12)
         backward(forward())
         fd_check(lambda: forward().item(), [a])
 
     def test_softmax_all_invalid_row_is_zero(self):
-        mask = np.array([[True, True], [False, False]])
-        layout = nn.CellLayout(np.array([0, 2, 2]), np.zeros(2, dtype=int), 2)
-        assert np.array_equal(layout.mask, mask.ravel())
-        out = nn.softmax_cells(Tensor([[1.0], [2.0], [5.0], [5.0]]), layout)
-        assert_allclose(out.data.reshape(2, 2)[1], [0.0, 0.0])
-        assert_allclose(out.data.reshape(2, 2)[0].sum(), 1.0, atol=1e-12)
+        # row 1's entries are all -inf, row 2 has none
+        layout = nn.CompressedRows(np.array([0, 2, 4, 4]),
+                                   np.zeros(4, dtype=int))
+        out = nn.softmax_entries(
+            Tensor([[1.0], [2.0], [-np.inf], [-np.inf]]), layout)
+        assert_allclose(out.data[2:, 0], [0.0, 0.0])
+        assert_allclose(out.data[:2, 0].sum(), 1.0, atol=1e-12)
 
     def test_l2_normalize(self):
         a = Tensor(self.rng.normal(size=(3, 4)) + 0.5, requires_grad=True)
@@ -383,7 +372,7 @@ SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan])
 
 
 def scatter_case(seed, n, z, m, d, dups=False, pad=False, specials=False):
-    """Index, weights and upstream gradients for the three scatter vjps.
+    """Index, weights and upstream gradients for the two scatter vjps.
 
     dups draws every index from rows 0-2; pad turns each row's trailing
     slots into padding (index 0, weight 0); specials plants -0.0, +-inf and
@@ -397,13 +386,14 @@ def scatter_case(seed, n, z, m, d, dups=False, pad=False, specials=False):
         padding = np.arange(z) >= fill[:, None]
         idx[padding] = 0
         w[padding] = 0.0
+    # the third draw fed a third scatter; drawing it keeps every case's data
     grads = [rng.normal(size=shape) for shape in ((n, d), (n, z), (n * z, d))]
     if specials:
         w[rng.random(w.shape) < 0.1] = -0.0
         for g in grads:
             hit = rng.random(g.shape) < 0.3
             g[hit] = rng.choice(SPECIALS, size=hit.sum())
-    return idx, w, grads
+    return idx, w, grads[:2]
 
 
 def assert_bits_equal(got, want):
@@ -432,7 +422,7 @@ class TestScattersMatchAddAt:
             yield
 
     def check(self, seed, n, z, m, d, **kw):
-        idx, w, (g_sum, g_gather, g_take) = scatter_case(seed, n, z, m, d, **kw)
+        idx, w, (g_sum, g_gather) = scatter_case(seed, n, z, m, d, **kw)
         values = Tensor(np.ones((m, d)), requires_grad=True)
         out = nn.neighbor_sum(Tensor(w.reshape(-1, 1), requires_grad=True),
                               values, every_cell(idx))
@@ -442,10 +432,6 @@ class TestScattersMatchAddAt:
         column = Tensor(np.ones((m, 1)), requires_grad=True)
         (dv,) = nn.gather(column, every_cell(idx))._vjp(g_gather.reshape(-1, 1))
         assert_bits_equal(dv, add_at_gather_vjp(m, idx, g_gather))
-
-        rows = idx.ravel()
-        (da,) = nn.take_rows(values, rows)._vjp(g_take)
-        assert_bits_equal(da, add_at_take_rows_vjp((m, d), rows, g_take))
 
     @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
     def test_named_case(self, case):
@@ -461,7 +447,7 @@ class TestScattersMatchAddAt:
     def test_specials_reach_the_result(self):
         # the cases above must exercise inf, NaN and -0.0 sums, not only
         # finite ones
-        idx, w, (g_sum, _, _) = scatter_case(0, **SCATTER_CASES["specials"])
+        idx, w, (g_sum, _) = scatter_case(0, **SCATTER_CASES["specials"])
         dv = add_at_neighbor_sum_vjp(w, 5, idx, g_sum)
         assert np.isnan(dv).any() and np.isinf(dv).any()
 

@@ -13,7 +13,8 @@ from fraudgnn.datagen import ScenarioConfig, generate, split_records
 from fraudgnn.errors import ConfigError, InputError
 from fraudgnn.model import ModelConfig, checkpoint_text
 from fraudgnn.sampler import (DEFAULT_SIMILARITY_FLOOR, SamplerConfig,
-                              _entry_uniforms, combine_seed, sample_layer)
+                              _entry_uniforms, _fraud_extras, combine_seed,
+                              sample_layer)
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import TrainConfig, _sample_layers, predict, train
 
@@ -352,7 +353,8 @@ class TestScoreEdgesMatchesLoopReference:
                                       oversample_count=3 if oversample else 0))
             pool = sorted(r.id for r in records[::2] if r.label == 1)
             scores = g.edge_scores
-            new = _sample_layers(g, cfg, 3, pool)
+            new = _sample_layers(g, cfg, 3,
+                                 _fraud_extras(g, cfg.sampler, pool))
             scfg = cfg.sampler
             if mode != "deterministic_topz":  # _sample_layers salts by epoch
                 scfg = replace(scfg, seed=combine_seed(5, 3))
@@ -393,14 +395,16 @@ class TestScoreEdgesMatchesLoopReference:
             return checkpoint_text(res.params), [p.p_fraud for p in preds]
 
         new = run()
+        # train over-samples its training fraud; predict passes no extras
+        pool = sorted(v for v in train_ids if g.record(v).label == 1)
         with monkeypatch.context() as m:
             m.setattr(reference, "sample_neighborhood",
                       loop_sample_neighborhood)
             # the package's train function shadows the module's name
             m.setattr(importlib.import_module("fraudgnn.train"),
                       "_sample_layers",
-                      lambda g, c, epoch, pool: loop_sample_layers(
-                          g, c, epoch, pool, None))
+                      lambda g, c, epoch, extras=None: loop_sample_layers(
+                          g, c, epoch, [] if extras is None else pool, None))
             ref = run()
         assert new == ref
 
@@ -515,7 +519,8 @@ class TestRace:
         for order in (records, records[::-1]):
             g = build_graph(order, props)
             layers.append([layer_pairs(g, nb)
-                           for nb in _sample_layers(g, cfg, 2, pool)])
+                           for nb in _sample_layers(
+                               g, cfg, 2, _fraud_extras(g, cfg.sampler, pool))])
         assert layers[0] == layers[1]
         # a real choice: some node has more neighbors than it keeps
         assert max(np.diff(g.csr.indptr)) > 6

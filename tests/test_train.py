@@ -16,7 +16,7 @@ from fraudgnn.errors import (CheckpointError, ConfigError, InputError,
 from fraudgnn.model import (ACTIVATIONS, TIME_MODES, ModelConfig,
                             checkpoint_text, init_params, receptive_rows)
 from fraudgnn.nn import Tensor
-from fraudgnn.sampler import SamplerConfig, combine_seed
+from fraudgnn.sampler import SamplerConfig, _fraud_extras, combine_seed
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import (TrainConfig, _bce_tensor, _gates_for,
                             _sample_layers, batch_loss, predict, train)
@@ -212,7 +212,7 @@ class TestWeightedModeLayers:
         cfg = small_config(k=len(z_hat))
         cfg.sampler = SamplerConfig(z_hat=z_hat,
                                     mode="weighted_without_replacement")
-        return _sample_layers(g, cfg, epoch, [])
+        return _sample_layers(g, cfg, epoch)
 
     def test_equal_z_hat_layers_draw_identical_neighborhoods(self):
         first, second = self.layers(epoch=1)
@@ -257,7 +257,8 @@ class TestDistinctZSampledOnce:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "sample_layer", counting)
-        layers = _sample_layers(g, cfg, 3, pool)
+        layers = _sample_layers(g, cfg, 3,
+                                _fraud_extras(g, cfg.sampler, pool))
         monkeypatch.undo()
         assert calls == [8, 4]
         assert layers[0] is layers[1]
@@ -292,7 +293,8 @@ class TestUniformMode:
         g, pool = camouflage_scenario()
         cfg = small_config(k=3, seed=11)
         cfg.sampler = SamplerConfig(z_hat=(4, 4, 2), mode="uniform", seed=99)
-        layers = _sample_layers(g, cfg, 3, pool)
+        layers = _sample_layers(g, cfg, 3,
+                                _fraud_extras(g, cfg.sampler, pool))
         for k, got in enumerate(layers):
             assert_same_layer(got, race_uniform_neighborhoods(
                 g, cfg.sampler.z_hat[k], combine_seed(99, 3)))
@@ -361,7 +363,7 @@ class TestLayerPassEdgeCases:
             z_hat=(Z, Z + 1), mode=mode, seed=8,
             oversample_count=50 if case == "count_above_pool" else 2,
             similarity_floor=3.0 if case == "floor_excludes_all" else 1.0)
-        got = _sample_layers(g, cfg, 2, pool)
+        got = _sample_layers(g, cfg, 2, _fraud_extras(g, cfg.sampler, pool))
         want = loop_sample_layers(g, cfg, 2, pool, None)
         for a, b in zip(got, want):
             assert_same_layer(a, b)
@@ -380,7 +382,8 @@ class TestLayerPassEdgeCases:
         cfg = small_config(k=2, seed=5)
         cfg.sampler = SamplerConfig(z_hat=(Z, Z + 1), mode="uniform", seed=6)
         pool = [r.id for r in records if r.label == 1]
-        for k, got in enumerate(_sample_layers(g, cfg, 4, pool)):
+        extras = _fraud_extras(g, cfg.sampler, pool)
+        for k, got in enumerate(_sample_layers(g, cfg, 4, extras)):
             assert_same_layer(got, race_uniform_neighborhoods(
                 g, cfg.sampler.z_hat[k], combine_seed(6, 4)))
 
@@ -484,7 +487,8 @@ class TestPredict:
         cfg = small_config(epochs=2)
         cfg.sampler = SamplerConfig(z_hat=(4, 4), oversample_count=5)
         # the same config does widen pooled fraud rows in training
-        widths = rectangle(_sample_layers(g, cfg, 1, pool)[0]).mask.sum(1)
+        extras = _fraud_extras(g, cfg.sampler, pool)
+        widths = rectangle(_sample_layers(g, cfg, 1, extras)[0]).mask.sum(1)
         assert widths.max() > 4
         result = train(g, cfg)
         scores = [[p.p_fraud for p in predict(
@@ -518,7 +522,8 @@ def field_case(seed, k, window, z_hat, mode, model_kw):
                                             oversample_count=2, seed=seed),
                       seed=seed)
     fraud = graph.node_ids[graph.labels == 1].tolist()
-    nbs = _sample_layers(graph, cfg, 1, fraud)
+    nbs = _sample_layers(graph, cfg, 1,
+                         _fraud_extras(graph, cfg.sampler, fraud))
     gates = _gates_for(cfg.model, np.maximum(graph.labels, 0), nbs[0])
     return graph, cfg, nbs, gates
 

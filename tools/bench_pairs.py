@@ -11,7 +11,8 @@ Run it from the root of the repository, with nothing else running.
 2. For seeds 0 .. DIGEST_SEEDS - 1 of every workload in BENCHMARK.json,
    run one `perfbench/pipeline.run_once` per side, compare the sha256
    digests of the scores text and of `checkpoint_text`, and record each
-   side's held-out AUC per seed (`digests.test_auc`).
+   side's held-out AUC per seed (`digests.test_auc`), with the per-seed
+   delta (change - parent), its median and its minimum.
 3. Run PAIRS alternating pairs of `perfbench/run.py --workload W
    --seed i --seconds SECONDS` per workload: pair i runs seed i, even
    pairs run the parent first and odd pairs the change first.
@@ -125,6 +126,20 @@ def compare_digests(dirs: dict, workloads: list[str], seeds: int) -> dict:
             "mismatches": mismatches, "failures": failures, "test_auc": auc}
 
 
+def auc_deltas(auc: dict) -> dict:
+    """Per workload: each digest seed's held-out AUC, change - parent (None
+    where a side recorded none), with the median and the minimum."""
+    out = {}
+    for wl, sides in auc.items():
+        delta = [None if p is None or c is None else c - p
+                 for p, c in zip(sides["parent"], sides["change"])]
+        known = [d for d in delta if d is not None]
+        out[wl] = {"per_seed": delta,
+                   "median": statistics.median(known) if known else None,
+                   "min": min(known, default=None)}
+    return out
+
+
 def one_run(path: str, wl: str, seed: int, seconds: float,
             trace: int = 0) -> dict:
     started = now()
@@ -207,6 +222,8 @@ def main(argv=None) -> int:
             shas[side] = extract(rev, dirs[side])
 
         digests = compare_digests(dirs, workloads, DIGEST_SEEDS)
+        for wl, delta in auc_deltas(digests["test_auc"]).items():
+            digests["test_auc"][wl]["delta"] = delta
         pairs = []
         for i in range(PAIRS):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -248,6 +265,11 @@ def main(argv=None) -> int:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for wl in workloads:
+        d = digests["test_auc"][wl]["delta"]
+        print(f"{wl} test_auc change - parent per seed: "
+              + " ".join("-" if x is None else f"{x:+.4f}"
+                         for x in d["per_seed"])
+              + f"; median {d['median']}, min {d['min']}")
         s = result["summary"][wl]
         for spec in specs:
             if spec["name"] in s:
