@@ -231,7 +231,7 @@ class CompressedRows:
         return out
 
 
-def gather(values, rows: CompressedRows) -> Tensor:
+def gather(values, layout: CompressedRows) -> Tensor:
     """A column vector (m,1) read at every entry's neighbor row."""
     values = _wrap(values)
     if values.cols != 1:
@@ -240,36 +240,37 @@ def gather(values, rows: CompressedRows) -> Tensor:
     def vjp(g):
         # bincount sums each bin in entry order from +0.0 and, like the 1-D
         # add.at it replaces, keeps the running sum's NaN when two NaNs meet
-        dv = np.bincount(rows.nbr, weights=g[:, 0], minlength=values.rows)
+        dv = np.bincount(layout.nbr, weights=g[:, 0], minlength=values.rows)
         return (dv.reshape(-1, 1),)
 
-    return _record(values.data[rows.nbr], (values,), vjp)
+    return _record(values.data[layout.nbr], (values,), vjp)
 
 
-def add_rows(col, x, rows: CompressedRows) -> Tensor:
-    """col[i] + x[k] for every entry k of row i: ((n,1), entries) -> entries."""
+def add_rows(col, x, layout: CompressedRows) -> Tensor:
+    """col[i] + x[k] for each entry k of row i: ((n,1), entries) -> entries."""
     col, x = _wrap(col), _wrap(x)
-    return _record(col.data[rows.src] + x.data, (col, x),
-                   lambda g: (rows.row_sum(g[:, 0]).reshape(-1, 1), g))
+    return _record(col.data[layout.src] + x.data, (col, x),
+                   lambda g: (layout.row_sum(g[:, 0]).reshape(-1, 1), g))
 
 
-def softmax_entries(a, rows: CompressedRows) -> Tensor:
+def softmax_entries(a, layout: CompressedRows) -> Tensor:
     """Softmax over each row's entries."""
     a = _wrap(a)
-    top = rows.row_max(a.data[:, 0])
+    top = layout.row_max(a.data[:, 0])
     top[~np.isfinite(top)] = 0.0
-    e = np.exp(a.data[:, 0] - top[rows.src])
-    s = rows.row_sum(e)
+    e = np.exp(a.data[:, 0] - top[layout.src])
+    s = layout.row_sum(e)
     s[~(s > 0)] = 1.0
-    out = (e / s[rows.src]).reshape(-1, 1)
+    out = (e / s[layout.src]).reshape(-1, 1)
 
     def vjp(g):
-        return (out * (g - rows.row_sum((g * out)[:, 0])[rows.src, None]),)
+        dot = layout.row_sum((g * out)[:, 0])[layout.src, None]
+        return (out * (g - dot),)
 
     return _record(out, (a,), vjp)
 
 
-def neighbor_sum(weights, values, rows: CompressedRows) -> Tensor:
+def neighbor_sum(weights, values, layout: CompressedRows) -> Tensor:
     """out[i] = sum over row i's entries k of weights[k] * values[nbr[k]]
     ((n_entries,1),(m,d) -> (n,d)), as A @ values for the sparse A whose
     row i holds row i's entries.
@@ -280,15 +281,16 @@ def neighbor_sum(weights, values, rows: CompressedRows) -> Tensor:
     which NaN survives when two meet.
     """
     weights, values = _wrap(weights), _wrap(values)
-    if weights.shape != (len(rows.nbr), 1):
-        raise ShapeError(f"neighbor_sum expects {len(rows.nbr)} entry "
+    if weights.shape != (len(layout.nbr), 1):
+        raise ShapeError(f"neighbor_sum expects {len(layout.nbr)} entry "
                          f"weights, got {weights.shape}")
-    a = scipy.sparse.csr_matrix((weights.data[:, 0], rows.nbr, rows.indptr),
-                                shape=(rows.n_rows, values.rows))
+    a = scipy.sparse.csr_matrix(
+        (weights.data[:, 0], layout.nbr, layout.indptr),
+        shape=(layout.n_rows, values.rows))
     dw, dv = _traced(weights), _traced(values)
 
     def vjp(g):  # a constant operand gets no gradient
-        return (np.vecdot(g[rows.src], values.data[rows.nbr]).reshape(-1, 1)
+        return (np.vecdot(g[layout.src], values.data[layout.nbr])[:, None]
                 if dw else None), (a.T @ g if dv else None)
 
     return _record(a @ values.data, (weights, values), vjp)

@@ -1,6 +1,7 @@
-"""Width-bucketed neighbor cells: the layout, its cache, and a layer that
-equals the padded layer of tests/reference.py bit for bit; compressed rows
-against the padded table they replaced."""
+"""Neighbor layers on compressed rows: the entries of a padded table, the
+cached per-entry weights, and a layer within 1e-12 of the padded layer of
+tests/reference.py; compressed rows against the padded table they
+replaced."""
 
 from types import SimpleNamespace
 
@@ -8,21 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from fraudgnn import model as model_mod, nn
 from fraudgnn.datagen import ScenarioConfig, generate
 from fraudgnn.model import (LayerParams, ModelConfig, Neighborhoods,
-                            layer_forward, neighbor_diversity, pack_rows,
-                            time_factors, uniform_weights)
+                            attention_weights, layer_forward,
+                            neighbor_diversity, pack_rows, time_factors,
+                            uniform_weights)
 from fraudgnn.nn import Tensor
 from fraudgnn.sampler import SamplerConfig
 from fraudgnn.tgraph import Proposition, build_graph
 from fraudgnn.train import TrainConfig, predict, train
 
-from reference import (PaddedCellLayout, Rectangle, neighborhoods, padded,
-                       padded_layer_forward, padded_neighbor_diversity,
-                       padded_pack_rows, padded_time_factors,
-                       padded_uniform_weights, rectangle, sum_all)
+from reference import (Rectangle, neighborhoods, padded,
+                       padded_attention_weights, padded_layer_forward,
+                       padded_neighbor_diversity, padded_pack_rows,
+                       padded_time_factors, padded_uniform_weights,
+                       rectangle, sum_all)
 
 
 def table(rng, counts, width):
@@ -43,15 +47,15 @@ def table(rng, counts, width):
 
 
 TABLES = {
-    # narrow and wide rows in one layer
+    # empty rows, rows of at most 8 entries and wider ones in one layer
     "mixed": lambda rng: table(rng, [0, 1, 7, 8, 9, 16, 17, 3, 12, 8, 0, 5],
                                17),
-    # narrower than 8: one bucket at the table's width
+    # every row shorter than 8
     "below_8": lambda rng: table(rng, [0, 1, 3, 6, 6, 2, 4, 5], 6),
-    # every row at most 8 wide in an 18-wide table: one bucket, trimmed
+    # every row at most 8 wide in an 18-wide table
     "all_narrow_width_18": lambda rng: table(
         rng, [0, 1, 2, 8, 5, 7, 8, 3, 4, 6], 18),
-    # every row wider than 8: one bucket at the table's width
+    # every row wider than 8
     "all_wide": lambda rng: table(rng, [9, 18, 12, 10, 17, 9, 11, 14, 16],
                                   18),
 }
@@ -69,36 +73,69 @@ def bits(a):
     return None if a is None else np.ascontiguousarray(a).view(np.int64)
 
 
-def run_layer(layer_fn, nb, h, W, attn, gates, cfg, coef):
-    """Output and every leaf gradient of sum(coef * layer(h))."""
+def run_layer(layer_fn, h, W, attn, coef):
+    """Output and every leaf gradient of sum(coef * layer_fn(h, layer))."""
     h_t = Tensor(h.copy(), requires_grad=True)
     W_t = Tensor(W.copy(), requires_grad=True)
     attn_t = Tensor(attn.copy(), requires_grad=True)
-    out = layer_fn(h_t, nb, LayerParams(W=W_t, attn=attn_t), gates, cfg)
+    out = layer_fn(h_t, LayerParams(W=W_t, attn=attn_t))
     nn.backward(sum_all(nn.mul(out, coef)))
-    return [bits(x) for x in (out.data, h_t.grad, W_t.grad, attn_t.grad)]
+    return out.data, h_t.grad, W_t.grad, attn_t.grad
 
 
-def assert_layer_matches_padded(nb, d_in, d_out, config_kw, seed=0):
-    rng = np.random.default_rng(seed)
-    n = nb.n_nodes
-    h = rng.normal(size=(n, d_in))
-    W = rng.normal(size=(2 * d_in, d_out)) * 0.5
-    attn = rng.normal(size=(2 * d_out, 1)) * 0.5
-    gates = rng.uniform(0.1, 1.0, size=n)
-    coef = rng.normal(size=(n, d_out))
-    cfg = ModelConfig(tau_seconds=1800.0, **config_kw)
-    got = run_layer(layer_forward, nb, h, W, attn, gates, cfg, coef)
-    want = run_layer(padded_layer_forward, nb, h, W, attn, gates, cfg, coef)
-    for name, g, w in zip(("output", "h grad", "W grad", "attn grad"),
-                          got, want):
+def assert_all_close(names, got, want):
+    """Equal within the declared bound: a row's sums add its entries in
+    order, where the padded table's numpy sums add them pairwise."""
+    for name, g, w in zip(names, got, want):
         if w is None:
             assert g is None, name
         else:
-            assert np.array_equal(g, w), name
+            assert_allclose(g, w, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def assert_layer_matches_padded(nb, d_in, d_out, config_kw, seed=0,
+                                scale=0.5):
+    """layer_forward and attention_weights, and the h, W and attn
+    gradients of each, against the padded layer of tests/reference.py."""
+    rng = np.random.default_rng(seed)
+    n = nb.n_nodes
+    h = rng.normal(size=(n, d_in))
+    W = rng.normal(size=(2 * d_in, d_out)) * scale
+    attn = rng.normal(size=(2 * d_out, 1)) * scale
+    gates = rng.uniform(0.1, 1.0, size=n)
+    coef = rng.normal(size=(n, d_out))
+    cfg = ModelConfig(tau_seconds=1800.0, **config_kw)
+    names = ("output", "h grad", "W grad", "attn grad")
+    assert_all_close(names, run_layer(
+        lambda h_t, layer: layer_forward(h_t, nb, layer, gates, cfg),
+        h, W, attn, coef), run_layer(
+        lambda h_t, layer: padded_layer_forward(h_t, nb, layer, gates, cfg),
+        h, W, attn, coef))
+    if not cfg.use_attention:
+        return
+    coef = rng.normal(size=(len(nb.nbr), 1))  # one per entry
+    got = run_layer(lambda h_t, layer: attention_weights(h_t, nb, layer, cfg),
+                    h, W, attn, coef)
+    want = run_layer(
+        lambda h_t, layer: padded_attention_weights(h_t, nb, layer, cfg),
+        h, W, attn, padded(nb, coef))
+    assert_all_close(names, (padded(nb, got[0]),) + got[1:], want)
+
+
+@st.composite
+def layer_cases(draw):
+    """Rows of up to 40 entries, empty ones included, in a table as wide as
+    the longest row or wider, with layer widths and a config."""
+    width = draw(st.integers(1, 40))
+    counts = draw(st.lists(st.integers(0, width), min_size=1, max_size=12))
+    return (counts, width, draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+            draw(st.sampled_from(sorted(CONFIGS))), draw(st.integers(0, 2**32)))
 
 
 class TestLayerMatchesPadded:
+    """The layer and the attention weights, and their h, W and attn
+    gradients, within rtol = atol = 1e-12 of the padded oracle."""
+
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_tables_and_modes(self, name, config):
@@ -122,33 +159,25 @@ class TestLayerMatchesPadded:
                                         int(rng.integers(1, 10)),
                                         CONFIGS[config], seed=seed)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=layer_cases())
+    @example(case=([0, 40, 9, 8, 1, 0, 17], 40, 3, 4, "decay", 0))
+    def test_standard_normal_layers(self, case):
+        counts, width, d_in, d_out, config, seed = case
+        rng = np.random.default_rng(seed)
+        assert_layer_matches_padded(table(rng, counts, width), d_in, d_out,
+                                    CONFIGS[config], seed=seed, scale=1.0)
+
 
 class TestCellLayout:
-    def test_mixed_table_has_two_buckets(self):
-        nb = TABLES["mixed"](np.random.default_rng(0))
-        (narrow, w8, _, end8), (wide, w17, _, end) = nb.buckets
-        counts = rectangle(nb).mask.sum(axis=1)
-        assert (w8, w17) == (8, 17)
-        assert np.array_equal(narrow, np.flatnonzero(counts <= 8))
-        assert np.array_equal(wide, np.flatnonzero(counts > 8))
-        assert (end8, end) == (8 * len(narrow), end8 + 17 * len(wide))
-        assert len(nb.idx) == end
-
-    @pytest.mark.parametrize("name,width", [
-        ("below_8", 6), ("all_narrow_width_18", 8), ("all_wide", 18)])
-    def test_one_bucket_holds_every_row(self, name, width):
-        nb = TABLES[name](np.random.default_rng(0))
-        ((rows, w, start, stop),) = nb.buckets
-        assert rows == slice(None) and w == width
-        assert (start, stop) == (0, nb.n_nodes * width)
+    """A padded table's compressed rows."""
 
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_entries_in_row_column_order(self, name):
         nb = TABLES[name](np.random.default_rng(4))
         t = rectangle(nb)
         assert np.array_equal(nb.nbr, t.idx[t.mask])
-        assert nb.mask[nb.entry_cells].all()
-        assert nb.mask.sum() == t.mask.sum()
+        assert np.array_equal(nb.src, np.nonzero(t.mask)[0])
         assert np.array_equal(nb.indptr,
                               np.r_[0, np.cumsum(t.mask.sum(axis=1))])
 
@@ -158,8 +187,7 @@ class TestCellLayout:
         mask = rectangle(nb).mask
         x = np.where(mask, np.random.default_rng(6).normal(
             size=mask.shape), 0.0)
-        assert np.array_equal(padded(nb, nb.put(x[mask])), x)
-        assert np.array_equal(nb.put(x[mask])[nb.entry_cells], x[mask])
+        assert np.array_equal(padded(nb, x[mask]), x)
 
 
 class TestCellCache:
@@ -174,9 +202,9 @@ class TestCellCache:
                             attn=Tensor(rng.normal(size=(8, 1))))
         h = Tensor(rng.normal(size=(nb.n_nodes, 5)))
         first = layer_forward(h, nb, layer, None, ModelConfig())
-        factors = nb.time_cells(ModelConfig())
+        factors = nb.time_column(ModelConfig())
         second = layer_forward(h, nb, layer, None, ModelConfig())
-        assert nb.time_cells(ModelConfig()) is factors and len(calls) == 1
+        assert nb.time_column(ModelConfig()) is factors and len(calls) == 1
         assert np.array_equal(first.data, second.data)
         layer_forward(h, nb, layer, None, ModelConfig(time_mode="interval"))
         assert len(calls) == 2
@@ -185,12 +213,12 @@ class TestCellCache:
         nb = TABLES["mixed"](np.random.default_rng(0))
         for cfg in (ModelConfig(tau_seconds=60.0), ModelConfig(),
                     ModelConfig(time_mode="interval")):
-            got = nb.time_cells(cfg)
+            got = nb.time_column(cfg)
             assert np.array_equal(padded(nb, got),
                                   padded_time_factors(rectangle(nb), cfg))
         # interval mode does not read tau, so it shares one cached column
-        assert nb.time_cells(ModelConfig(time_mode="interval",
-                                         tau_seconds=60.0)) is got
+        assert nb.time_column(ModelConfig(time_mode="interval",
+                                          tau_seconds=60.0)) is got
 
     @pytest.mark.parametrize("mode,layouts", [
         ("deterministic_topz", 2), ("weighted_without_replacement", 6)])
@@ -223,8 +251,7 @@ class TestCellCache:
         assert len(built) == layouts + 2
 
 
-# entries per row: any mix, at most 8 (all narrow), more than 8 (all wide),
-# or a table narrower than 8
+# entries per row: any mix, at most 8, more than 8, or at most 5
 COUNTS = {"mixed": (0, 14), "all_narrow": (0, 8), "all_wide": (9, 14),
           "below_8": (0, 5)}
 
@@ -250,22 +277,18 @@ def pair_sets(draw):
 
 
 def assert_same_layout(nb, t):
-    """nb's cells equal those PaddedCellLayout makes of the padded table t,
-    and nb's entries are t's real entries in (row, column) order."""
-    old = PaddedCellLayout(t.idx, t.mask)
-    assert len(nb.buckets) == len(old.buckets)
-    for (rows, w, lo, hi), (o_rows, o_w, o_lo, o_hi) in zip(nb.buckets,
-                                                            old.buckets):
-        assert (isinstance(rows, slice) and rows == o_rows
-                or np.array_equal(rows, o_rows))
-        assert (w, lo, hi) == (o_w, o_lo, o_hi)
-    for got, want in ((nb.idx, old.idx), (nb.mask, old.mask),
-                      (nb.entry_cells, old.entry_cells),
-                      (nb.indptr, old.indptr), (nb.nbr, old.entry_nbr),
+    """nb's entries are the padded table t's real entries in (row, column)
+    order, and rectangle(nb) is t trimmed to its longest row."""
+    counts = t.mask.sum(axis=1)
+    for got, want in ((nb.indptr, np.r_[0, np.cumsum(counts)]),
+                      (nb.src, np.nonzero(t.mask)[0]),
+                      (nb.nbr, t.idx[t.mask]),
                       (bits(nb.dt), bits(t.dt[t.mask]))):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    width = max(int(counts.max(initial=0)), 1)
+    assert not t.mask[:, width:].any()
     for got, want in zip(rectangle(nb), t):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want[:, :width])
 
 
 class TestCompressedRowsMatchPaddedTable:
@@ -278,11 +301,8 @@ class TestCompressedRowsMatchPaddedTable:
     def test_layout_take_and_entry_functions(self, case):
         graph, src, nbr, labels, rows = case
         nb, t = pack_rows(graph, src, nbr), padded_pack_rows(graph, src, nbr)
-        assert nb.width == t.idx.shape[1]
         assert_same_layout(nb, t)
-        sub = nb.take(rows)
-        assert sub.width == nb.width
-        assert_same_layout(sub, Rectangle(*(a[rows] for a in t)))
+        assert_same_layout(nb.take(rows), Rectangle(*(a[rows] for a in t)))
         for cfg in (ModelConfig(), ModelConfig(tau_seconds=60.0),
                     ModelConfig(time_mode="interval")):
             assert np.array_equal(bits(time_factors(nb, cfg)),

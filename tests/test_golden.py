@@ -12,12 +12,14 @@ The GOLDEN runs sample at most 7 neighbors per node. The WIDE runs
 sample up to 12 plus 3 over-sampled extras, so their layers mix rows of
 at most 8 entries with wider ones; they cover both sampler modes,
 uniform sampling, interval time factors, attention off, gate off and a
-hidden width of 1. Their constants were recorded before neighborhoods
-were split into width buckets.
+hidden width of 1.
 
 The six runs that sample at random (weighted or uniform mode) were
 re-recorded when those modes became races over hashed per-entry
 uniforms; the top-z, interval and gate-off constants did not move.
+Eight were re-recorded when the layers moved onto compressed rows, whose
+row sums add a row's entries in order; wide-hidden-1, wide-no-attention
+and GRAPH_TEXT did not move.
 
 GRAPH_TEXT pins serialize_graph on a 400-record scenario with two
 propositions, one with a fractional window, sharing one weight. It was

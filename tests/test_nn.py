@@ -88,6 +88,33 @@ class TestOpExamples:
         assert np.isfinite(out.data).all()
         assert_allclose(out.data.sum(), 1.0, atol=1e-12)
 
+    def test_softmax_entries_shift_by_their_own_row(self):
+        # rows far apart: a shift by any other row's max overflows
+        rows = nn.CompressedRows(np.array([0, 2, 2, 5]), np.zeros(5, int))
+        out = nn.softmax_entries(
+            Tensor([[-1000.0], [-1001.0], [1000.0], [999.0], [1000.0]]), rows)
+        e = math.e
+        assert_allclose(out.data[:, 0], [e / (e + 1), 1 / (e + 1),
+                                         e / (2 * e + 1), 1 / (2 * e + 1),
+                                         e / (2 * e + 1)], rtol=1e-12)
+
+
+class TestCompressedRows:
+    def test_row_reductions(self):
+        rows = nn.CompressedRows(np.array([0, 3, 3, 4, 6, 6]),
+                                 np.zeros(6, int))
+        x = np.array([0.5, -2.0, 1.5, -7.0, 3.0, np.inf])
+        assert rows.src.tolist() == [0, 0, 0, 2, 3, 3]
+        assert rows.row_sum(x).tolist() == [0.0, 0.0, -7.0, np.inf, 0.0]
+        assert rows.row_max(x).tolist() == [1.5, -np.inf, -7.0, np.inf,
+                                            -np.inf]
+
+    def test_row_sums_add_in_entry_order(self):
+        # in entry order 1e16 + 1 + 1 - 1e16 is 0.0; as
+        # (1e16 - 1e16) + (1 + 1) it is 2.0
+        rows = nn.CompressedRows(np.array([0, 4]), np.zeros(4, int))
+        assert rows.row_sum(np.array([1e16, 1.0, 1.0, -1e16]))[0] == 0.0
+
 
 class TestShapeErrors:
     def test_matmul_mismatch_names_both_shapes(self):

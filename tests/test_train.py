@@ -413,6 +413,24 @@ class TestScoresOncePerGraph:
         assert other.edge_scores is not g.edge_scores
         assert_array_equal(other.edge_scores, g.edge_scores)
 
+    def test_fraud_extras_once_per_train(self, monkeypatch):
+        """The over-sampled pairs read no seed, epoch or z, so a weighted
+        train that resamples every epoch computes them once."""
+        calls = []
+        real = sampler_mod._fraud_extras
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sampler_mod, "_fraud_extras", counting)
+        g, _ = camouflage_scenario()
+        cfg = small_config(epochs=3)
+        cfg.sampler = SamplerConfig(z_hat=(4, 4), oversample_count=3,
+                                    mode="weighted_without_replacement")
+        train(g, cfg)
+        assert len(calls) == 1
+
 
 class TestPredict:
     def make_trained(self, epochs=60):
