@@ -98,6 +98,15 @@ class ModelParams:
         out.append(self.head)
         return out
 
+    def untraced(self) -> ModelParams:
+        """The same arrays as constants: a forward pass on them records no
+        tape, and gives the bits a traced pass gives."""
+        return ModelParams(
+            self.feature_dim, self.config,
+            [LayerParams(W=Tensor(layer.W.data), attn=Tensor(layer.attn.data))
+             for layer in self.layers],
+            Tensor(self.head.data))
+
 
 def init_params(feature_dim: int, config: ModelConfig, seed: int) -> ModelParams:
     """Seeded glorot-uniform initialization for every layer and the head."""
@@ -138,14 +147,19 @@ class Neighborhoods(nn.CompressedRows):
     def n_nodes(self) -> int:
         return self.n_rows
 
-    def take(self, rows: np.ndarray) -> Neighborhoods:
-        """The rows `rows` alone, in their order; nbr still names rows of
-        the whole node table."""
+    def take(self, rows: np.ndarray,
+             within: np.ndarray | None = None) -> Neighborhoods:
+        """The rows `rows` alone, in their order. nbr names positions in
+        `within`, ascending rows that hold every neighbor of `rows`, or
+        rows of the whole node table when within is None."""
         counts = np.diff(self.indptr)[rows]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         pos = (np.repeat(self.indptr[rows] - indptr[:-1], counts)
                + np.arange(indptr[-1]))
-        return Neighborhoods(indptr, self.nbr[pos], self.dt[pos])
+        nbr = self.nbr[pos]
+        if within is not None:
+            nbr = np.searchsorted(within, nbr)
+        return Neighborhoods(indptr, nbr, self.dt[pos])
 
     @cached_property
     def uniform_column(self) -> np.ndarray:
@@ -243,7 +257,7 @@ def diversity_stats(labels: np.ndarray, nb: Neighborhoods) -> DiversityStats:
 # ---------------------------------------------------------------------------
 
 def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
-                      config: ModelConfig, rows: np.ndarray | None = None) -> Tensor:
+                      config: ModelConfig, own: np.ndarray | None = None) -> Tensor:
     """Per-neighbor coefficients: damped softmax of pair scores.
 
     Each endpoint is projected by W's neighbor-facing row block; the attn
@@ -253,16 +267,16 @@ def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     time-gap damping. There is one coefficient per entry of nb, as a
     column in entry order.
 
-    h_prev holds every node. nb is the table of `rows` (of every node when
-    rows is None); the projections stay graph-size and only the per-entry
-    work runs on nb (README, determinism).
+    nb's rows are h_prev's rows at `own` (every row of h_prev when own is
+    None) and its nbr names rows of h_prev; the products run on h_prev's
+    rows.
     """
     d_in, d_out = layer.d_in, layer.d_out
     proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
     score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
     score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
-    if rows is not None:
-        score_self = nn.pick_rows(score_self, rows)
+    if own is not None:
+        score_self = nn.pick_rows(score_self, own)
     raw = nn.add_rows(score_self, nn.gather(score_neigh, nb), nb)
     alpha = nn.softmax_entries(nn.leaky_relu(raw), nb)
     return nn.mul(alpha, nb.time_column(config))
@@ -275,31 +289,25 @@ def uniform_weights(nb: Neighborhoods) -> np.ndarray:
 
 def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
                   gates: np.ndarray | None, config: ModelConfig,
-                  rows: np.ndarray | None = None) -> Tensor:
+                  own: np.ndarray | None = None) -> Tensor:
     """One layer: weighted neighbor sum, gate, concat update, row normalize.
 
-    gates is a per-node column of constants (no gradient flows through it);
-    pass None to skip gating (treated as all ones). With `rows` (distinct,
-    ascending), nb is their table and the result is exact on those rows
-    and zero elsewhere; both products run on every node's row, so each
-    row gets the bits the whole-graph pass gives it.
+    The layer produces nb's rows, which are h_prev's rows at `own` (every
+    row of h_prev when own is None); nb's nbr names rows of h_prev. gates
+    is a column of constants, one per row of nb (no gradient flows through
+    it); pass None to skip gating (treated as all ones).
     """
     if h_prev.cols != layer.d_in:
         raise ShapeError(
             f"layer expects width {layer.d_in}, got {h_prev.cols}")
-    weights = (attention_weights(h_prev, nb, layer, config, rows)
+    weights = (attention_weights(h_prev, nb, layer, config, own)
                if config.use_attention else nb.uniform_column)
     h_agg = nn.neighbor_sum(weights, h_prev, nb)
     if config.use_gate and gates is not None:
-        gates = np.asarray(gates).reshape(-1, 1)
-        h_agg = nn.mul(h_agg, gates if rows is None else gates[rows])
-    if rows is not None:
-        h_agg = nn.put_rows(h_agg, rows, h_prev.rows)
-    combined = nn.matmul(nn.concat(h_prev, h_agg), layer.W)
-    if rows is not None:
-        combined = nn.pick_rows(combined, rows)
-    out = nn.l2_normalize_rows(ACTIVATIONS[config.activation](combined))
-    return out if rows is None else nn.put_rows(out, rows, h_prev.rows)
+        h_agg = nn.mul(h_agg, np.asarray(gates).reshape(-1, 1))
+    h_self = h_prev if own is None else nn.pick_rows(h_prev, own)
+    combined = nn.matmul(nn.concat(h_self, h_agg), layer.W)
+    return nn.l2_normalize_rows(ACTIVATIONS[config.activation](combined))
 
 
 def receptive_rows(neighborhoods: list[Neighborhoods],
@@ -333,8 +341,8 @@ def forward(params: ModelParams, features: np.ndarray,
     """Fraud probabilities as a column: one per node, or with `rows`
     (distinct node rows) one per entry of rows, in their order.
 
-    With rows, each layer runs on its receptive_rows, and the result has
-    the bits of the whole-graph pass at those rows.
+    With rows, each layer's state holds its receptive_rows only, and every
+    product runs on those rows (README, determinism).
     """
     if len(neighborhoods) != params.config.k_layers:
         raise ShapeError(
@@ -345,14 +353,24 @@ def forward(params: ModelParams, features: np.ndarray,
         raise ShapeError(
             f"features must be (n, {params.feature_dim}), got {features.shape}")
     h = Tensor(features)
+    below = None  # the rows of h, ascending; None: every node
     for layer, nb, field_rows in zip(params.layers, neighborhoods,
                                      receptive_rows(neighborhoods, rows)):
+        layer_gates, own = gates, None
         if field_rows is not None:
-            nb = nb.take(field_rows)
-        h = layer_forward(h, nb, layer, gates, params.config, field_rows)
+            nb = nb.take(field_rows, below)
+            own = (field_rows if below is None
+                   else np.searchsorted(below, field_rows))
+            if gates is not None:
+                layer_gates = np.asarray(gates)[field_rows]
+        h = layer_forward(h, nb, layer, layer_gates, params.config, own)
+        below = field_rows
     logits = nn.matmul(h, params.head)
     probs = nn.slice_cols(nn.softmax_rows(logits), 1, 2)
-    return probs if rows is None else nn.pick_rows(probs, rows)
+    if rows is None:
+        return probs
+    return nn.pick_rows(probs, rows if below is None
+                        else np.searchsorted(below, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ a general autodiff library.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse
 
@@ -187,19 +189,9 @@ def slice_cols(a, c0: int, c1: int) -> Tensor:
 
 
 def pick_rows(a, rows) -> Tensor:
-    """a[rows] for distinct rows; the adjoint of put_rows. Its gradient is
-    assigned into zeros, with no scatter."""
+    """a[rows] for distinct rows. Its gradient is assigned into zeros,
+    with no scatter."""
     return _slice(a, np.asarray(rows, dtype=np.int64))
-
-
-def put_rows(a, rows, m: int) -> Tensor:
-    """(len(rows), d) -> (m, d): row i of a lands at distinct row rows[i]
-    and every other row is zero; the gradient is pick_rows'."""
-    a = _wrap(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.zeros((m, a.cols))
-    out[rows] = a.data
-    return _record(out, (a,), lambda g: (g[rows],))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +209,14 @@ class CompressedRows:
         self.n_rows = len(counts)
         self.src = np.repeat(np.arange(self.n_rows), counts)
         self._filled = counts > 0
+
+    @cached_property
+    def sparse_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """nbr and indptr in the index dtype scipy.sparse picks for them,
+        converted once, so neighbor_sum's matrices share them."""
+        dtype = scipy.sparse.get_index_dtype((self.nbr, self.indptr),
+                                             check_contents=True)
+        return self.nbr.astype(dtype), self.indptr.astype(dtype)
 
     def row_sum(self, x: np.ndarray) -> np.ndarray:
         """Each row's entries of x added in entry order from +0.0."""
@@ -284,9 +284,8 @@ def neighbor_sum(weights, values, layout: CompressedRows) -> Tensor:
     if weights.shape != (len(layout.nbr), 1):
         raise ShapeError(f"neighbor_sum expects {len(layout.nbr)} entry "
                          f"weights, got {weights.shape}")
-    a = scipy.sparse.csr_matrix(
-        (weights.data[:, 0], layout.nbr, layout.indptr),
-        shape=(layout.n_rows, values.rows))
+    a = scipy.sparse.csr_matrix((weights.data[:, 0], *layout.sparse_index),
+                                shape=(layout.n_rows, values.rows))
     dw, dv = _traced(weights), _traced(values)
 
     def vjp(g):  # a constant operand gets no gradient

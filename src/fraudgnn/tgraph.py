@@ -150,14 +150,22 @@ class TransactionGraph:
     @functools.cached_property
     def edge_scores(self) -> np.ndarray:
         """Selection probability of every ``csr`` entry: weight x
-        exp(cosine) over the sum of its row's own slice, whose rounding
-        np.add.reduceat does not reproduce."""
+        exp(cosine) over the sum of its row's own slice.
+
+        Rows of one degree d are normalized together as a (rows, d) block;
+        its ``sum(axis=1)`` adds each row with the pairwise kernel that the
+        row's own slice sum uses, whose rounding np.add.reduceat does not
+        reproduce."""
         csr = self.csr
-        src = np.repeat(np.arange(self.n_nodes), np.diff(csr.indptr))
+        counts = np.diff(csr.indptr)
+        src = np.repeat(np.arange(self.n_nodes), counts)
         raw = pair_scores(self.unit_features, src, csr.rows, csr.weight)
         probs = np.empty_like(raw)
-        for lo, hi in zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist()):
-            probs[lo:hi] = raw[lo:hi] / raw[lo:hi].sum()
+        starts = csr.indptr[:-1]
+        for d in np.unique(counts[counts > 0]).tolist():
+            pos = starts[counts == d][:, None] + np.arange(d)
+            block = raw[pos]
+            probs[pos] = block / block.sum(axis=1, keepdims=True)
         return probs
 
 

@@ -6,7 +6,8 @@ derive diversity gates, then run seeded mini-batches, each a forward pass
 over the batch's receptive field (model.receptive_rows) with a mean binary
 cross-entropy loss on the batch rows and an Adam step. Gates and neighbor
 choices are constants to the gradient. The epoch ends with a forward pass
-over every node, whose hard predictions feed the next epoch's gates.
+over every node, whose hard predictions feed the next epoch's gates; it
+and predict's passes run on untraced parameters and record no tape.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def batch_loss(params: ModelParams, features: np.ndarray,
                neighborhoods: list[Neighborhoods], gates: np.ndarray | None,
                rows: np.ndarray, y: np.ndarray) -> Tensor:
     """Loss on the selected rows, from a forward pass over the layers'
-    receptive rows only; it has the bits of a whole-graph pass."""
+    receptive rows only."""
     return _bce_tensor(y, model_mod.forward(params, features, neighborhoods,
                                             gates, rows))
 
@@ -180,7 +181,8 @@ def train(graph: TransactionGraph, config: TrainConfig,
         history.append(epoch_loss)
         log.info("epoch %d/%d loss %.6f", epoch, config.epochs, epoch_loss)
 
-        p_all = model_mod.forward(params, features, neighborhoods, gates).data
+        p_all = model_mod.forward(params.untraced(), features, neighborhoods,
+                                  gates).data
         hard = (p_all.ravel() >= 0.5).astype(np.int64)
         labels_eff = np.where(in_train, np.maximum(labels, 0), hard)
 
@@ -226,13 +228,16 @@ def predict(graph: TransactionGraph, params: ModelParams,
 
     neighborhoods = _sample_layers(graph, cfg, 0)
 
+    constants = params.untraced()
     gates = _gates_for(params.config, labels_eff, neighborhoods[0])
-    p = model_mod.forward(params, features, neighborhoods, gates).data.ravel()
+    p = model_mod.forward(constants, features, neighborhoods,
+                          gates).data.ravel()
     if params.config.use_gate and not known.all():
         hard = (p >= 0.5).astype(np.int64)
         labels_eff = np.where(known, labels_eff, hard)
         gates = _gates_for(params.config, labels_eff, neighborhoods[0])
-        p = model_mod.forward(params, features, neighborhoods, gates).data.ravel()
+        p = model_mod.forward(constants, features, neighborhoods,
+                              gates).data.ravel()
 
     return [Prediction(node_id=v, p_fraud=float(p[row]),
                        label_pred=int(p[row] >= 0.5))

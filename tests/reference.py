@@ -9,6 +9,8 @@ sampler.sample_layer's and model.pack_rows' picks one node at a time. The padded
 (n, width) neighbor table, which model.Neighborhoods' compressed rows
 replaced, is kept here with the functions and the layer that read it, as
 their oracle.
+loop_edge_scores normalizes the edge scores one row at a time, the
+oracle of edge_scores' degree groups.
 scipy.stats.rankdata and the per-score ROC loop are the oracles of
 metrics.auc's and metrics.roc_points' tie groups. The random modes' race
 over hashed uniforms is redone here in Python integers (splitmix64,
@@ -356,6 +358,28 @@ def loop_sample_neighborhood(g: TransactionGraph, v, k: int, cfg,
     return SampledNeighborhood(
         node=v, selected=selected,
         probabilities=[probs.get(s, 0.0) for s in selected])
+
+
+def loop_edge_scores(g: TransactionGraph) -> np.ndarray:
+    """TransactionGraph.edge_scores normalized one row slice at a time."""
+    csr = g.csr
+    src = np.repeat(np.arange(g.n_nodes), np.diff(csr.indptr))
+    raw = pair_scores(g.unit_features, src, csr.rows, csr.weight)
+    probs = np.empty_like(raw)
+    for lo, hi in zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist()):
+        probs[lo:hi] = raw[lo:hi] / raw[lo:hi].sum()
+    return probs
+
+
+def put_rows(a, rows, m: int) -> nn.Tensor:
+    """(len(rows), d) -> (m, d): row i of a lands at distinct row rows[i]
+    and every other row is zero: the adjoint of nn.pick_rows, whose
+    gradient is this function's."""
+    a = nn._wrap(a)
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.zeros((m, a.cols))
+    out[rows] = a.data
+    return nn._record(out, (a,), lambda g: (g[rows],))
 
 
 def add_at_gather_vjp(m: int, idx, g) -> np.ndarray:

@@ -1,7 +1,10 @@
 """tools/bench_pairs.py's summary of paired runs, on synthetic pairs."""
 
 import importlib.util
+import mmap
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -93,3 +96,26 @@ def test_auc_deltas_per_seed_with_median_and_minimum():
     assert out["a"]["median"] == pytest.approx(0.0)
     assert out["a"]["min"] == pytest.approx(-0.02)
     assert out["b"] == {"per_seed": [None], "median": None, "min": None}
+
+
+# Touches each page of a 32 MiB map that may not use huge pages once.
+TOUCH_PAGES = """
+import mmap
+m = mmap.mmap(-1, 32 << 20)
+m.madvise(mmap.MADV_NOHUGEPAGE)
+m[::mmap.PAGESIZE] = bytes((32 << 20) // mmap.PAGESIZE)
+"""
+
+
+def test_each_run_records_its_childrens_page_faults(monkeypatch):
+    """A run's `children` holds the page faults of the processes it waited
+    for: one per page that the child touched, at least."""
+    def fake(cmd, cwd, timeout):
+        subprocess.run([sys.executable, "-c", TOUCH_PAGES], check=True)
+        return 0, {"metrics": {}}
+
+    monkeypatch.setattr(bench_pairs, "last_json", fake)
+    run = bench_pairs.one_run("unused", "w", 0, 1.0)
+    assert run["exit_code"] == 0
+    assert run["children"]["minflt"] >= (32 << 20) // mmap.PAGESIZE
+    assert run["children"]["maxrss_kb"] >= 0

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraudgnn.errors import ConfigError, InputError
-from fraudgnn.tgraph import (Proposition, TransactionRecord, build_graph,
-                             max_edge_weight, serialize_graph)
+from fraudgnn.tgraph import (NeighborCSR, Proposition, TransactionGraph,
+                             TransactionRecord, build_graph, max_edge_weight,
+                             serialize_graph)
 
-from reference import (adjacency, evaluate_proposition, naive_build_graph,
-                       naive_max_weight, random_transaction_records)
+from reference import (adjacency, evaluate_proposition, loop_edge_scores,
+                       naive_build_graph, naive_max_weight,
+                       random_transaction_records)
 
 
 def rec(rid, ts, label=0, **raw):
@@ -251,6 +255,27 @@ class TestNeighborCSR:
         assert u is g.unit_features
         np.testing.assert_allclose(np.linalg.norm(u[0]), 1.0)
         assert u[1].tolist() == [0.0, 0.0]
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_edge_scores_match_the_row_loop(self, seed, n):
+        """Degree-group sums give the bits of each row's own slice sum.
+        Degrees up to 400 cross numpy's 8-wide unrolled and 128-element
+        pairwise summation blocks; rows share degrees, so groups hold
+        several rows."""
+        rng = np.random.default_rng(seed)
+        counts = rng.choice(rng.integers(0, 401, size=3), size=n)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        rows = rng.integers(0, n, size=indptr[-1])
+        features = rng.normal(size=(n, 3)) * rng.integers(0, 2, size=(n, 1))
+        g = TransactionGraph(
+            records=[], propositions=[], edges=np.zeros((0, 3), np.int64),
+            csr=NeighborCSR(indptr, rows, rows,
+                            rng.integers(1, 6, size=len(rows))),
+            node_ids=np.arange(n), timestamps=np.zeros(n, np.int64),
+            labels=np.zeros(n, np.int64), features=features)
+        assert g.edge_scores.tobytes() == loop_edge_scores(g).tobytes()
 
 
 class TestGraphAccessors:

@@ -514,6 +514,31 @@ class TestPredict:
             known_ids=result.train_ids)] for n in (0, 5, 50)]
         assert scores[0] == scores[1] == scores[2]
 
+    def test_inference_passes_record_no_tape(self, monkeypatch):
+        """train's epoch-end pass and both of predict's passes run on
+        untraced parameters: their probabilities carry no tape and no
+        parameter is left with a gradient."""
+        passes = []
+        traced_forward = model_mod.forward
+
+        def spy(params, features, neighborhoods, gates, rows=None):
+            out = traced_forward(params, features, neighborhoods, gates, rows)
+            if rows is None:
+                passes.append(out)
+            return out
+
+        monkeypatch.setattr(model_mod, "forward", spy)
+        g = cluster_graph()
+        result = train(g, small_config(epochs=3), train_ids=list(range(20)))
+        assert len(passes) == 3
+        predict(g, result.params, SamplerConfig(z_hat=(4, 4)),
+                known_ids=list(range(10)))
+        assert len(passes) == 5
+        for out in passes:
+            assert out._parents == () and not out.requires_grad
+        assert all(p.grad is None for p in result.params.parameters())
+        assert all(p.requires_grad for p in result.params.parameters())
+
     def test_known_labels_change_gates(self):
         """Telling predict the training labels shifts the diversity gates."""
         g, result = self.make_trained(epochs=10)
@@ -523,8 +548,8 @@ class TestPredict:
         assert len(with_known) == len(blind) == 20
 
 
-def bits(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+# receptive-row products against the whole-graph pass
+FIELD_TOL = dict(rtol=1e-12, atol=1e-12)
 
 
 def field_case(seed, k, window, z_hat, mode, model_kw):
@@ -547,8 +572,10 @@ def field_case(seed, k, window, z_hat, mode, model_kw):
 
 
 class TestReceptiveFieldBatches:
-    """batch_loss runs each layer on its receptive rows only; loss, every
-    gradient and the probabilities keep the whole-graph pass's bits."""
+    """batch_loss runs each layer, products included, on its receptive
+    rows only. BLAS may round a product over a row subset differently, so
+    loss, every gradient and the probabilities match the whole-graph pass
+    within FIELD_TOL, a bound fixed before the products moved."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), k=st.integers(1, 3),
@@ -583,18 +610,18 @@ class TestReceptiveFieldBatches:
         got = batch_loss(got_params, graph.features, nbs, gates, rows, y)
         want = full_graph_batch_loss(want_params, graph.features, nbs,
                                      gates, rows, y)
-        assert bits(got.data) == bits(want.data)
+        assert_allclose(got.data, want.data, **FIELD_TOL)
         nn.backward(got)
         nn.backward(want)
         for g, w in zip(got_params.parameters(), want_params.parameters()):
             assert (g.grad is None) == (w.grad is None)
             if w.grad is not None:
-                assert bits(g.grad) == bits(w.grad)
+                assert_allclose(g.grad, w.grad, **FIELD_TOL)
 
         p_rows = model_mod.forward(want_params, graph.features, nbs, gates,
                                    rows)
         p_all = model_mod.forward(want_params, graph.features, nbs, gates)
-        assert bits(p_rows.data) == bits(p_all.data[rows])
+        assert_allclose(p_rows.data, p_all.data[rows], **FIELD_TOL)
 
     def test_row_sets_grow_downwards_and_stop_above_half(self):
         graph, _, nbs, _ = field_case(0, 3, 3600, (3, 3, 3),

@@ -15,7 +15,12 @@ Run it from the root of the repository, with nothing else running.
    delta (change - parent), its median and its minimum.
 3. Run PAIRS alternating pairs of `perfbench/run.py --workload W
    --seed i --seconds SECONDS` per workload: pair i runs seed i, even
-   pairs run the parent first and odd pairs the change first.
+   pairs run the parent first and odd pairs the change first. Each run
+   records `children`, the change of `getrusage(RUSAGE_CHILDREN)` over
+   the call: `minflt`, the minor page faults of `run.py` and its pipeline
+   child, and `maxrss_kb`, how far they raised the children's peak RSS
+   (a high-water mark over every child waited for so far, so a run below
+   an earlier peak adds 0).
 4. Run one traced run (`--trace 1`) per side and workload, parent first.
 5. Write the summary: per workload and end-to-end metric, each side's
    median and quartiles over the pairs, the ratio of the medians, in
@@ -34,6 +39,7 @@ import datetime
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -143,12 +149,16 @@ def auc_deltas(auc: dict) -> dict:
 def one_run(path: str, wl: str, seed: int, seconds: float,
             trace: int = 0) -> dict:
     started = now()
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     code, result = last_json(
         [sys.executable, "perfbench/run.py", "--workload", wl,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)], path, timeout=seconds + 240)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     return {"started": started, "ended": now(), "exit_code": code,
-            "result": result}
+            "result": result,
+            "children": {"minflt": after.ru_minflt - before.ru_minflt,
+                         "maxrss_kb": after.ru_maxrss - before.ru_maxrss}}
 
 
 def quartiles(values: list[float]) -> dict:
