@@ -256,7 +256,6 @@ class TestNeighborCSR:
         np.testing.assert_allclose(np.linalg.norm(u[0]), 1.0)
         assert u[1].tolist() == [0.0, 0.0]
 
-
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     def test_edge_scores_match_the_row_loop(self, seed, n):
