@@ -16,6 +16,11 @@ import scipy.sparse
 from .errors import FraudGnnError, ShapeError
 
 
+PROB_CLAMP = 1e-7  # bce clamps p into [PROB_CLAMP, 1 - PROB_CLAMP]
+LEAKY_SLOPE = 0.01
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class UsageError(FraudGnnError, RuntimeError):
     """Autodiff misuse, e.g. backward() on a trace-free tensor."""
 
@@ -32,7 +37,8 @@ def _as2d(data) -> np.ndarray:
 
 
 class Tensor:
-    """2-D float64 matrix; set requires_grad=True to make it a trainable leaf."""
+    """2-D float64 matrix; set requires_grad=True to make it a trainable leaf.
+    An op's result requires gradients, and is traced, when an input does."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
@@ -68,14 +74,9 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _traced(t: Tensor) -> bool:
-    """Whether backward() reaches t: a trainable leaf or a traced result."""
-    return t.requires_grad or bool(t._parents)
-
-
 def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(out_data)
-    if any(_traced(p) for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -101,36 +102,10 @@ def matmul(a, b) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    da, db = _traced(a), _traced(b)
+    da, db = a.requires_grad, b.requires_grad
 
     def vjp(g):  # a constant operand gets no gradient
         return (g @ b.data.T if da else None), (a.data.T @ g if db else None)
-
-    return _record(out, (a, b), vjp)
-
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add broadcast mismatch: {a.shape} + {b.shape}") from None
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _record(out, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub broadcast mismatch: {a.shape} - {b.shape}") from None
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _record(out, (a, b), vjp)
 
@@ -141,18 +116,13 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul broadcast mismatch: {a.shape} * {b.shape}") from None
-    da, db = _traced(a), _traced(b)
+    da, db = a.requires_grad, b.requires_grad
 
     def vjp(g):  # a constant operand gets no gradient
         return (_unbroadcast(g * b.data, a.shape) if da else None,
                 _unbroadcast(g * a.data, b.shape) if db else None)
 
     return _record(out, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = _wrap(a)
-    return _record(-a.data, (a,), lambda g: (-g,))
 
 
 def concat(a, b) -> Tensor:
@@ -286,7 +256,7 @@ def neighbor_sum(weights, values, layout: CompressedRows) -> Tensor:
                          f"weights, got {weights.shape}")
     a = scipy.sparse.csr_matrix((weights.data[:, 0], *layout.sparse_index),
                                 shape=(layout.n_rows, values.rows))
-    dw, dv = _traced(weights), _traced(values)
+    dw, dv = weights.requires_grad, values.requires_grad
 
     def vjp(g):  # a constant operand gets no gradient
         return (np.vecdot(g[layout.src], values.data[layout.nbr])[:, None]
@@ -305,10 +275,11 @@ def relu(a) -> Tensor:
     return _record(out, (a,), lambda g: (g * (a.data > 0),))
 
 
-def leaky_relu(a, slope: float = 0.01) -> Tensor:
+def leaky_relu(a) -> Tensor:
     a = _wrap(a)
-    out = np.where(a.data > 0, a.data, slope * a.data)
-    return _record(out, (a,), lambda g: (g * np.where(a.data > 0, 1.0, slope),))
+    out = np.where(a.data > 0, a.data, LEAKY_SLOPE * a.data)
+    return _record(out, (a,), lambda g: (
+        g * np.where(a.data > 0, 1.0, LEAKY_SLOPE),))
 
 
 def identity(a) -> Tensor:
@@ -326,19 +297,6 @@ def tanh(a) -> Tensor:
     a = _wrap(a)
     out = np.tanh(a.data)
     return _record(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    out = np.log(a.data)
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    a = _wrap(a)
-    out = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-    return _record(out, (a,), lambda g: (g * inside,))
 
 
 def softmax_rows(a) -> Tensor:
@@ -369,11 +327,32 @@ def l2_normalize_rows(a) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def mean_all(a) -> Tensor:
-    a = _wrap(a)
-    n = a.data.size
-    out = np.array([[a.data.mean()]])
-    return _record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0] / n),))
+def bce(p, y) -> Tensor:
+    """Mean binary cross-entropy of probabilities p, an (n, 1) column,
+    against 0/1 labels y, with p clamped into [PROB_CLAMP, 1 - PROB_CLAMP]
+    (no gradient where the clamp bites).
+
+    The forward and vjp compute the floats of the chain clamp, log, mul,
+    sub, log, mul, add, mean and neg, in that chain's order.
+    """
+    p = _wrap(p)
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    if p.shape != y.shape:
+        raise ShapeError(f"bce expects an (n, 1) column and n labels, "
+                         f"got {p.shape} and {len(y)}")
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    pc = np.clip(p.data, lo, hi)
+    inside = (p.data > lo) & (p.data < hi)
+    s = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
+
+    def vjp(g):
+        d = np.full_like(s, -g[0, 0] / s.size)
+        # keep + -drop, as the chain added them: keep - drop can differ in
+        # which NaN survives when p is NaN
+        keep, drop = (d * y) / pc, (d * (1.0 - y)) / (1.0 - pc)
+        return ((keep + -drop) * inside,)
+
+    return _record(-np.array([[s.mean()]]), (p,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +379,7 @@ def backward(loss: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and _traced(p):
+            if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
 
     loss.grad = np.ones((1, 1))
@@ -409,7 +388,7 @@ def backward(loss: Tensor):
             continue
         grads = node._vjp(node.grad)
         for parent, g in zip(node._parents, grads):
-            if g is None or not _traced(parent):
+            if g is None or not parent.requires_grad:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
 
@@ -427,25 +406,21 @@ def glorot_uniform(rows: int, cols: int, rng: np.random.Generator) -> Tensor:
 class AdamState:
     """Adam with bias correction; step() consumes and zeroes the gradients."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1 ** self.step_count)
             v_hat = self.v[i] / (1 - b2 ** self.step_count)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.grad = None

@@ -30,7 +30,12 @@ log = logging.getLogger(__name__)
 
 BATCH_SEED_TAG = 3
 
-PROB_CLAMP = 1e-7
+
+def _check_z_hat(sampler: SamplerConfig, model: ModelConfig):
+    if len(sampler.z_hat) != model.k_layers:
+        raise ConfigError(
+            f"sampler.z_hat has {len(sampler.z_hat)} entries but the "
+            f"model has {model.k_layers} layers")
 
 
 @dataclass
@@ -44,10 +49,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.sampler.z_hat) != self.model.k_layers:
-            raise ConfigError(
-                f"sampler.z_hat has {len(self.sampler.z_hat)} entries but the "
-                f"model has {self.model.k_layers} layers")
+        _check_z_hat(self.sampler, self.model)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1:
@@ -72,24 +74,16 @@ class TrainResult:
     train_ids: list[int]
 
 
-def _bce_tensor(y: np.ndarray, p: Tensor) -> Tensor:
-    y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    p = nn.clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    keep = nn.mul(y_col, nn.log(p))
-    drop = nn.mul(1.0 - y_col, nn.log(nn.sub(1.0, p)))
-    return nn.neg(nn.mean_all(nn.add(keep, drop)))
-
-
 def batch_loss(params: ModelParams, features: np.ndarray,
                neighborhoods: list[Neighborhoods], gates: np.ndarray | None,
                rows: np.ndarray, y: np.ndarray) -> Tensor:
     """Loss on the selected rows, from a forward pass over the layers'
     receptive rows only."""
-    return _bce_tensor(y, model_mod.forward(params, features, neighborhoods,
-                                            gates, rows))
+    return nn.bce(model_mod.forward(params, features, neighborhoods, gates,
+                                    rows), y)
 
 
-def _sample_layers(graph: TransactionGraph, cfg: TrainConfig, epoch: int,
+def _sample_layers(graph: TransactionGraph, scfg: SamplerConfig, epoch: int,
                    extras=None) -> list[Neighborhoods]:
     """One Neighborhoods object per layer for this epoch, each row followed
     by its over-sampled ``extras`` (see sampler.sample_layer).
@@ -100,7 +94,6 @@ def _sample_layers(graph: TransactionGraph, cfg: TrainConfig, epoch: int,
     (seed, node, neighbor). Every pass reads the graph's cached edge
     scores, so train and predict on one graph score it once.
     """
-    scfg = cfg.sampler
     if scfg.mode != "deterministic_topz":
         scfg = replace(scfg, seed=combine_seed(scfg.seed, epoch))
     by_z: dict[int, Neighborhoods] = {}
@@ -157,7 +150,8 @@ def train(graph: TransactionGraph, config: TrainConfig,
 
     for epoch in range(1, config.epochs + 1):
         if neighborhoods is None or not deterministic:
-            neighborhoods = _sample_layers(graph, config, epoch, extras)
+            neighborhoods = _sample_layers(graph, config.sampler, epoch,
+                                           extras)
         gates = _gates_for(config.model, labels_eff, neighborhoods[0])
 
         rng = np.random.default_rng(np.random.SeedSequence(
@@ -176,6 +170,7 @@ def train(graph: TransactionGraph, config: TrainConfig,
                     f"batch starting {start}")
             nn.backward(loss)
             opt.step()
+            del loss  # free this step's tape before the next forward
             batch_losses.append(value)
         epoch_loss = float(np.mean(batch_losses))
         history.append(epoch_loss)
@@ -213,7 +208,7 @@ def predict(graph: TransactionGraph, params: ModelParams,
     if sampler_cfg is None:
         sampler_cfg = SamplerConfig(z_hat=(10,) * params.config.k_layers,
                                     seed=seed)
-    cfg = TrainConfig(model=params.config, sampler=sampler_cfg, epochs=0)
+    _check_z_hat(sampler_cfg, params.config)
     if nodes is None:
         nodes = graph.node_ids.tolist()
     rows = graph.rows_of(nodes)
@@ -226,7 +221,7 @@ def predict(graph: TransactionGraph, params: ModelParams,
     known[known_rows] = True
     labels_eff = np.where(known, np.maximum(graph.labels, 0), 0)
 
-    neighborhoods = _sample_layers(graph, cfg, 0)
+    neighborhoods = _sample_layers(graph, sampler_cfg, 0)
 
     constants = params.untraced()
     gates = _gates_for(params.config, labels_eff, neighborhoods[0])

@@ -17,6 +17,9 @@ over hashed uniforms is redone here in Python integers (splitmix64,
 race_uniform, race_pick); the draws it replaced, a numpy Generator per
 node (choice_pick) and one stream per layer in row order
 (uniform_neighborhoods), are kept as oracles of the old path.
+The elementwise ops nn had before nn.bce (add, sub, neg, ln, clamp,
+mean_all) are glue for gradient tests and the padded attention here;
+chain_bce, the nine-node loss they built, is nn.bce's bit oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from fraudgnn.model import ACTIVATIONS, ModelConfig, Neighborhoods, forward
 from fraudgnn.sampler import SamplerConfig, combine_seed
 from fraudgnn.tgraph import (UNLABELED, Proposition, TransactionGraph,
                              TransactionRecord, pair_scores)
-from fraudgnn.train import _bce_tensor
 
 log = logging.getLogger(__name__)
 
@@ -579,7 +581,7 @@ def padded_attention_weights(h_prev, nb: Neighborhoods, layer,
     proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
     score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
     score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
-    raw = nn.add(score_self, padded_gather(score_neigh, t.idx))
+    raw = add(score_self, padded_gather(score_neigh, t.idx))
     alpha = padded_softmax_rows(nn.leaky_relu(raw), t.mask)
     return nn.mul(alpha, padded_time_factors(t, config))
 
@@ -626,16 +628,15 @@ def pack_neighborhoods(graph: TransactionGraph,
     return neighborhoods(idx, mask, dt)
 
 
-def loop_sample_layers(graph: TransactionGraph, cfg, epoch: int,
-                       fraud_pool, scores) -> list:
+def loop_sample_layers(graph: TransactionGraph, scfg: SamplerConfig,
+                       epoch: int, fraud_pool, scores) -> list:
     """train._sample_layers' adaptive path before per-z reuse: every layer
     samples every node itself."""
-    scfg = cfg.sampler
     if scfg.mode == "weighted_without_replacement":
         scfg = replace(scfg, seed=combine_seed(scfg.seed, epoch))
     fraud_set = set(fraud_pool)
     out = []
-    for k in range(cfg.model.k_layers):
+    for k in range(len(scfg.z_hat)):
         sampled = [sample_neighborhood(
             graph, rec.id, k, scfg, oversample=rec.id in fraud_set,
             fraud_pool=fraud_pool, scores=scores) for rec in graph.records]
@@ -719,7 +720,55 @@ def full_graph_batch_loss(params, features, neighborhoods, gates, rows, y):
     """train.batch_loss as it was before receptive-field batches: a forward
     pass over every node, then the loss on the batch rows."""
     p_all = forward(params, features, neighborhoods, gates)
-    return _bce_tensor(y, nn.pick_rows(p_all, rows))
+    return nn.bce(nn.pick_rows(p_all, rows), y)
+
+
+# nn's elementwise ops from before nn.bce: glue for gradient tests and the
+# padded attention, and the links of chain_bce.
+
+def add(a, b) -> nn.Tensor:
+    a, b = nn._wrap(a), nn._wrap(b)
+    return nn._record(a.data + b.data, (a, b), lambda g: (
+        nn._unbroadcast(g, a.shape), nn._unbroadcast(g, b.shape)))
+
+
+def sub(a, b) -> nn.Tensor:
+    a, b = nn._wrap(a), nn._wrap(b)
+    return nn._record(a.data - b.data, (a, b), lambda g: (
+        nn._unbroadcast(g, a.shape), nn._unbroadcast(-g, b.shape)))
+
+
+def neg(a) -> nn.Tensor:
+    a = nn._wrap(a)
+    return nn._record(-a.data, (a,), lambda g: (-g,))
+
+
+def ln(a) -> nn.Tensor:
+    a = nn._wrap(a)
+    return nn._record(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def clamp(a, lo: float, hi: float) -> nn.Tensor:
+    a = nn._wrap(a)
+    inside = (a.data > lo) & (a.data < hi)
+    return nn._record(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+
+
+def mean_all(a) -> nn.Tensor:
+    a = nn._wrap(a)
+    n = a.data.size
+    return nn._record(np.array([[a.data.mean()]]), (a,),
+                      lambda g: (np.full_like(a.data, g[0, 0] / n),))
+
+
+def chain_bce(p, y) -> nn.Tensor:
+    """The training loss as nine tape nodes, nn.bce's oracle: its loss and
+    p's gradient are what nn.bce must give, bit for bit."""
+    y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    p = clamp(p, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
+    keep = nn.mul(y_col, ln(p))
+    drop = nn.mul(1.0 - y_col, ln(sub(1.0, p)))
+    return neg(mean_all(add(keep, drop)))
 
 
 def reference_layer_forward(graph: TransactionGraph, h_prev: np.ndarray,

@@ -10,8 +10,9 @@ from fraudgnn import nn
 from fraudgnn.errors import ShapeError
 from fraudgnn.nn import AdamState, Tensor, UsageError, backward
 
-from reference import (add_at_gather_vjp, add_at_neighbor_sum_vjp,
-                       fd_gradient, put_rows, sum_all)
+from reference import (add, add_at_gather_vjp, add_at_neighbor_sum_vjp,
+                       chain_bce, fd_gradient, mean_all, put_rows, sub,
+                       sum_all)
 
 
 def every_cell(idx):
@@ -75,8 +76,10 @@ class TestOpExamples:
         assert_allclose(nn.tanh(Tensor(x)).data, np.tanh(x), rtol=1e-15)
 
     def test_clamp_values(self):
-        out = nn.clamp(Tensor([[-1.0, 0.5, 2.0]]), 0.0, 1.0)
-        assert_allclose(out.data, [[0.0, 0.5, 1.0]])
+        """bce reads p outside [1e-7, 1 - 1e-7] at the nearer bound."""
+        out = nn.bce(Tensor([[-1.0], [0.5], [2.0]]), [1, 1, 0])
+        assert_allclose(out.item(), -(2 * math.log(1e-7) + math.log(0.5)) / 3,
+                        rtol=1e-8)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -122,9 +125,13 @@ class TestShapeErrors:
             nn.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         assert "(2, 3)" in str(e.value)
 
-    def test_add_mismatch(self):
+    def test_mul_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+            nn.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+    def test_bce_needs_one_label_per_row(self):
+        with pytest.raises(ShapeError):
+            nn.bce(Tensor(np.full((3, 1), 0.5)), [1, 0])
 
     def test_concat_row_mismatch(self):
         with pytest.raises(ShapeError):
@@ -149,14 +156,14 @@ class TestBackwardMechanics:
 
     def test_backward_requires_scalar(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
-        out = nn.add(w, w)
+        out = nn.mul(w, w)
         with pytest.raises(UsageError):
             backward(out)
 
     def test_grad_accumulates_across_uses(self):
         # w appears twice in the graph; grads from both paths must add.
         w = Tensor([[3.0]], requires_grad=True)
-        loss = sum_all(nn.add(nn.mul(w, w), w))  # w^2 + w
+        loss = sum_all(add(nn.mul(w, w), w))  # w^2 + w
         backward(loss)
         assert_allclose(w.grad, [[2 * 3.0 + 1.0]])
 
@@ -195,17 +202,6 @@ class TestAnalyticGradients:
         expected = x.data.T @ np.ones((4, 5))
         assert_allclose(w.grad, expected, rtol=1e-12)
 
-    def test_mean_all_scales_by_size(self):
-        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        backward(nn.mean_all(w))
-        assert_allclose(w.grad, np.full((2, 3), 1.0 / 6.0))
-
-    def test_broadcast_bias_grad_sums_rows(self):
-        b = Tensor(np.zeros((1, 3)), requires_grad=True)
-        x = Tensor(np.arange(12.0).reshape(4, 3))
-        backward(sum_all(nn.add(x, b)))
-        assert_allclose(b.grad, [[4.0, 4.0, 4.0]])
-
     def test_broadcast_column_grad_sums_cols(self):
         s = Tensor(np.ones((3, 1)), requires_grad=True)
         x = Tensor(np.arange(6.0).reshape(3, 2))
@@ -217,12 +213,8 @@ class TestAnalyticGradients:
         rng = np.random.default_rng(3)
         x_np = rng.normal(size=(4, 3))
         y_np = np.array([[1.0], [0.0], [1.0], [1.0]])
-        x, y = Tensor(x_np), Tensor(y_np)
         w = Tensor(np.zeros((3, 1)), requires_grad=True)
-        p = nn.sigmoid(nn.matmul(x, w))
-        ll = nn.add(nn.mul(y, nn.log(p)),
-                    nn.mul(nn.sub(1.0, y), nn.log(nn.sub(1.0, p))))
-        loss = nn.neg(nn.mean_all(ll))
+        loss = nn.bce(nn.sigmoid(nn.matmul(Tensor(x_np), w)), y_np)
         assert_allclose(loss.item(), math.log(2.0), rtol=1e-12)
         backward(loss)
         expected = x_np.T @ (0.5 - y_np) / 4.0
@@ -371,9 +363,16 @@ class TestFiniteDifferenceGradients:
             fd_check(lambda: forward().item(), [a])
 
     def test_clamp_gradient_zero_outside(self):
-        a = Tensor(np.array([[-2.0, 0.5, 3.0]]), requires_grad=True)
-        backward(sum_all(nn.clamp(a, 0.0, 1.0)))
-        assert_allclose(a.grad, [[0.0, 1.0, 0.0]])
+        a = Tensor(np.array([[-2.0], [0.5], [3.0]]), requires_grad=True)
+        backward(nn.bce(a, [1, 1, 1]))
+        assert_allclose(a.grad, [[0.0], [-2.0 / 3.0], [0.0]], rtol=1e-15)
+
+    def test_bce(self):
+        p = Tensor(self.rng.uniform(0.05, 0.95, size=(6, 1)),
+                   requires_grad=True)
+        y = np.array([1, 0, 0, 1, 1, 0])
+        backward(nn.bce(p, y))
+        fd_check(lambda: nn.bce(p, y).item(), [p])
 
     def test_two_layer_mlp_all_params(self):
         """Full small network: tanh hidden layer, sigmoid head, squared error."""
@@ -385,10 +384,10 @@ class TestFiniteDifferenceGradients:
         b2 = Tensor(np.zeros((1, 1)), requires_grad=True)
 
         def forward():
-            h = nn.tanh(nn.add(nn.matmul(x, w1), b1))
-            p = nn.sigmoid(nn.add(nn.matmul(h, w2), b2))
-            d = nn.sub(p, y)
-            return nn.mean_all(nn.mul(d, d))
+            h = nn.tanh(add(nn.matmul(x, w1), b1))
+            p = nn.sigmoid(add(nn.matmul(h, w2), b2))
+            d = sub(p, y)
+            return mean_all(nn.mul(d, d))
 
         backward(forward())
         fd_check(lambda: forward().item(), [w1, b1, w2, b2],
@@ -479,6 +478,53 @@ class TestScattersMatchAddAt:
         assert np.isnan(dv).any() and np.isinf(dv).any()
 
 
+class TestBceMatchesTheChain:
+    """nn.bce's loss and p's gradient equal, bit for bit, those of the
+    nine-node chain it replaced (reference.chain_bce)."""
+
+    # the clamp bounds, just inside them, outside them, and 0 and 1
+    EDGES = [0.0, 1e-7, np.nextafter(1e-7, 1.0), 0.5,
+             np.nextafter(1.0 - 1e-7, 0.0), 1.0 - 1e-7, 1.0, -0.5, 1.5]
+
+    @staticmethod
+    def both(p, y):
+        out = []
+        for loss_fn in (nn.bce, chain_bce):
+            t = Tensor(p, requires_grad=True)
+            loss = loss_fn(t, y)
+            backward(loss)
+            out.append((loss.data, t.grad))
+        return out
+
+    def test_edge_cases(self):
+        p = np.repeat(self.EDGES, 2).reshape(-1, 1)
+        y = np.tile([0, 1], len(self.EDGES))
+        (loss, grad), (want_loss, want_grad) = self.both(p, y)
+        assert_bits_equal(loss, want_loss)
+        assert_bits_equal(grad, want_grad)
+        # the clamp zeroes p's gradient at and beyond its bounds, as -0.0
+        # where the unclamped gradient is negative (label 1)
+        clamped = ~((p > 1e-7) & (p < 1.0 - 1e-7))[:, 0]
+        assert clamped.sum() == 12 and np.all(grad[clamped] == 0.0)
+        assert np.array_equal(np.signbit(grad[clamped, 0]), y[clamped] == 1)
+
+    def test_random_batches(self):
+        """Lengths past numpy's SIMD widths, and NaN of either sign in
+        half the batches: the sum's order decides which NaN survives."""
+        rng = np.random.default_rng(5)
+        for n in range(1, 40):
+            p = rng.random((n, 1))
+            edge = rng.random(n) < 0.3
+            p[edge, 0] = rng.choice(self.EDGES, size=edge.sum())
+            if n % 2:
+                p[rng.random(n) < 0.3, 0] = rng.choice([np.nan, -np.nan])
+            with np.errstate(invalid="ignore"):
+                (loss, grad), (want_loss, want_grad) = self.both(
+                    p, rng.integers(0, 2, n))
+            assert_bits_equal(loss, want_loss)
+            assert_bits_equal(grad, want_grad)
+
+
 class TestGlorotInit:
     def test_bound_and_determinism(self):
         t1 = nn.glorot_uniform(20, 30, np.random.default_rng(5))
@@ -527,7 +573,7 @@ class TestAdam:
         p = Tensor(np.zeros((1, 3)), requires_grad=True)
         opt = AdamState([p], lr=0.1)
         for _ in range(400):
-            d = nn.sub(p, Tensor(target))
+            d = sub(p, Tensor(target))
             backward(sum_all(nn.mul(d, d)))
             opt.step()
         assert_allclose(p.data, target, atol=1e-3)

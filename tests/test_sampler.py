@@ -353,7 +353,7 @@ class TestScoreEdgesMatchesLoopReference:
                                       oversample_count=3 if oversample else 0))
             pool = sorted(r.id for r in records[::2] if r.label == 1)
             scores = g.edge_scores
-            new = _sample_layers(g, cfg, 3,
+            new = _sample_layers(g, cfg.sampler, 3,
                                  _fraud_extras(g, cfg.sampler, pool))
             scfg = cfg.sampler
             if mode != "deterministic_topz":  # _sample_layers salts by epoch
@@ -369,7 +369,7 @@ class TestScoreEdgesMatchesLoopReference:
             with monkeypatch.context() as m:
                 m.setattr(reference, "sample_neighborhood",
                           loop_sample_neighborhood)
-                ref = loop_sample_layers(g, cfg, 3, pool, None)
+                ref = loop_sample_layers(g, cfg.sampler, 3, pool, None)
             for a, b in zip(new, ref):
                 assert np.array_equal(rectangle(a).idx, rectangle(b).idx)
                 assert np.array_equal(rectangle(a).mask, rectangle(b).mask)
@@ -520,7 +520,8 @@ class TestRace:
             g = build_graph(order, props)
             layers.append([layer_pairs(g, nb)
                            for nb in _sample_layers(
-                               g, cfg, 2, _fraud_extras(g, cfg.sampler, pool))])
+                               g, cfg.sampler, 2,
+                               _fraud_extras(g, cfg.sampler, pool))])
         assert layers[0] == layers[1]
         # a real choice: some node has more neighbors than it keeps
         assert max(np.diff(g.csr.indptr)) > 6

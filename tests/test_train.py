@@ -1,6 +1,8 @@
 """Training loop behavior: losses, determinism, failure modes, inference."""
 
+import importlib
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +20,15 @@ from fraudgnn.model import (ACTIVATIONS, TIME_MODES, ModelConfig,
 from fraudgnn.nn import Tensor
 from fraudgnn.sampler import SamplerConfig, _fraud_extras, combine_seed
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
-from fraudgnn.train import (TrainConfig, _bce_tensor, _gates_for,
-                            _sample_layers, batch_loss, predict, train)
+from fraudgnn.train import (TrainConfig, _gates_for, _sample_layers,
+                            batch_loss, predict, train)
 
 from conftest import make_two_cluster_records
 from reference import (full_graph_batch_loss, loop_sample_layers,
                        race_uniform_neighborhoods, rectangle)
+
+# the package's train function shadows the module's name
+train_mod = importlib.import_module("fraudgnn.train")
 
 
 def cluster_graph(n=20, noise=0.05, seed=0):
@@ -51,7 +56,7 @@ def small_config(epochs=30, k=2, z=4, **kw):
 def bce_loss(y, p) -> float:
     """The trainer's loss on label and probability lists."""
     col = np.asarray(p, dtype=np.float64).reshape(-1, 1)
-    return _bce_tensor(np.asarray(y), Tensor(col)).item()
+    return nn.bce(Tensor(col), y).item()
 
 
 class TestBceLoss:
@@ -167,6 +172,23 @@ class TestTrainLoop:
             train(cluster_graph(), small_config(epochs=1),
                   train_ids=[0, 1, 99999])
 
+    def test_each_step_frees_the_previous_tape(self, monkeypatch):
+        """A step's tape, every node's gradient included, is gone before
+        the next step's forward builds its own."""
+        losses = []  # weak references to each step's loss array
+        traced_loss = batch_loss
+
+        def spy(*args):
+            assert all(ref() is None for ref in losses)
+            loss = traced_loss(*args)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        monkeypatch.setattr(train_mod, "batch_loss", spy)
+        train(cluster_graph(), small_config(epochs=2, batch_size=8),
+              train_ids=list(range(20)))
+        assert len(losses) == 6
+
     def test_train_ids_echoed_sorted(self):
         g = cluster_graph()
         result = train(g, small_config(epochs=1), train_ids=[9, 0, 3, 1, 2, 5])
@@ -212,7 +234,7 @@ class TestWeightedModeLayers:
         cfg = small_config(k=len(z_hat))
         cfg.sampler = SamplerConfig(z_hat=z_hat,
                                     mode="weighted_without_replacement")
-        return _sample_layers(g, cfg, epoch)
+        return _sample_layers(g, cfg.sampler, epoch)
 
     def test_equal_z_hat_layers_draw_identical_neighborhoods(self):
         first, second = self.layers(epoch=1)
@@ -257,13 +279,13 @@ class TestDistinctZSampledOnce:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "sample_layer", counting)
-        layers = _sample_layers(g, cfg, 3,
+        layers = _sample_layers(g, cfg.sampler, 3,
                                 _fraud_extras(g, cfg.sampler, pool))
         monkeypatch.undo()
         assert calls == [8, 4]
         assert layers[0] is layers[1]
         assert layers[2] is not layers[0]
-        expected = loop_sample_layers(g, cfg, 3, pool, scores)
+        expected = loop_sample_layers(g, cfg.sampler, 3, pool, scores)
         for got, want in zip(layers, expected):
             assert_same_layer(got, want)
         # not a trivial case: fraud extras widen rows past z = 8, and
@@ -293,7 +315,7 @@ class TestUniformMode:
         g, pool = camouflage_scenario()
         cfg = small_config(k=3, seed=11)
         cfg.sampler = SamplerConfig(z_hat=(4, 4, 2), mode="uniform", seed=99)
-        layers = _sample_layers(g, cfg, 3,
+        layers = _sample_layers(g, cfg.sampler, 3,
                                 _fraud_extras(g, cfg.sampler, pool))
         for k, got in enumerate(layers):
             assert_same_layer(got, race_uniform_neighborhoods(
@@ -363,8 +385,9 @@ class TestLayerPassEdgeCases:
             z_hat=(Z, Z + 1), mode=mode, seed=8,
             oversample_count=50 if case == "count_above_pool" else 2,
             similarity_floor=3.0 if case == "floor_excludes_all" else 1.0)
-        got = _sample_layers(g, cfg, 2, _fraud_extras(g, cfg.sampler, pool))
-        want = loop_sample_layers(g, cfg, 2, pool, None)
+        got = _sample_layers(g, cfg.sampler, 2,
+                             _fraud_extras(g, cfg.sampler, pool))
+        want = loop_sample_layers(g, cfg.sampler, 2, pool, None)
         for a, b in zip(got, want):
             assert_same_layer(a, b)
         widths = rectangle(got[0]).mask.sum(axis=1)
@@ -383,7 +406,7 @@ class TestLayerPassEdgeCases:
         cfg.sampler = SamplerConfig(z_hat=(Z, Z + 1), mode="uniform", seed=6)
         pool = [r.id for r in records if r.label == 1]
         extras = _fraud_extras(g, cfg.sampler, pool)
-        for k, got in enumerate(_sample_layers(g, cfg, 4, extras)):
+        for k, got in enumerate(_sample_layers(g, cfg.sampler, 4, extras)):
             assert_same_layer(got, race_uniform_neighborhoods(
                 g, cfg.sampler.z_hat[k], combine_seed(6, 4)))
 
@@ -490,6 +513,12 @@ class TestPredict:
         with pytest.raises(CheckpointError, match="width 6"):
             predict(g6, result.params)
 
+    def test_z_hat_must_match_the_checkpoints_layers(self):
+        g = cluster_graph()
+        params = init_params(4, small_config(epochs=0).model, 0)
+        with pytest.raises(ConfigError, match="z_hat has 3 entries"):
+            predict(g, params, SamplerConfig(z_hat=(4, 4, 4)))
+
     def test_gate_off_single_pass(self):
         """Without the gate the label bootstrap is skipped entirely."""
         g = cluster_graph()
@@ -506,7 +535,8 @@ class TestPredict:
         cfg.sampler = SamplerConfig(z_hat=(4, 4), oversample_count=5)
         # the same config does widen pooled fraud rows in training
         extras = _fraud_extras(g, cfg.sampler, pool)
-        widths = rectangle(_sample_layers(g, cfg, 1, extras)[0]).mask.sum(1)
+        widths = rectangle(
+            _sample_layers(g, cfg.sampler, 1, extras)[0]).mask.sum(1)
         assert widths.max() > 4
         result = train(g, cfg)
         scores = [[p.p_fraud for p in predict(
@@ -565,7 +595,7 @@ def field_case(seed, k, window, z_hat, mode, model_kw):
                                             oversample_count=2, seed=seed),
                       seed=seed)
     fraud = graph.node_ids[graph.labels == 1].tolist()
-    nbs = _sample_layers(graph, cfg, 1,
+    nbs = _sample_layers(graph, cfg.sampler, 1,
                          _fraud_extras(graph, cfg.sampler, fraud))
     gates = _gates_for(cfg.model, np.maximum(graph.labels, 0), nbs[0])
     return graph, cfg, nbs, gates

@@ -16,11 +16,11 @@ Run it from the root of the repository, with nothing else running.
 3. Run PAIRS alternating pairs of `perfbench/run.py --workload W
    --seed i --seconds SECONDS` per workload: pair i runs seed i, even
    pairs run the parent first and odd pairs the change first. Each run
-   records `children`, the change of `getrusage(RUSAGE_CHILDREN)` over
-   the call: `minflt`, the minor page faults of `run.py` and its pipeline
-   child, and `maxrss_kb`, how far they raised the children's peak RSS
-   (a high-water mark over every child waited for so far, so a run below
-   an earlier peak adds 0).
+   records `children.minflt`, the minor page faults of `run.py` and its
+   pipeline child (the change of `getrusage(RUSAGE_CHILDREN)` over the
+   call). The children's `ru_maxrss` is left out: it is a high-water mark
+   over every child waited for so far, so its change reads 0 for a run
+   below an earlier peak; `peak_rss_mb` is each run's memory figure.
 4. Run one traced run (`--trace 1`) per side and workload, parent first.
 5. Write the summary: per workload and end-to-end metric, each side's
    median and quartiles over the pairs, the ratio of the medians, in
@@ -157,8 +157,7 @@ def one_run(path: str, wl: str, seed: int, seconds: float,
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     return {"started": started, "ended": now(), "exit_code": code,
             "result": result,
-            "children": {"minflt": after.ru_minflt - before.ru_minflt,
-                         "maxrss_kb": after.ru_maxrss - before.ru_maxrss}}
+            "children": {"minflt": after.ru_minflt - before.ru_minflt}}
 
 
 def quartiles(values: list[float]) -> dict:
