@@ -6,6 +6,11 @@ vectors). Top-z keeps the highest-probability neighbors; fraud nodes can
 additionally pull in non-adjacent fraud nodes with similar behavior.
 sample_layer makes every node's picks for one layer at once: each mode is a
 sort key per (node, neighbor) entry, and a node keeps its z smallest keys.
+No Python loop runs over rows: each wide row's z-th key comes from one
+np.partition per power-of-two degree bucket, one mask keeps the entries
+not above it, and only rows that tie at that key (or hold a NaN key) sort
+their own slice. _fraud_extras scores all (fraud node, candidate) pairs
+in blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ DEFAULT_SIMILARITY_FLOOR = math.exp(0.5)
 MODES = ("deterministic_topz", "weighted_without_replacement", "uniform")
 
 _SEED_MASK = (1 << 63) - 1
+
+# (node, candidate) pairs per block in _fraud_extras: bounds its block
+# temporaries, whose total grows with the square of the fraud pool.
+_PAIR_CHUNK = 1 << 15
 
 
 @dataclass
@@ -62,26 +71,52 @@ def _fraud_extras(g: TransactionGraph, cfg: SamplerConfig,
     in ascending id. Uniform mode over-samples nothing. The trainer pools
     train-split fraud, so ground truth is never read off held-out nodes.
     The pairs read no seed, epoch or z, so one call serves a whole run.
+
+    The nodes are taken in blocks of at most _PAIR_CHUNK (node, candidate)
+    pairs, scored in one pair_scores call, which gives a pair the same bits
+    in any batch, and ranked as a (nodes, candidates) block whose columns
+    run in ascending id.
     """
-    if cfg.mode == "uniform" or cfg.oversample_count == 0:
+    count = cfg.oversample_count
+    if cfg.mode == "uniform" or count == 0:
         fraud_pool = ()
     pool = g.rows_of(fraud_pool)
     pool = pool[g.labels[pool] == 1]
-    src, extra = [], []  # grouped by ascending node row
-    csr, u, ids = g.csr, g.unit_features, g.node_ids
-    near = np.zeros(g.n_nodes, dtype=bool)  # v and its neighbors, reset per v
-    for r in np.unique(pool).tolist():
-        nbrs = csr.rows[csr.span(r)]
-        near[nbrs] = near[r] = True
-        cand = pool[~near[pool]]
-        near[nbrs] = near[r] = False
-        sims = pair_scores(u, np.full(len(cand), r), cand, 1.0)
+    cand = pool[np.argsort(g.node_ids[pool], kind="stable")]
+    nodes, col = np.unique(cand, return_inverse=True)
+    csr = g.csr
+    # (a, b): nodes[b] is a graph neighbor of nodes[a]
+    deg = np.diff(csr.indptr)[nodes]
+    ends = np.cumsum(deg)
+    entry = np.arange(ends[-1] if len(ends) else 0)
+    entry += np.repeat(csr.indptr[nodes] - ends + deg, deg)
+    node_of = np.full(g.n_nodes, -1)
+    node_of[nodes] = np.arange(len(nodes))
+    a, b = np.repeat(np.arange(len(nodes)), deg), node_of[csr.rows[entry]]
+    a, b = a[b >= 0], b[b >= 0]
+    src, extra = [cand[:0]], [cand[:0]]
+    step = max(1, _PAIR_CHUNK // max(1, len(cand)))
+    for lo in range(0, len(nodes), step):
+        hi = min(lo + step, len(nodes))
+        near = np.zeros((hi - lo, len(nodes)), dtype=bool)
+        near[np.arange(hi - lo), np.arange(lo, hi)] = True
+        span = slice(*np.searchsorted(a, [lo, hi]).tolist())
+        near[a[span] - lo, b[span]] = True
+        r, c = np.nonzero(~near[:, col])
+        sims = pair_scores(g.unit_features, nodes[r + lo], cand[c], 1.0)
         ok = sims >= cfg.similarity_floor
-        cand, sims = cand[ok], sims[ok]
-        picked = cand[np.lexsort((ids[cand], -sims))[:cfg.oversample_count]]
-        src += [r] * len(picked)
-        extra += picked[np.argsort(ids[picked], kind="stable")].tolist()
-    return np.array(src, dtype=np.int64), np.array(extra, dtype=np.int64)
+        rank = np.full((hi - lo, len(cand)), np.inf)  # -sim; inf: no pair
+        rank[r[ok], c[ok]] = -sims[ok]
+        # each row's count smallest ranks, ties by column: by ascending id
+        j = min(count, len(cand)) - 1
+        kth = np.partition(rank, j, axis=1)[:, j, None]
+        less, tie = rank < kth, rank == kth
+        room = count - less.sum(axis=1, keepdims=True)
+        tie &= np.cumsum(tie, axis=1) <= room
+        r, c = np.nonzero((less | tie) & (rank < np.inf))
+        src.append(nodes[r + lo])
+        extra.append(cand[c])
+    return np.concatenate(src), np.concatenate(extra)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -92,13 +127,15 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _entry_uniforms(seed: int, node_ids: np.ndarray,
+def _entry_uniforms(seed: int, node_ids: np.ndarray, src: np.ndarray,
                     nbr_ids: np.ndarray) -> np.ndarray:
-    """A uniform in (0, 1] per (node id, neighbor id) pair from the hash
-    mix(mix(mix(seed) ^ node id) ^ neighbor id), so never from row order."""
+    """A uniform in (0, 1] per entry from the hash
+    mix(mix(mix(seed) ^ node id) ^ neighbor id), so never from row order:
+    entry i pairs node ``node_ids[src[i]]`` with neighbor ``nbr_ids[i]``.
+    The (seed, node id) prefix is mixed once per node."""
     h = _mix(np.array([seed & _SEED_MASK], dtype=np.uint64))
     h = _mix(h ^ np.asarray(node_ids, dtype=np.int64).view(np.uint64))
-    h = _mix(h ^ np.asarray(nbr_ids, dtype=np.int64).view(np.uint64))
+    h = _mix(h[src] ^ np.asarray(nbr_ids, dtype=np.int64).view(np.uint64))
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
@@ -111,8 +148,27 @@ def _entry_keys(g: TransactionGraph, cfg: SamplerConfig,
     successive draws in proportion to p, or z uniform ones."""
     if cfg.mode == "deterministic_topz":
         return -g.edge_scores
-    race = -np.log(_entry_uniforms(cfg.seed, g.node_ids[src], g.csr.ids))
+    race = -np.log(_entry_uniforms(cfg.seed, g.node_ids, src, g.csr.ids))
     return race if cfg.mode == "uniform" else race / g.edge_scores
+
+
+def _kth_keys(key: np.ndarray, degree: np.ndarray, src: np.ndarray,
+              z: int) -> np.ndarray:
+    """Each row's z-th smallest key in np.sort's order (NaN last); +inf for
+    rows of at most z entries. Rows wider than z are grouped by the power of
+    two at or above their degree, and each group's keys are partitioned as
+    one (rows, 2**b) block padded with +inf."""
+    kth = np.full(len(degree), np.inf)
+    wide = degree > z
+    bucket = np.where(wide, np.frexp(degree - 1)[1], -1).astype(np.int8)
+    entry_bucket = bucket[src]
+    for b in np.unique(bucket[wide]).tolist():
+        rows = np.flatnonzero(bucket == b)
+        filled = np.arange(1 << b) < degree[rows, None]
+        block = np.full(filled.shape, np.inf)
+        block[filled] = key[entry_bucket == b]
+        kth[rows] = np.partition(block, z - 1, axis=1)[:, z - 1]
+    return kth
 
 
 def sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
@@ -125,16 +181,21 @@ def sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
     neighbors come in ascending id, followed by its pairs in ``extras``,
     (node row, extra row) pairs grouped by ascending node row as
     _fraud_extras gives them.
+
+    One mask keeps every entry not above its row's z-th key. That is
+    exactly z entries unless the row ties at the z-th key or holds a NaN
+    key; only such rows select again, one np.lexsort((ids, key)) each.
     """
     csr = g.csr
-    bounds, ids, degree = csr.indptr.tolist(), csr.ids, np.diff(csr.indptr)
+    degree = np.diff(csr.indptr)
     src = np.repeat(np.arange(g.n_nodes), degree)
     key = _entry_keys(g, cfg, src)
-    keep = np.ones(len(ids), dtype=bool)  # rows of at most z keep every entry
-    for row in np.flatnonzero(degree > z).tolist():
-        lo, hi = bounds[row], bounds[row + 1]
+    keep = ~(key > _kth_keys(key, degree, src, z)[src])
+    kept = np.bincount(src[keep], minlength=g.n_nodes)
+    for row in np.flatnonzero(kept > z).tolist():  # ties and NaN keys
+        lo, hi = csr.indptr[row].item(), csr.indptr[row + 1].item()
         keep[lo:hi] = False
-        keep[lo + np.lexsort((ids[lo:hi], key[lo:hi]))[:z]] = True
+        keep[lo + np.lexsort((csr.ids[lo:hi], key[lo:hi]))[:z]] = True
     src, nbr = src[keep], csr.rows[keep]
     if extras is None or not len(extras[0]):
         return src, nbr

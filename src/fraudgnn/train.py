@@ -234,6 +234,5 @@ def predict(graph: TransactionGraph, params: ModelParams,
         p = model_mod.forward(constants, features, neighborhoods,
                               gates).data.ravel()
 
-    return [Prediction(node_id=v, p_fraud=float(p[row]),
-                       label_pred=int(p[row] >= 0.5))
-            for v, row in zip(nodes, rows.tolist())]
+    return [Prediction(node_id=v, p_fraud=p_v, label_pred=int(p_v >= 0.5))
+            for v, p_v in zip(nodes, p[rows].tolist())]

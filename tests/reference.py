@@ -5,7 +5,10 @@ loops, and brute-force pair counting. These implementations share as little
 structure as possible with the library's vectorized code paths so that
 agreement between the two is meaningful evidence. The per-node sampler
 (sample_neighborhood and the functions it calls) and pack_neighborhoods make
-sampler.sample_layer's and model.pack_rows' picks one node at a time. The padded
+sampler.sample_layer's and model.pack_rows' picks one node at a time;
+loop_sample_layer (a lexsort per wide row) and loop_fraud_extras (one fraud
+node at a time) are the row loops that sample_layer's degree-bucket
+partition and _fraud_extras' batched pair scores replaced. The padded
 (n, width) neighbor table, which model.Neighborhoods' compressed rows
 replaced, is kept here with the functions and the layer that read it, as
 their oracle.
@@ -41,7 +44,7 @@ from fraudgnn.datagen import (_FIXED_COLUMNS, DOWNSAMPLE_SEED_TAG,
 from fraudgnn.errors import (ConfigError, IngestError, InputError, ShapeError,
                              unreadable)
 from fraudgnn.model import ACTIVATIONS, ModelConfig, Neighborhoods, forward
-from fraudgnn.sampler import SamplerConfig, combine_seed
+from fraudgnn.sampler import SamplerConfig, _entry_keys, combine_seed
 from fraudgnn.tgraph import (UNLABELED, Proposition, TransactionGraph,
                              TransactionRecord, pair_scores)
 
@@ -642,6 +645,53 @@ def loop_sample_layers(graph: TransactionGraph, scfg: SamplerConfig,
             fraud_pool=fraud_pool, scores=scores) for rec in graph.records]
         out.append(pack_neighborhoods(graph, sampled))
     return out
+
+
+def loop_sample_layer(g: TransactionGraph, z: int, cfg: SamplerConfig,
+                      extras=None) -> tuple[np.ndarray, np.ndarray]:
+    """sample_layer before its degree-bucket partition: every row wider
+    than z selects on its own CSR slice with np.lexsort((ids, key))[:z]."""
+    csr = g.csr
+    bounds, ids, degree = csr.indptr.tolist(), csr.ids, np.diff(csr.indptr)
+    src = np.repeat(np.arange(g.n_nodes), degree)
+    key = _entry_keys(g, cfg, src)
+    keep = np.ones(len(ids), dtype=bool)  # rows of at most z keep every entry
+    for row in np.flatnonzero(degree > z).tolist():
+        lo, hi = bounds[row], bounds[row + 1]
+        keep[lo:hi] = False
+        keep[lo + np.lexsort((ids[lo:hi], key[lo:hi]))[:z]] = True
+    src, nbr = src[keep], csr.rows[keep]
+    if extras is None or not len(extras[0]):
+        return src, nbr
+    x_src, x_nbr = extras
+    src, nbr = np.concatenate([src, x_src]), np.concatenate([nbr, x_nbr])
+    order = np.argsort(src, kind="stable")  # extras after a row's neighbors
+    return src[order], nbr[order]
+
+
+def loop_fraud_extras(g: TransactionGraph, cfg: SamplerConfig,
+                      fraud_pool) -> tuple[np.ndarray, np.ndarray]:
+    """_fraud_extras before it scored every pair at once: one pooled fraud
+    node at a time, its candidates masked and ranked on their own."""
+    if cfg.mode == "uniform" or cfg.oversample_count == 0:
+        fraud_pool = ()
+    pool = g.rows_of(fraud_pool)
+    pool = pool[g.labels[pool] == 1]
+    src, extra = [], []  # grouped by ascending node row
+    csr, u, ids = g.csr, g.unit_features, g.node_ids
+    near = np.zeros(g.n_nodes, dtype=bool)  # v and its neighbors, reset per v
+    for r in np.unique(pool).tolist():
+        nbrs = csr.rows[csr.span(r)]
+        near[nbrs] = near[r] = True
+        cand = pool[~near[pool]]
+        near[nbrs] = near[r] = False
+        sims = pair_scores(u, np.full(len(cand), r), cand, 1.0)
+        ok = sims >= cfg.similarity_floor
+        cand, sims = cand[ok], sims[ok]
+        picked = cand[np.lexsort((ids[cand], -sims))[:cfg.oversample_count]]
+        src += [r] * len(picked)
+        extra += picked[np.argsort(ids[picked], kind="stable")].tolist()
+    return np.array(src, dtype=np.int64), np.array(extra, dtype=np.int64)
 
 
 def uniform_sample(graph: TransactionGraph, node: int, z: int,

@@ -3,6 +3,7 @@
 import importlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,15 +13,17 @@ from hypothesis import strategies as st
 from fraudgnn.datagen import ScenarioConfig, generate, split_records
 from fraudgnn.errors import ConfigError, InputError
 from fraudgnn.model import ModelConfig, checkpoint_text
-from fraudgnn.sampler import (DEFAULT_SIMILARITY_FLOOR, SamplerConfig,
+from fraudgnn import sampler as sampler_mod
+from fraudgnn.sampler import (DEFAULT_SIMILARITY_FLOOR, MODES, SamplerConfig,
                               _entry_uniforms, _fraud_extras, combine_seed,
                               sample_layer)
-from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
+from fraudgnn.tgraph import (NeighborCSR, Proposition, TransactionRecord,
+                             build_graph)
 from fraudgnn.train import TrainConfig, _sample_layers, predict, train
 
 import reference
-from reference import (choice_pick, loop_sample_layers,
-                       loop_sample_neighborhood,
+from reference import (choice_pick, loop_fraud_extras, loop_sample_layer,
+                       loop_sample_layers, loop_sample_neighborhood,
                        loop_selection_probabilities,
                        naive_selection_probabilities, naive_topz,
                        oversample_fraud, race_pick, race_uniform,
@@ -465,7 +468,8 @@ class TestRace:
     def test_uniforms_bit_equal_to_the_oracle(self, seed, pairs):
         v, nb = (np.array(c, dtype=np.int64) for c in zip(*pairs))
         want = np.array([race_uniform(seed, a, b) for a, b in pairs])
-        got = _entry_uniforms(seed, v, nb)
+        nodes, src = np.unique(v, return_inverse=True)
+        got = _entry_uniforms(seed, nodes, src, nb)
         assert got.tobytes() == want.tobytes()
         assert ((got > 0) & (got <= 1)).all()
 
@@ -525,3 +529,150 @@ class TestRace:
         assert layers[0] == layers[1]
         # a real choice: some node has more neighbors than it keeps
         assert max(np.diff(g.csr.indptr)) > 6
+
+
+# Values that sort specially (NaN last, infinities, both zeros) and small
+# integers, so that rows tie at their z-th key.
+SPECIAL_KEYS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.0]
+
+
+def key_graph(rng, degrees, scores):
+    """A graph stand-in with just what sample_layer reads: compressed rows
+    of the given degrees, neighbor ids ascending within a row, and
+    ``scores`` as its edge scores, so top-z's keys are -scores exactly."""
+    n, indptr = len(degrees), np.concatenate([[0], np.cumsum(degrees)])
+    ids = np.concatenate([np.sort(rng.choice(2 * max(degrees, default=0) + 9,
+                                             d, replace=False)) - 5
+                          for d in degrees] + [np.zeros(0, np.int64)])
+    csr = NeighborCSR(indptr=indptr, rows=rng.integers(0, n, len(ids)),
+                      ids=ids.astype(np.int64),
+                      weight=np.ones(len(ids), np.int64))
+    node_ids = rng.choice(10 * n, n, replace=False).astype(np.int64)
+    return SimpleNamespace(csr=csr, n_nodes=n, node_ids=node_ids,
+                           edge_scores=np.asarray(scores, dtype=np.float64))
+
+
+@st.composite
+def selection_cases(draw):
+    """(graph, z): rows of degree 0, 1, z, z + 1, 2**b and 2**b + 1 among
+    others, and z from 1 up to above the widest row; scores drawn from a
+    small palette of special values (so keys tie and hold NaN, +-inf and
+    +-0.0) or from all floats."""
+    z, b = draw(st.integers(1, 9)), draw(st.integers(0, 6))
+    degrees = draw(st.lists(
+        st.one_of(st.sampled_from([0, 1, z, z + 1, 2**b, 2**b + 1]),
+                  st.integers(0, 70)), min_size=1, max_size=12))
+    z = draw(st.sampled_from([z, 1, max(max(degrees), 1),
+                              max(degrees) + 1]))
+    palette = draw(st.one_of(
+        st.lists(st.sampled_from(SPECIAL_KEYS), min_size=1, max_size=4),
+        st.lists(st.floats(), min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.choice(np.array(palette), sum(degrees))
+    return key_graph(rng, degrees, scores), z
+
+
+class TestSelectionMatchesLoop:
+    """sample_layer's degree-bucket partition, with its tie and NaN
+    fallback, against loop_sample_layer, the per-row np.lexsort it
+    replaced: equal (node row, neighbor row) arrays, whatever the keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=selection_cases(), mode=st.sampled_from(MODES),
+           seed=st.integers(0, 2**63 - 1))
+    def test_equal_picks(self, case, mode, seed):
+        g, z = case
+        cfg = SamplerConfig(z_hat=(z,), mode=mode, seed=seed)
+        with np.errstate(all="ignore"):  # keys of NaN and inf scores
+            got, want = sample_layer(g, z, cfg), loop_sample_layer(g, z, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def spy(self, monkeypatch):
+        """Count sample_layer's per-row sorts and its partitioned rows."""
+        calls = {"lexsort": 0, "partitioned": 0}
+        lexsort, kth_keys = np.lexsort, sampler_mod._kth_keys
+
+        def counting_lexsort(keys):
+            calls["lexsort"] += 1
+            return lexsort(keys)
+
+        def counting_kth_keys(key, degree, src, z):
+            kth = kth_keys(key, degree, src, z)
+            calls["partitioned"] += int((kth < np.inf).sum())
+            return kth
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        monkeypatch.setattr(sampler_mod, "_kth_keys", counting_kth_keys)
+        return calls
+
+    def test_only_tied_and_nan_rows_sort(self, monkeypatch):
+        """z = 3 over rows of five: distinct keys, a tie at the third key,
+        a NaN key, a tie below the third key, and a row of two."""
+        scores = [5, 4, 3, 2, 1,  2, 3, 2, 0, 2,  1, 2, math.nan, 3, 4,
+                  3, 3, 2, 1, 0,  1, 1]
+        g = key_graph(np.random.default_rng(0), [5, 5, 5, 5, 2], scores)
+        cfg = SamplerConfig(z_hat=(3,))
+        want = loop_sample_layer(g, 3, cfg)
+        with monkeypatch.context() as m:
+            calls = self.spy(m)
+            got = sample_layer(g, 3, cfg)
+        assert calls == {"lexsort": 2, "partitioned": 4}
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scenario_rows_never_sort(self, monkeypatch, mode):
+        """On a README-density graph, every wide row is partitioned and
+        none falls back to a sort of its own."""
+        records = generate(ScenarioConfig(n_legit=140, n_fraud=60,
+                                          n_devices=4, n_ips=6,
+                                          time_span_seconds=21600, seed=1))
+        g = build_graph(records, [
+            Proposition(name="dev", field="device", weight=3,
+                        window_seconds=3600),
+            Proposition(name="ip", field="ip", window_seconds=3600)])
+        cfg = SamplerConfig(z_hat=(8,), mode=mode, seed=4)
+        want = loop_sample_layer(g, 8, cfg)
+        with monkeypatch.context() as m:
+            calls = self.spy(m)
+            got = sample_layer(g, 8, cfg)
+        assert calls == {"lexsort": 0,
+                         "partitioned": int((np.diff(g.csr.indptr) > 8).sum())}
+        assert calls["partitioned"] > 100
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestFraudExtrasMatchLoop:
+    """_fraud_extras' blocks of scored pairs against loop_fraud_extras, one
+    fraud node at a time: equal (node row, extra row) arrays."""
+
+    @pytest.mark.parametrize("chunk", [1, 40, sampler_mod._PAIR_CHUNK])
+    def test_equal_pairs(self, monkeypatch, chunk):
+        monkeypatch.setattr(sampler_mod, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        for records, g in instances(53, count=4):
+            fraud = [r.id for r in records if r.label == 1]
+            ids = [r.id for r in records]
+            mixed = rng.choice(ids, 40).tolist() + fraud[:3]  # with repeats
+            for pool in (sorted(fraud), mixed, fraud[::-1][:1], []):
+                for count, floor, mode in (
+                        (3, DEFAULT_SIMILARITY_FLOOR, "deterministic_topz"),
+                        (1, 0.0, "weighted_without_replacement"),
+                        (50, math.exp(0.9), "deterministic_topz"),
+                        (2, 0.0, "uniform"),
+                        (0, 0.0, "deterministic_topz")):
+                    cfg = SamplerConfig(oversample_count=count, mode=mode,
+                                        similarity_floor=floor)
+                    got = _fraud_extras(g, cfg, pool)
+                    want = loop_fraud_extras(g, cfg, pool)
+                    assert all(np.array_equal(a, b)
+                               for a, b in zip(got, want))
+                    assert got[0].dtype == got[1].dtype == np.int64
+
+    def test_extras_exist_and_skip_neighbors(self):
+        records, g = instances(59, count=1)[0]
+        pool = sorted(r.id for r in records if r.label == 1)
+        src, extra = _fraud_extras(g, SamplerConfig(similarity_floor=0.0),
+                                   pool)
+        assert len(src) > 0
+        for r, x in zip(src.tolist(), extra.tolist()):
+            assert r != x and x not in g.csr.rows[g.csr.span(r)]
