@@ -87,9 +87,8 @@ def _fraud_extras(g: TransactionGraph, cfg: SamplerConfig,
     csr = g.csr
     # (a, b): nodes[b] is a graph neighbor of nodes[a]
     deg = np.diff(csr.indptr)[nodes]
-    ends = np.cumsum(deg)
-    entry = np.arange(ends[-1] if len(ends) else 0)
-    entry += np.repeat(csr.indptr[nodes] - ends + deg, deg)
+    entry = np.arange(deg.sum()) + np.repeat(
+        csr.indptr[nodes] - np.cumsum(deg) + deg, deg)
     node_of = np.full(g.n_nodes, -1)
     node_of[nodes] = np.arange(len(nodes))
     a, b = np.repeat(np.arange(len(nodes)), deg), node_of[csr.rows[entry]]

@@ -49,6 +49,7 @@ def median_ms(call, repeats: int) -> float:
 
 
 def time_scale(configs: dict[str, str], scale: float, repeats: int) -> dict:
+    # imported here: main puts --src at the head of sys.path first
     from fraudgnn import config, datagen, sampler, tgraph
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in configs.items():
