@@ -22,7 +22,6 @@ from fraudgnn.model import (
     time_factors,
     uniform_weights,
 )
-from fraudgnn.nn import Tensor
 from fraudgnn.sampler import SamplerConfig, sample_layer
 from fraudgnn.tgraph import Proposition, build_graph
 
@@ -67,9 +66,9 @@ def main():
 
     banner("attention coefficients versus plain averaging")
     params = init_params(scen.feature_dim, cfg, seed=0)
-    h0 = Tensor(g.features)
     # one weight per entry of nb, in row order
-    alpha = attention_weights(h0, nb, params.layers[0], cfg).data.ravel()
+    alpha = attention_weights(g.features, nb, params.layers[0],
+                              cfg).weights.ravel()
     flat = uniform_weights(nb)
     i = int(order[-1])  # the most mixed row
     row = slice(nb.indptr[i], nb.indptr[i + 1])

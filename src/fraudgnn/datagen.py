@@ -263,6 +263,13 @@ def _split_ids(ids: np.ndarray, timestamps: np.ndarray, labels: np.ndarray,
         for v in (*spec.train_ids, *spec.test_ids):
             if v not in known:
                 raise InputError(f"explicit split references unknown id {v}")
+        for part, part_ids in (("train", spec.train_ids),
+                               ("test", spec.test_ids)):
+            seen = set()
+            for v in part_ids:
+                if v in seen:
+                    raise InputError(f"explicit split repeats id {v} in {part}")
+                seen.add(v)
         overlap = set(spec.train_ids) & set(spec.test_ids)
         if overlap:
             raise InputError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,12 +19,17 @@ from .errors import CheckpointError, ConfigError, ShapeError, unreadable
 from .nn import Tensor
 from .tgraph import TransactionGraph
 
+# name -> (forward, vjp); the vjp takes the upstream gradient and the
+# forward's input and output
 ACTIVATIONS = {
-    "relu": nn.relu,
-    "tanh": nn.tanh,
-    "sigmoid": nn.sigmoid,
-    "identity": nn.identity,
+    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0)),
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)),
+                lambda g, x, y: g * y * (1.0 - y)),
+    "identity": (lambda x: x, lambda g, x, y: g),
 }
+
+LEAKY_SLOPE = 0.01  # of the LeakyReLU on attention scores
 
 TIME_MODES = ("decay", "interval")
 
@@ -256,35 +262,57 @@ def diversity_stats(labels: np.ndarray, nb: Neighborhoods) -> DiversityStats:
 # forward pass
 # ---------------------------------------------------------------------------
 
-def attention_weights(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
-                      config: ModelConfig, own: np.ndarray | None = None) -> Tensor:
+class Attention(NamedTuple):
+    """A layer's attention coefficients, with the arrays its vjp reads.
+    All but proj are (n_entries, 1) columns in entry order."""
+
+    weights: np.ndarray  # alpha damped by the time factors
+    alpha: np.ndarray    # softmax over each row of the LeakyReLU'd scores
+    raw: np.ndarray      # pair scores before the LeakyReLU
+    proj: np.ndarray     # h_prev's rows by W's neighbor-facing row block
+
+
+def attention_weights(h_prev: np.ndarray, nb: Neighborhoods,
+                      layer: LayerParams, config: ModelConfig,
+                      own: np.ndarray | None = None) -> Attention:
     """Per-neighbor coefficients: damped softmax of pair scores.
 
     Each endpoint is projected by W's neighbor-facing row block; the attn
     vector scores the concatenated projections, split here into a self part
     and a neighbor part so no pairwise concat is materialized. Scores pass
     through LeakyReLU, a softmax over each node's neighbors, and the
-    time-gap damping. There is one coefficient per entry of nb, as a
-    column in entry order.
+    time-gap damping. There is one coefficient per entry of nb.
 
     nb's rows are h_prev's rows at `own` (every row of h_prev when own is
     None) and its nbr names rows of h_prev; the products run on h_prev's
     rows.
     """
     d_in, d_out = layer.d_in, layer.d_out
-    proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
-    score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
-    score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
+    W, attn = layer.W.data, layer.attn.data
+    # the blocks are copies, as the op chain's slices were, so BLAS gets
+    # operands of the same alignment here and in the vjp
+    proj = h_prev @ W[d_in:].copy()
+    score_self = proj @ attn[:d_out].copy()
+    score_neigh = proj @ attn[d_out:].copy()
     if own is not None:
-        score_self = nn.pick_rows(score_self, own)
-    raw = nn.add_rows(score_self, nn.gather(score_neigh, nb), nb)
-    alpha = nn.softmax_entries(nn.leaky_relu(raw), nb)
-    return nn.mul(alpha, nb.time_column(config))
+        score_self = score_self[own]
+    raw = score_self[nb.src] + score_neigh[nb.nbr]
+    alpha = nb.row_softmax(
+        np.where(raw > 0, raw, LEAKY_SLOPE * raw)[:, 0]).reshape(-1, 1)
+    return Attention(alpha * nb.time_column(config), alpha, raw, proj)
 
 
 def uniform_weights(nb: Neighborhoods) -> np.ndarray:
     """Plain averaging coefficients: 1/|neighbors| for each entry."""
     return 1.0 / np.diff(nb.indptr)[nb.src]
+
+
+def _placed(g: np.ndarray, key, shape: tuple[int, ...]) -> np.ndarray:
+    """g written at key into zeros: the gradient a row block or a row pick
+    sends back to the whole array."""
+    out = np.zeros(shape)
+    out[key] = g
+    return out
 
 
 def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
@@ -296,18 +324,76 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     row of h_prev when own is None); nb's nbr names rows of h_prev. gates
     is a column of constants, one per row of nb (no gradient flows through
     it); pass None to skip gating (treated as all ones).
+
+    The layer is one tape node over h_prev, W and attn. Its vjp gives the
+    floats of the chain of single ops in tests/reference.py
+    (chain_layer_forward), in that chain's order. Where a parent fed
+    several ops, its parts add up as nn.backward added them: h_prev's as
+    (own rows + neighbor sum) + projection, W's as update product + the
+    projection block, attn's as self block + neighbor block, each block
+    padded with zeros, which turns a -0.0 into +0.0.
     """
     if h_prev.cols != layer.d_in:
         raise ShapeError(
             f"layer expects width {layer.d_in}, got {h_prev.cols}")
-    weights = (attention_weights(h_prev, nb, layer, config, own)
-               if config.use_attention else nb.uniform_column)
-    h_agg = nn.neighbor_sum(weights, h_prev, nb)
+    d_in, d_out = layer.d_in, layer.d_out
+    h, W = h_prev.data, layer.W.data
+    att = (attention_weights(h, nb, layer, config, own)
+           if config.use_attention else None)
+    weights = nb.uniform_column if att is None else att.weights
+    agg = nn.neighbor_sum(weights, h, nb)
+    gate = None
     if config.use_gate and gates is not None:
-        h_agg = nn.mul(h_agg, np.asarray(gates).reshape(-1, 1))
-    h_self = h_prev if own is None else nn.pick_rows(h_prev, own)
-    combined = nn.matmul(nn.concat(h_self, h_agg), layer.W)
-    return nn.l2_normalize_rows(ACTIVATIONS[config.activation](combined))
+        gate = np.asarray(gates, dtype=np.float64).reshape(-1, 1)
+        agg = agg * gate
+    cat = np.concatenate([h if own is None else h[own], agg], axis=1)
+    activate, activation_vjp = ACTIVATIONS[config.activation]
+    pre = cat @ W
+    post = activate(pre)
+    norms = np.linalg.norm(post, axis=1, keepdims=True)
+    safe = np.where(norms > 0, norms, 1.0)
+    out = post / safe
+
+    def vjp(g):
+        dot = (g * out).sum(axis=1, keepdims=True)
+        g = activation_vjp(np.where(norms > 0, (g - out * dot) / safe, 0.0),
+                           pre, post)
+        dW = cat.T @ g
+        if not h_prev.requires_grad and att is None:
+            return None, dW
+        d_cat = g @ W.T
+        d_agg = d_cat[:, d_in:] if gate is None else d_cat[:, d_in:] * gate
+        dh = None
+        if h_prev.requires_grad:
+            dh = (d_cat[:, :d_in] if own is None
+                  else _placed(d_cat[:, :d_in], own, h.shape))
+            dh = dh + nn.neighbor_sum_transpose(weights, d_agg, nb, len(h))
+        if att is None:
+            return dh, dW
+        # time damping, softmax, LeakyReLU, then the scores' two sums
+        d_alpha = (np.vecdot(d_agg[nb.src], h[nb.nbr])[:, None]
+                   * nb.time_column(config))
+        alpha = att.alpha
+        d_soft = alpha * (d_alpha - nb.row_sum(
+            (d_alpha * alpha)[:, 0])[nb.src, None])
+        d_raw = d_soft * np.where(att.raw > 0, 1.0, LEAKY_SLOPE)
+        d_self = nb.row_sum(d_raw[:, 0]).reshape(-1, 1)
+        if own is not None:
+            d_self = _placed(d_self, own, (len(h), 1))
+        d_neigh = np.bincount(nb.nbr, weights=d_raw[:, 0],
+                              minlength=len(h)).reshape(-1, 1)
+        attn = layer.attn.data
+        d_proj = (d_self @ attn[:d_out].copy().T
+                  + d_neigh @ attn[d_out:].copy().T)
+        d_attn = (_placed(att.proj.T @ d_self, np.s_[:d_out], attn.shape)
+                  + _placed(att.proj.T @ d_neigh, np.s_[d_out:], attn.shape))
+        if dh is not None:
+            dh = dh + d_proj @ W[d_in:].copy().T
+        dW = dW + _placed(h.T @ d_proj, np.s_[d_in:], W.shape)
+        return dh, dW, d_attn
+
+    parents = (h_prev, layer.W) + (() if att is None else (layer.attn,))
+    return nn.record(out, parents, vjp)
 
 
 def receptive_rows(neighborhoods: list[Neighborhoods],

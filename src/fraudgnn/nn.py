@@ -3,7 +3,9 @@
 Every value is a 2-D float64 matrix wrapped in a Tensor. Operations record
 a trace while any input requires gradients; backward() replays the trace in
 reverse topological order. The op set is exactly what the model needs, not
-a general autodiff library.
+a general autodiff library: the output head's ops and the loss. A model
+layer is one op of its own (model.layer_forward), built on record and on
+the array-level kernels over compressed neighbor rows here.
 """
 
 from __future__ import annotations
@@ -11,13 +13,12 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .errors import FraudGnnError, ShapeError
 
 
 PROB_CLAMP = 1e-7  # bce clamps p into [PROB_CLAMP, 1 - PROB_CLAMP]
-LEAKY_SLOPE = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -74,23 +75,15 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def record(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """An op's result: traced, with vjp(g) giving one gradient (or None)
+    per parent, when a parent requires gradients."""
     out = Tensor(out_data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
     return out
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if shape[0] == 1 and g.shape[0] > 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] > 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -107,36 +100,7 @@ def matmul(a, b) -> Tensor:
     def vjp(g):  # a constant operand gets no gradient
         return (g @ b.data.T if da else None), (a.data.T @ g if db else None)
 
-    return _record(out, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul broadcast mismatch: {a.shape} * {b.shape}") from None
-    da, db = a.requires_grad, b.requires_grad
-
-    def vjp(g):  # a constant operand gets no gradient
-        return (_unbroadcast(g * b.data, a.shape) if da else None,
-                _unbroadcast(g * a.data, b.shape) if db else None)
-
-    return _record(out, (a, b), vjp)
-
-
-def concat(a, b) -> Tensor:
-    """Column-wise concatenation: (n,p) || (n,q) -> (n,p+q)."""
-    a, b = _wrap(a), _wrap(b)
-    if a.rows != b.rows:
-        raise ShapeError(f"concat needs equal row counts: {a.shape} || {b.shape}")
-    out = np.concatenate([a.data, b.data], axis=1)
-    p = a.cols
-
-    def vjp(g):
-        return g[:, :p], g[:, p:]
-
-    return _record(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def _slice(a, key) -> Tensor:
@@ -147,11 +111,7 @@ def _slice(a, key) -> Tensor:
         da[key] = g
         return (da,)
 
-    return _record(a.data[key].copy(), (a,), vjp)
-
-
-def slice_rows(a, r0: int, r1: int) -> Tensor:
-    return _slice(a, np.s_[r0:r1, :])
+    return record(a.data[key].copy(), (a,), vjp)
 
 
 def slice_cols(a, c0: int, c1: int) -> Tensor:
@@ -165,13 +125,13 @@ def pick_rows(a, rows) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# per-entry ops over compressed neighbor rows
+# array kernels over compressed neighbor rows
 # ---------------------------------------------------------------------------
 
 class CompressedRows:
     """Rows of entries: row i owns entries indptr[i]:indptr[i + 1], and
     entry k names row nbr[k] of a value table; src[k] is entry k's row.
-    A per-entry tensor is an (n_entries, 1) column in entry order."""
+    A per-entry array is a column (or a vector) in entry order."""
 
     def __init__(self, indptr: np.ndarray, nbr: np.ndarray):
         self.indptr, self.nbr = indptr, nbr
@@ -182,11 +142,10 @@ class CompressedRows:
 
     @cached_property
     def sparse_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """nbr and indptr in the index dtype scipy.sparse picks for them,
-        converted once, so neighbor_sum's matrices share them."""
-        dtype = scipy.sparse.get_index_dtype((self.nbr, self.indptr),
-                                             check_contents=True)
-        return self.nbr.astype(dtype), self.indptr.astype(dtype)
+        """nbr and indptr in the one index dtype the sparse kernels of
+        neighbor_sum take."""
+        return (self.nbr.astype(np.intp, copy=False),
+                self.indptr.astype(np.intp, copy=False))
 
     def row_sum(self, x: np.ndarray) -> np.ndarray:
         """Each row's entries of x added in entry order from +0.0."""
@@ -200,104 +159,55 @@ class CompressedRows:
                 x, self.indptr[:-1][self._filled])
         return out
 
-
-def gather(values, layout: CompressedRows) -> Tensor:
-    """A column vector (m,1) read at every entry's neighbor row."""
-    values = _wrap(values)
-    if values.cols != 1:
-        raise ShapeError(f"gather expects a column vector, got {values.shape}")
-
-    def vjp(g):
-        # bincount sums each bin in entry order from +0.0 and, like the 1-D
-        # add.at it replaces, keeps the running sum's NaN when two NaNs meet
-        dv = np.bincount(layout.nbr, weights=g[:, 0], minlength=values.rows)
-        return (dv.reshape(-1, 1),)
-
-    return _record(values.data[layout.nbr], (values,), vjp)
+    def row_softmax(self, x: np.ndarray) -> np.ndarray:
+        """Softmax of x over each row's entries, shifted by the row's
+        largest finite entry; a row whose entries sum to no positive
+        value divides by 1."""
+        top = self.row_max(x)
+        top[~np.isfinite(top)] = 0.0
+        e = np.exp(x - top[self.src])
+        s = self.row_sum(e)
+        s[~(s > 0)] = 1.0
+        return e / s[self.src]
 
 
-def add_rows(col, x, layout: CompressedRows) -> Tensor:
-    """col[i] + x[k] for each entry k of row i: ((n,1), entries) -> entries."""
-    col, x = _wrap(col), _wrap(x)
-    return _record(col.data[layout.src] + x.data, (col, x),
-                   lambda g: (layout.row_sum(g[:, 0]).reshape(-1, 1), g))
-
-
-def softmax_entries(a, layout: CompressedRows) -> Tensor:
-    """Softmax over each row's entries."""
-    a = _wrap(a)
-    top = layout.row_max(a.data[:, 0])
-    top[~np.isfinite(top)] = 0.0
-    e = np.exp(a.data[:, 0] - top[layout.src])
-    s = layout.row_sum(e)
-    s[~(s > 0)] = 1.0
-    out = (e / s[layout.src]).reshape(-1, 1)
-
-    def vjp(g):
-        dot = layout.row_sum((g * out)[:, 0])[layout.src, None]
-        return (out * (g - dot),)
-
-    return _record(out, (a,), vjp)
-
-
-def neighbor_sum(weights, values, layout: CompressedRows) -> Tensor:
+def neighbor_sum(weights: np.ndarray, values: np.ndarray,
+                 layout: CompressedRows) -> np.ndarray:
     """out[i] = sum over row i's entries k of weights[k] * values[nbr[k]]
-    ((n_entries,1),(m,d) -> (n,d)), as A @ values for the sparse A whose
-    row i holds row i's entries.
+    ((n_entries,1),(m,d) -> (n,d)): A @ values for the sparse A whose row i
+    holds row i's entries.
 
-    scipy's csr_matvecs adds a row's products in entry order from +0.0;
-    A.T @ g, the values gradient, walks the same entries as csc_matvecs,
-    which equals numpy's add.at of the products bit for bit, including
-    which NaN survives when two meet.
+    scipy's csr_matvecs kernel runs on the layout's arrays as they are, with
+    no matrix object; it adds a row's products in entry order from +0.0.
     """
-    weights, values = _wrap(weights), _wrap(values)
     if weights.shape != (len(layout.nbr), 1):
         raise ShapeError(f"neighbor_sum expects {len(layout.nbr)} entry "
                          f"weights, got {weights.shape}")
-    a = scipy.sparse.csr_matrix((weights.data[:, 0], *layout.sparse_index),
-                                shape=(layout.n_rows, values.rows))
-    dw, dv = weights.requires_grad, values.requires_grad
+    out = np.zeros((layout.n_rows, values.shape[1]))
+    nbr, indptr = layout.sparse_index
+    _sparsetools.csr_matvecs(layout.n_rows, len(values), values.shape[1],
+                             indptr, nbr, weights.ravel(),
+                             np.ascontiguousarray(values).ravel(), out.ravel())
+    return out
 
-    def vjp(g):  # a constant operand gets no gradient
-        return (np.vecdot(g[layout.src], values.data[layout.nbr])[:, None]
-                if dw else None), (a.T @ g if dv else None)
 
-    return _record(a @ values.data, (weights, values), vjp)
+def neighbor_sum_transpose(weights: np.ndarray, g: np.ndarray,
+                           layout: CompressedRows, m: int) -> np.ndarray:
+    """A.T @ g ((n,d) -> (m,d)), neighbor_sum's values gradient, by
+    scipy's csc_matvecs on the same arrays: it walks the entries in order
+    and equals numpy's add.at of the products bit for bit, including which
+    NaN survives when two meet."""
+    out = np.zeros((m, g.shape[1]))
+    nbr, indptr = layout.sparse_index
+    _sparsetools.csc_matvecs(m, layout.n_rows, g.shape[1], indptr, nbr,
+                             weights.ravel(), np.ascontiguousarray(g).ravel(),
+                             out.ravel())
+    return out
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities and reductions
+# output head and loss
 # ---------------------------------------------------------------------------
-
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    out = np.maximum(a.data, 0.0)
-    return _record(out, (a,), lambda g: (g * (a.data > 0),))
-
-
-def leaky_relu(a) -> Tensor:
-    a = _wrap(a)
-    out = np.where(a.data > 0, a.data, LEAKY_SLOPE * a.data)
-    return _record(out, (a,), lambda g: (
-        g * np.where(a.data > 0, 1.0, LEAKY_SLOPE),))
-
-
-def identity(a) -> Tensor:
-    a = _wrap(a)
-    return _record(a.data.copy(), (a,), lambda g: (g,))
-
-
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return _record(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(a) -> Tensor:
-    a = _wrap(a)
-    out = np.tanh(a.data)
-    return _record(out, (a,), lambda g: (g * (1.0 - out * out),))
-
 
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax, overflow-safe via per-row max subtraction."""
@@ -308,23 +218,8 @@ def softmax_rows(a) -> Tensor:
     s = e.sum(axis=1, keepdims=True)
     s[~(s > 0)] = 1.0
     out = np.divide(e, s, out=e)
-    return _record(out, (a,), lambda g: (
+    return record(out, (a,), lambda g: (
         out * (g - (g * out).sum(axis=1, keepdims=True)),))
-
-
-def l2_normalize_rows(a) -> Tensor:
-    """Scale each row to unit L2 norm; all-zero rows are left at zero."""
-    a = _wrap(a)
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    out = a.data / safe
-
-    def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        da = (g - out * dot) / safe
-        return (np.where(norms > 0, da, 0.0),)
-
-    return _record(out, (a,), vjp)
 
 
 def bce(p, y) -> Tensor:
@@ -352,7 +247,7 @@ def bce(p, y) -> Tensor:
         keep, drop = (d * y) / pc, (d * (1.0 - y)) / (1.0 - pc)
         return ((keep + -drop) * inside,)
 
-    return _record(-np.array([[s.mean()]]), (p,), vjp)
+    return record(-np.array([[s.mean()]]), (p,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,9 @@ def train(graph: TransactionGraph, config: TrainConfig,
           train_ids: list[int] | None = None) -> TrainResult:
     """Fit the model on the graph's training nodes; see the module docstring.
 
-    Raises TrainError when the training labels are single-class, contain
-    unlabeled nodes, or the loss leaves the finite range.
+    Raises TrainError when the training ids repeat one, the training
+    labels are single-class or contain unlabeled nodes, or the loss leaves
+    the finite range.
     """
     if train_ids is None:
         train_ids, _ = _split_ids(graph.node_ids, graph.timestamps,
@@ -124,6 +125,9 @@ def train(graph: TransactionGraph, config: TrainConfig,
     train_ids = sorted(train_ids)
     if not train_ids:
         raise TrainError("training split is empty")
+    repeated = [a for a, b in zip(train_ids, train_ids[1:]) if a == b]
+    if repeated:
+        raise TrainError(f"training split repeats id {repeated[0]}")
     labels = graph.labels
     train_rows = graph.rows_of(train_ids)
     y_train = labels[train_rows]

@@ -23,6 +23,10 @@ node (choice_pick) and one stream per layer in row order
 The elementwise ops nn had before nn.bce (add, sub, neg, ln, clamp,
 mean_all) are glue for gradient tests and the padded attention here;
 chain_bce, the nine-node loss they built, is nn.bce's bit oracle.
+The per-layer ops nn had before model.layer_forward became one tape node
+(mul, concat, slice_rows, gather, add_rows, softmax_entries, the
+activations, l2_normalize_rows, and neighbor_sum on a scipy matrix
+object) build chain_layer_forward, that op's bit oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from fraudgnn.datagen import (_FIXED_COLUMNS, DOWNSAMPLE_SEED_TAG,
                               SplitSpec)
 from fraudgnn.errors import (ConfigError, IngestError, InputError, ShapeError,
                              unreadable)
-from fraudgnn.model import ACTIVATIONS, ModelConfig, Neighborhoods, forward
+from fraudgnn.model import LEAKY_SLOPE, ModelConfig, Neighborhoods, forward
 from fraudgnn.sampler import SamplerConfig, _entry_keys, combine_seed
 from fraudgnn.tgraph import (UNLABELED, Proposition, TransactionGraph,
                              TransactionRecord, pair_scores)
@@ -384,7 +388,7 @@ def put_rows(a, rows, m: int) -> nn.Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     out = np.zeros((m, a.cols))
     out[rows] = a.data
-    return nn._record(out, (a,), lambda g: (g[rows],))
+    return nn.record(out, (a,), lambda g: (g[rows],))
 
 
 def add_at_gather_vjp(m: int, idx, g) -> np.ndarray:
@@ -532,7 +536,7 @@ def padded_gather(values, idx) -> nn.Tensor:
         dv = np.bincount(idx.ravel(), weights=g.ravel(), minlength=values.rows)
         return (dv.reshape(-1, 1),)
 
-    return nn._record(out, (values,), vjp)
+    return nn.record(out, (values,), vjp)
 
 
 def padded_neighbor_sum(weights, values, idx) -> nn.Tensor:
@@ -549,7 +553,7 @@ def padded_neighbor_sum(weights, values, idx) -> nn.Tensor:
         dw = np.einsum("nd,nzd->nz", g, gathered)
         return dw, padded_scatter_rows(weights.data, idx, g, values.rows)
 
-    return nn._record(out, (weights, values), vjp)
+    return nn.record(out, (weights, values), vjp)
 
 
 def padded_softmax_rows(a, mask) -> nn.Tensor:
@@ -572,7 +576,7 @@ def padded_softmax_rows(a, mask) -> nn.Tensor:
         dot = (g * out).sum(axis=1, keepdims=True)
         return (out * (g - dot),)
 
-    return nn._record(out, (a,), vjp)
+    return nn.record(out, (a,), vjp)
 
 
 def padded_attention_weights(h_prev, nb: Neighborhoods, layer,
@@ -581,12 +585,12 @@ def padded_attention_weights(h_prev, nb: Neighborhoods, layer,
     whole (n, width) table and returns it."""
     t = rectangle(nb)
     d_in, d_out = layer.d_in, layer.d_out
-    proj = nn.matmul(h_prev, nn.slice_rows(layer.W, d_in, 2 * d_in))
-    score_self = nn.matmul(proj, nn.slice_rows(layer.attn, 0, d_out))
-    score_neigh = nn.matmul(proj, nn.slice_rows(layer.attn, d_out, 2 * d_out))
+    proj = nn.matmul(h_prev, slice_rows(layer.W, d_in, 2 * d_in))
+    score_self = nn.matmul(proj, slice_rows(layer.attn, 0, d_out))
+    score_neigh = nn.matmul(proj, slice_rows(layer.attn, d_out, 2 * d_out))
     raw = add(score_self, padded_gather(score_neigh, t.idx))
-    alpha = padded_softmax_rows(nn.leaky_relu(raw), t.mask)
-    return nn.mul(alpha, padded_time_factors(t, config))
+    alpha = padded_softmax_rows(leaky_relu(raw), t.mask)
+    return mul(alpha, padded_time_factors(t, config))
 
 
 def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
@@ -602,10 +606,10 @@ def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
         weights = nn.Tensor(padded_uniform_weights(t))
     h_agg = padded_neighbor_sum(weights, h_prev, t.idx)
     if config.use_gate and gates is not None:
-        h_agg = nn.mul(h_agg, np.asarray(gates).reshape(-1, 1))
-    combined = nn.matmul(nn.concat(h_prev, h_agg), layer.W)
-    activated = ACTIVATIONS[config.activation](combined)
-    return nn.l2_normalize_rows(activated)
+        h_agg = mul(h_agg, np.asarray(gates).reshape(-1, 1))
+    combined = nn.matmul(concat(h_prev, h_agg), layer.W)
+    activated = ACTIVATION_OPS[config.activation](combined)
+    return l2_normalize_rows(activated)
 
 
 def pack_neighborhoods(graph: TransactionGraph,
@@ -763,7 +767,7 @@ def sum_all(a) -> nn.Tensor:
     tests, which the model itself never takes."""
     a = nn._wrap(a)
     out = np.array([[a.data.sum()]])
-    return nn._record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
+    return nn.record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 def full_graph_batch_loss(params, features, neighborhoods, gates, rows, y):
@@ -773,41 +777,234 @@ def full_graph_batch_loss(params, features, neighborhoods, gates, rows, y):
     return nn.bce(nn.pick_rows(p_all, rows), y)
 
 
+# nn's ops from before model.layer_forward became one tape node: the links
+# of chain_layer_forward, that op's bit oracle, and of the padded layer.
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    if shape[0] == 1 and g.shape[0] > 1:
+        g = g.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and g.shape[1] > 1:
+        g = g.sum(axis=1, keepdims=True)
+    return g
+
+
+def mul(a, b) -> nn.Tensor:
+    a, b = nn._wrap(a), nn._wrap(b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"mul broadcast mismatch: {a.shape} * {b.shape}") from None
+    da, db = a.requires_grad, b.requires_grad
+
+    def vjp(g):  # a constant operand gets no gradient
+        return (_unbroadcast(g * b.data, a.shape) if da else None,
+                _unbroadcast(g * a.data, b.shape) if db else None)
+
+    return nn.record(out, (a, b), vjp)
+
+
+def concat(a, b) -> nn.Tensor:
+    """Column-wise concatenation: (n,p) || (n,q) -> (n,p+q)."""
+    a, b = nn._wrap(a), nn._wrap(b)
+    if a.rows != b.rows:
+        raise ShapeError(f"concat needs equal row counts: {a.shape} || {b.shape}")
+    out = np.concatenate([a.data, b.data], axis=1)
+    p = a.cols
+
+    def vjp(g):
+        return g[:, :p], g[:, p:]
+
+    return nn.record(out, (a, b), vjp)
+
+
+def slice_rows(a, r0: int, r1: int) -> nn.Tensor:
+    return nn._slice(a, np.s_[r0:r1, :])
+
+
+def gather(values, layout: nn.CompressedRows) -> nn.Tensor:
+    """A column vector (m,1) read at every entry's neighbor row."""
+    values = nn._wrap(values)
+    if values.cols != 1:
+        raise ShapeError(f"gather expects a column vector, got {values.shape}")
+
+    def vjp(g):
+        # bincount sums each bin in entry order from +0.0 and, like the 1-D
+        # add.at it replaces, keeps the running sum's NaN when two NaNs meet
+        dv = np.bincount(layout.nbr, weights=g[:, 0], minlength=values.rows)
+        return (dv.reshape(-1, 1),)
+
+    return nn.record(values.data[layout.nbr], (values,), vjp)
+
+
+def add_rows(col, x, layout: nn.CompressedRows) -> nn.Tensor:
+    """col[i] + x[k] for each entry k of row i: ((n,1), entries) -> entries."""
+    col, x = nn._wrap(col), nn._wrap(x)
+    return nn.record(col.data[layout.src] + x.data, (col, x),
+                     lambda g: (layout.row_sum(g[:, 0]).reshape(-1, 1), g))
+
+
+def softmax_entries(a, layout: nn.CompressedRows) -> nn.Tensor:
+    """Softmax over each row's entries."""
+    a = nn._wrap(a)
+    top = layout.row_max(a.data[:, 0])
+    top[~np.isfinite(top)] = 0.0
+    e = np.exp(a.data[:, 0] - top[layout.src])
+    s = layout.row_sum(e)
+    s[~(s > 0)] = 1.0
+    out = (e / s[layout.src]).reshape(-1, 1)
+
+    def vjp(g):
+        dot = layout.row_sum((g * out)[:, 0])[layout.src, None]
+        return (out * (g - dot),)
+
+    return nn.record(out, (a,), vjp)
+
+
+def sparse_rows(weights: np.ndarray, layout: nn.CompressedRows,
+                m: int) -> scipy.sparse.csr_matrix:
+    """The sparse (n, m) matrix A whose row i holds row i's entries."""
+    dtype = scipy.sparse.get_index_dtype((layout.nbr, layout.indptr),
+                                         check_contents=True)
+    return scipy.sparse.csr_matrix(
+        (np.ravel(weights), layout.nbr.astype(dtype),
+         layout.indptr.astype(dtype)), shape=(layout.n_rows, m))
+
+
+def neighbor_sum(weights, values, layout: nn.CompressedRows) -> nn.Tensor:
+    """nn.neighbor_sum as a tape op on a scipy matrix object: A @ values,
+    with A.T @ g as the values gradient. nn's direct kernels must equal
+    this pair bit for bit."""
+    weights, values = nn._wrap(weights), nn._wrap(values)
+    if weights.shape != (len(layout.nbr), 1):
+        raise ShapeError(f"neighbor_sum expects {len(layout.nbr)} entry "
+                         f"weights, got {weights.shape}")
+    a = sparse_rows(weights.data, layout, values.rows)
+    dw, dv = weights.requires_grad, values.requires_grad
+
+    def vjp(g):  # a constant operand gets no gradient
+        return (np.vecdot(g[layout.src], values.data[layout.nbr])[:, None]
+                if dw else None), (a.T @ g if dv else None)
+
+    return nn.record(a @ values.data, (weights, values), vjp)
+
+
+def relu(a) -> nn.Tensor:
+    a = nn._wrap(a)
+    out = np.maximum(a.data, 0.0)
+    return nn.record(out, (a,), lambda g: (g * (a.data > 0),))
+
+
+def leaky_relu(a) -> nn.Tensor:
+    a = nn._wrap(a)
+    out = np.where(a.data > 0, a.data, LEAKY_SLOPE * a.data)
+    return nn.record(out, (a,), lambda g: (
+        g * np.where(a.data > 0, 1.0, LEAKY_SLOPE),))
+
+
+def identity(a) -> nn.Tensor:
+    a = nn._wrap(a)
+    return nn.record(a.data.copy(), (a,), lambda g: (g,))
+
+
+def sigmoid(a) -> nn.Tensor:
+    a = nn._wrap(a)
+    out = 1.0 / (1.0 + np.exp(-a.data))
+    return nn.record(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def tanh(a) -> nn.Tensor:
+    a = nn._wrap(a)
+    out = np.tanh(a.data)
+    return nn.record(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+ACTIVATION_OPS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid,
+                  "identity": identity}
+
+
+def l2_normalize_rows(a) -> nn.Tensor:
+    """Scale each row to unit L2 norm; all-zero rows are left at zero."""
+    a = nn._wrap(a)
+    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
+    safe = np.where(norms > 0, norms, 1.0)
+    out = a.data / safe
+
+    def vjp(g):
+        dot = (g * out).sum(axis=1, keepdims=True)
+        da = (g - out * dot) / safe
+        return (np.where(norms > 0, da, 0.0),)
+
+    return nn.record(out, (a,), vjp)
+
+
+def chain_attention_weights(h_prev, nb: Neighborhoods, layer, config,
+                            own=None) -> nn.Tensor:
+    """model.attention_weights' coefficients as a chain of tape ops."""
+    d_in, d_out = layer.d_in, layer.d_out
+    proj = nn.matmul(h_prev, slice_rows(layer.W, d_in, 2 * d_in))
+    score_self = nn.matmul(proj, slice_rows(layer.attn, 0, d_out))
+    score_neigh = nn.matmul(proj, slice_rows(layer.attn, d_out, 2 * d_out))
+    if own is not None:
+        score_self = nn.pick_rows(score_self, own)
+    raw = add_rows(score_self, gather(score_neigh, nb), nb)
+    alpha = softmax_entries(leaky_relu(raw), nb)
+    return mul(alpha, nb.time_column(config))
+
+
+def chain_layer_forward(h_prev, nb: Neighborhoods, layer, gates, config,
+                        own=None) -> nn.Tensor:
+    """model.layer_forward as the chain of single tape ops it replaced:
+    its bit oracle, output and gradients both."""
+    if h_prev.cols != layer.d_in:
+        raise ShapeError(
+            f"layer expects width {layer.d_in}, got {h_prev.cols}")
+    weights = (chain_attention_weights(h_prev, nb, layer, config, own)
+               if config.use_attention else nb.uniform_column)
+    h_agg = neighbor_sum(weights, h_prev, nb)
+    if config.use_gate and gates is not None:
+        h_agg = mul(h_agg, np.asarray(gates).reshape(-1, 1))
+    h_self = h_prev if own is None else nn.pick_rows(h_prev, own)
+    combined = nn.matmul(concat(h_self, h_agg), layer.W)
+    return l2_normalize_rows(ACTIVATION_OPS[config.activation](combined))
+
+
 # nn's elementwise ops from before nn.bce: glue for gradient tests and the
 # padded attention, and the links of chain_bce.
 
 def add(a, b) -> nn.Tensor:
     a, b = nn._wrap(a), nn._wrap(b)
-    return nn._record(a.data + b.data, (a, b), lambda g: (
-        nn._unbroadcast(g, a.shape), nn._unbroadcast(g, b.shape)))
+    return nn.record(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> nn.Tensor:
     a, b = nn._wrap(a), nn._wrap(b)
-    return nn._record(a.data - b.data, (a, b), lambda g: (
-        nn._unbroadcast(g, a.shape), nn._unbroadcast(-g, b.shape)))
+    return nn.record(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def neg(a) -> nn.Tensor:
     a = nn._wrap(a)
-    return nn._record(-a.data, (a,), lambda g: (-g,))
+    return nn.record(-a.data, (a,), lambda g: (-g,))
 
 
 def ln(a) -> nn.Tensor:
     a = nn._wrap(a)
-    return nn._record(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return nn.record(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def clamp(a, lo: float, hi: float) -> nn.Tensor:
     a = nn._wrap(a)
     inside = (a.data > lo) & (a.data < hi)
-    return nn._record(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+    return nn.record(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
 
 
 def mean_all(a) -> nn.Tensor:
     a = nn._wrap(a)
     n = a.data.size
-    return nn._record(np.array([[a.data.mean()]]), (a,),
+    return nn.record(np.array([[a.data.mean()]]), (a,),
                       lambda g: (np.full_like(a.data, g[0, 0] / n),))
 
 
@@ -816,8 +1013,8 @@ def chain_bce(p, y) -> nn.Tensor:
     p's gradient are what nn.bce must give, bit for bit."""
     y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     p = clamp(p, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
-    keep = nn.mul(y_col, ln(p))
-    drop = nn.mul(1.0 - y_col, ln(sub(1.0, p)))
+    keep = mul(y_col, ln(p))
+    drop = mul(1.0 - y_col, ln(sub(1.0, p)))
     return neg(mean_all(add(keep, drop)))
 
 

@@ -22,7 +22,7 @@ from fraudgnn.sampler import SamplerConfig
 from fraudgnn.tgraph import Proposition, build_graph
 from fraudgnn.train import TrainConfig, predict, train
 
-from reference import (Rectangle, neighborhoods, padded,
+from reference import (Rectangle, mul, neighborhoods, padded,
                        padded_attention_weights, padded_layer_forward,
                        padded_neighbor_diversity, padded_pack_rows,
                        padded_time_factors, padded_uniform_weights,
@@ -79,7 +79,7 @@ def run_layer(layer_fn, h, W, attn, coef):
     W_t = Tensor(W.copy(), requires_grad=True)
     attn_t = Tensor(attn.copy(), requires_grad=True)
     out = layer_fn(h_t, LayerParams(W=W_t, attn=attn_t))
-    nn.backward(sum_all(nn.mul(out, coef)))
+    nn.backward(sum_all(mul(out, coef)))
     return out.data, h_t.grad, W_t.grad, attn_t.grad
 
 
@@ -95,8 +95,9 @@ def assert_all_close(names, got, want):
 
 def assert_layer_matches_padded(nb, d_in, d_out, config_kw, seed=0,
                                 scale=0.5):
-    """layer_forward and attention_weights, and the h, W and attn
-    gradients of each, against the padded layer of tests/reference.py."""
+    """layer_forward, with its h, W and attn gradients, and the
+    coefficients of attention_weights against the padded layer of
+    tests/reference.py."""
     rng = np.random.default_rng(seed)
     n = nb.n_nodes
     h = rng.normal(size=(n, d_in))
@@ -113,13 +114,10 @@ def assert_layer_matches_padded(nb, d_in, d_out, config_kw, seed=0,
         h, W, attn, coef))
     if not cfg.use_attention:
         return
-    coef = rng.normal(size=(len(nb.nbr), 1))  # one per entry
-    got = run_layer(lambda h_t, layer: attention_weights(h_t, nb, layer, cfg),
-                    h, W, attn, coef)
-    want = run_layer(
-        lambda h_t, layer: padded_attention_weights(h_t, nb, layer, cfg),
-        h, W, attn, padded(nb, coef))
-    assert_all_close(names, (padded(nb, got[0]),) + got[1:], want)
+    layer = LayerParams(W=Tensor(W), attn=Tensor(attn))
+    got = attention_weights(h, nb, layer, cfg).weights
+    want = padded_attention_weights(Tensor(h), nb, layer, cfg).data
+    assert_allclose(padded(nb, got), want, rtol=1e-12, atol=1e-12)
 
 
 @st.composite
@@ -133,8 +131,8 @@ def layer_cases(draw):
 
 
 class TestLayerMatchesPadded:
-    """The layer and the attention weights, and their h, W and attn
-    gradients, within rtol = atol = 1e-12 of the padded oracle."""
+    """The layer, its h, W and attn gradients, and the attention weights,
+    within rtol = atol = 1e-12 of the padded oracle."""
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("name", sorted(TABLES))

@@ -205,6 +205,15 @@ class TestSplitRecords:
         with pytest.raises(InputError, match="overlap"):
             split_records(records, spec, 0)
 
+    @pytest.mark.parametrize("train_ids,test_ids,part", [
+        ((0, 2, 0), (1,), "train"), ((0,), (1, 3, 3), "test")])
+    def test_explicit_repeated_id(self, train_ids, test_ids, part):
+        records = self.make(4)
+        spec = SplitSpec(kind="explicit", train_ids=train_ids,
+                         test_ids=test_ids)
+        with pytest.raises(InputError, match=f"repeats id .* in {part}"):
+            split_records(records, spec, 0)
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             SplitSpec(kind="bogus")

@@ -143,47 +143,49 @@ class TestAttentionWeights:
         """One neighbor at the same timestamp soaks up the whole softmax."""
         rng = np.random.default_rng(0)
         layer = random_layer(rng, 3, 4)
-        h = Tensor(rng.normal(size=(2, 3)))
+        h = rng.normal(size=(2, 3))
         nb = neighborhoods([[1], [0]], [[1], [1]], [[0.0], [0.0]])
-        w = attention_weights(h, nb, layer, ModelConfig())
-        assert_allclose(w.data, [[1.0], [1.0]], rtol=1e-12)
+        w = attention_weights(h, nb, layer, ModelConfig()).weights
+        assert_allclose(w, [[1.0], [1.0]], rtol=1e-12)
 
     def test_identical_neighbors_share_weight_equally(self):
         rng = np.random.default_rng(1)
         layer = random_layer(rng, 3, 4)
         row = rng.normal(size=3)
-        h = Tensor(np.stack([rng.normal(size=3), row, row]))
+        h = np.stack([rng.normal(size=3), row, row])
         nb = neighborhoods([[1, 2], [0, 0], [0, 0]],
                      [[1, 1], [1, 0], [1, 0]],
                      np.zeros((3, 2)))
-        w = attention_weights(h, nb, layer, ModelConfig())
-        assert_allclose(padded(nb, w.data)[0, 0], padded(nb, w.data)[0, 1],
+        w = attention_weights(h, nb, layer, ModelConfig()).weights
+        assert_allclose(padded(nb, w)[0, 0], padded(nb, w)[0, 1],
                         rtol=1e-12)
-        assert_allclose(padded(nb, w.data)[0].sum(), 1.0, rtol=1e-12)
+        assert_allclose(padded(nb, w)[0].sum(), 1.0, rtol=1e-12)
 
     def test_time_gap_of_tau_costs_factor_e(self):
         """Equal scores, gaps 0 and tau: the stale neighbor weighs 1/e as much."""
         rng = np.random.default_rng(2)
         layer = random_layer(rng, 3, 4)
         row = rng.normal(size=3)
-        h = Tensor(np.stack([rng.normal(size=3), row, row]))
+        h = np.stack([rng.normal(size=3), row, row])
         nb = neighborhoods([[1, 2], [0, 0], [0, 0]],
                      [[1, 1], [1, 0], [1, 0]],
                      [[0.0, 1800.0], [0.0, 0.0], [0.0, 0.0]])
-        w = attention_weights(h, nb, layer, ModelConfig(tau_seconds=1800.0))
-        assert_allclose(padded(nb, w.data)[0, 0] / padded(nb, w.data)[0, 1],
+        w = attention_weights(h, nb, layer,
+                              ModelConfig(tau_seconds=1800.0)).weights
+        assert_allclose(padded(nb, w)[0, 0] / padded(nb, w)[0, 1],
                         math.e, rtol=1e-12)
 
     def test_softmax_sums_one_then_damping_only_shrinks(self):
         rng = np.random.default_rng(3)
         layer = random_layer(rng, 4, 5)
-        h = Tensor(rng.normal(size=(6, 4)))
+        h = rng.normal(size=(6, 4))
         idx = rng.integers(0, 6, size=(6, 3))
         mask = rng.random((6, 3)) < 0.8
         mask[:, 0] = True
         dt = rng.uniform(0, 3600, size=(6, 3))
         nb = neighborhoods(idx, mask, dt)
-        post = padded(nb, attention_weights(h, nb, layer, ModelConfig()).data)
+        post = padded(nb, attention_weights(h, nb, layer,
+                                            ModelConfig()).weights)
         factors = table_of(nb, time_factors(nb, ModelConfig()))
         pre = np.divide(post, factors, out=np.zeros_like(post),
                         where=factors > 0)
@@ -193,10 +195,10 @@ class TestAttentionWeights:
     def test_isolated_row_all_zero(self):
         rng = np.random.default_rng(4)
         layer = random_layer(rng, 3, 4)
-        h = Tensor(rng.normal(size=(2, 3)))
+        h = rng.normal(size=(2, 3))
         nb = neighborhoods([[0], [0]], [[0], [1]], [[0.0], [0.0]])
-        w = attention_weights(h, nb, layer, ModelConfig())
-        assert_allclose(padded(nb, w.data)[0], [0.0])
+        w = attention_weights(h, nb, layer, ModelConfig()).weights
+        assert_allclose(padded(nb, w)[0], [0.0])
 
 
 class TestUniformWeights:

@@ -11,8 +11,10 @@ from fraudgnn.errors import ShapeError
 from fraudgnn.nn import AdamState, Tensor, UsageError, backward
 
 from reference import (add, add_at_gather_vjp, add_at_neighbor_sum_vjp,
-                       chain_bce, fd_gradient, mean_all, put_rows, sub,
-                       sum_all)
+                       chain_bce, concat, fd_gradient, gather, identity,
+                       l2_normalize_rows, leaky_relu, mean_all, mul,
+                       neighbor_sum, put_rows, relu, sigmoid, slice_rows,
+                       softmax_entries, sub, sum_all, tanh)
 
 
 def every_cell(idx):
@@ -58,22 +60,22 @@ class TestOpExamples:
         assert_allclose(out.data, [[0.5, 0.5]], atol=1e-12)
 
     def test_leaky_relu_negative_one(self):
-        out = nn.leaky_relu(Tensor([[-1.0]]))
+        out = leaky_relu(Tensor([[-1.0]]))
         assert_allclose(out.data, [[-0.01]], atol=1e-15)
 
     def test_leaky_relu_positive_passthrough(self):
-        assert nn.leaky_relu(Tensor([[2.5]])).item() == 2.5
+        assert leaky_relu(Tensor([[2.5]])).item() == 2.5
 
     def test_sigmoid_zero(self):
-        assert nn.sigmoid(Tensor([[0.0]])).item() == 0.5
+        assert sigmoid(Tensor([[0.0]])).item() == 0.5
 
     def test_relu_clips_negative(self):
-        out = nn.relu(Tensor([[-3.0, 0.0, 2.0]]))
+        out = relu(Tensor([[-3.0, 0.0, 2.0]]))
         assert_allclose(out.data, [[0.0, 0.0, 2.0]])
 
     def test_tanh_matches_numpy(self):
         x = np.array([[-2.0, 0.3, 1.7]])
-        assert_allclose(nn.tanh(Tensor(x)).data, np.tanh(x), rtol=1e-15)
+        assert_allclose(tanh(Tensor(x)).data, np.tanh(x), rtol=1e-15)
 
     def test_clamp_values(self):
         """bce reads p outside [1e-7, 1 - 1e-7] at the nearer bound."""
@@ -94,7 +96,7 @@ class TestOpExamples:
     def test_softmax_entries_shift_by_their_own_row(self):
         # rows far apart: a shift by any other row's max overflows
         rows = nn.CompressedRows(np.array([0, 2, 2, 5]), np.zeros(5, int))
-        out = nn.softmax_entries(
+        out = softmax_entries(
             Tensor([[-1000.0], [-1001.0], [1000.0], [999.0], [1000.0]]), rows)
         e = math.e
         assert_allclose(out.data[:, 0], [e / (e + 1), 1 / (e + 1),
@@ -127,7 +129,7 @@ class TestShapeErrors:
 
     def test_mul_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+            mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
     def test_bce_needs_one_label_per_row(self):
         with pytest.raises(ShapeError):
@@ -135,16 +137,16 @@ class TestShapeErrors:
 
     def test_concat_row_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))))
+            concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))))
 
     def test_gather_needs_column(self):
         with pytest.raises(ShapeError):
-            nn.gather(Tensor(np.zeros((3, 2))),
+            gather(Tensor(np.zeros((3, 2))),
                       every_cell(np.zeros((2, 2), dtype=int)))
 
     def test_neighbor_sum_weight_idx_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.neighbor_sum(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))),
+            nn.neighbor_sum(np.zeros((2, 3)), np.zeros((4, 2)),
                             every_cell(np.zeros((2, 4), dtype=int)))
 
 
@@ -156,21 +158,21 @@ class TestBackwardMechanics:
 
     def test_backward_requires_scalar(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
-        out = nn.mul(w, w)
+        out = mul(w, w)
         with pytest.raises(UsageError):
             backward(out)
 
     def test_grad_accumulates_across_uses(self):
         # w appears twice in the graph; grads from both paths must add.
         w = Tensor([[3.0]], requires_grad=True)
-        loss = sum_all(add(nn.mul(w, w), w))  # w^2 + w
+        loss = sum_all(add(mul(w, w), w))  # w^2 + w
         backward(loss)
         assert_allclose(w.grad, [[2 * 3.0 + 1.0]])
 
     def test_constant_inputs_get_no_grad(self):
         c = Tensor([[2.0]])
         w = Tensor([[3.0]], requires_grad=True)
-        loss = sum_all(nn.mul(c, w))
+        loss = sum_all(mul(c, w))
         backward(loss)
         assert c.grad is None
         assert_allclose(w.grad, [[2.0]])
@@ -181,12 +183,12 @@ class TestBackwardMechanics:
         g = np.ones((2, 2))
         dc, dw = nn.matmul(c, w)._vjp(g)
         assert dc is None and dw.shape == (3, 2)
-        dh, dk = nn.mul(nn.matmul(c, w), np.full((2, 1), 0.5))._vjp(g)
+        dh, dk = mul(nn.matmul(c, w), np.full((2, 1), 0.5))._vjp(g)
         assert dk is None and dh.shape == (2, 2)
 
     def test_auto_wrap_of_raw_arrays(self):
         w = Tensor([[1.0, 2.0]], requires_grad=True)
-        loss = sum_all(nn.mul(w, np.array([[3.0, 4.0]])))
+        loss = sum_all(mul(w, np.array([[3.0, 4.0]])))
         backward(loss)
         assert_allclose(w.grad, [[3.0, 4.0]])
 
@@ -205,7 +207,7 @@ class TestAnalyticGradients:
     def test_broadcast_column_grad_sums_cols(self):
         s = Tensor(np.ones((3, 1)), requires_grad=True)
         x = Tensor(np.arange(6.0).reshape(3, 2))
-        backward(sum_all(nn.mul(x, s)))
+        backward(sum_all(mul(x, s)))
         assert_allclose(s.grad, x.data.sum(axis=1, keepdims=True))
 
     def test_logistic_regression_zero_weights_hand_derived(self):
@@ -214,7 +216,7 @@ class TestAnalyticGradients:
         x_np = rng.normal(size=(4, 3))
         y_np = np.array([[1.0], [0.0], [1.0], [1.0]])
         w = Tensor(np.zeros((3, 1)), requires_grad=True)
-        loss = nn.bce(nn.sigmoid(nn.matmul(Tensor(x_np), w)), y_np)
+        loss = nn.bce(sigmoid(nn.matmul(Tensor(x_np), w)), y_np)
         assert_allclose(loss.item(), math.log(2.0), rtol=1e-12)
         backward(loss)
         expected = x_np.T @ (0.5 - y_np) / 4.0
@@ -233,9 +235,9 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 2))
 
         def loss_fn():
-            return sum_all(nn.mul(nn.matmul(a, b), coef)).item()
+            return sum_all(mul(nn.matmul(a, b), coef)).item()
 
-        backward(sum_all(nn.mul(nn.matmul(a, b), coef)))
+        backward(sum_all(mul(nn.matmul(a, b), coef)))
         fd_check(loss_fn, [a, b])
 
     def test_concat_and_slices(self):
@@ -244,10 +246,10 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(2, 2))
 
         def forward():
-            cat = nn.concat(a, b)               # (3, 5)
-            block = nn.slice_rows(cat, 1, 3)    # (2, 5)
+            cat = concat(a, b)               # (3, 5)
+            block = slice_rows(cat, 1, 3)    # (2, 5)
             block = nn.slice_cols(block, 1, 3)  # (2, 2)
-            return sum_all(nn.mul(block, coef))
+            return sum_all(mul(block, coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [a, b])
@@ -262,7 +264,7 @@ class TestFiniteDifferenceGradients:
 
         def forward():
             big = put_rows(a, rows, 5)
-            return sum_all(nn.mul(nn.pick_rows(nn.mul(big, coef), rows), coef[:3]))
+            return sum_all(mul(nn.pick_rows(mul(big, coef), rows), coef[:3]))
 
         backward(forward())
         fd_check(lambda: forward().item(), [a])
@@ -273,7 +275,7 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 2)).reshape(-1, 1)
 
         def forward():
-            return sum_all(nn.mul(nn.gather(v, every_cell(idx)), coef))
+            return sum_all(mul(gather(v, every_cell(idx)), coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [v])
@@ -286,8 +288,7 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 2))
 
         def forward():
-            return sum_all(nn.mul(nn.neighbor_sum(w, v, every_cell(idx)),
-                                  coef))
+            return sum_all(mul(neighbor_sum(w, v, every_cell(idx)), coef))
 
         backward(forward())
         fd_check(lambda: forward().item(), [w, v])
@@ -296,8 +297,7 @@ class TestFiniteDifferenceGradients:
         w = self.rng.normal(size=(3, 4))
         v = self.rng.normal(size=(6, 2))
         idx = self.rng.integers(0, 6, size=(3, 4))
-        out = nn.neighbor_sum(Tensor(w.reshape(-1, 1)), Tensor(v),
-                              every_cell(idx)).data
+        out = nn.neighbor_sum(w.reshape(-1, 1), v, every_cell(idx))
         ref = np.zeros((3, 2))
         for i in range(3):
             for j in range(4):
@@ -312,9 +312,9 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(9, 1))
 
         def forward():
-            return sum_all(nn.mul(nn.softmax_entries(a, layout), coef))
+            return sum_all(mul(softmax_entries(a, layout), coef))
 
-        out = nn.softmax_entries(a, layout)
+        out = softmax_entries(a, layout)
         assert_allclose(layout.row_sum(out.data[:, 0]), [1.0, 1.0, 0.0, 1.0],
                         atol=1e-12)
         backward(forward())
@@ -324,7 +324,7 @@ class TestFiniteDifferenceGradients:
         # row 1's entries are all -inf, row 2 has none
         layout = nn.CompressedRows(np.array([0, 2, 4, 4]),
                                    np.zeros(4, dtype=int))
-        out = nn.softmax_entries(
+        out = softmax_entries(
             Tensor([[1.0], [2.0], [-np.inf], [-np.inf]]), layout)
         assert_allclose(out.data[2:, 0], [0.0, 0.0])
         assert_allclose(out.data[:2, 0].sum(), 1.0, atol=1e-12)
@@ -334,16 +334,16 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 4))
 
         def forward():
-            return sum_all(nn.mul(nn.l2_normalize_rows(a), coef))
+            return sum_all(mul(l2_normalize_rows(a), coef))
 
-        out = nn.l2_normalize_rows(a)
+        out = l2_normalize_rows(a)
         assert_allclose(np.linalg.norm(out.data, axis=1), np.ones(3), rtol=1e-12)
         backward(forward())
         fd_check(lambda: forward().item(), [a])
 
     def test_l2_normalize_zero_row_stays_zero(self):
         a = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]), requires_grad=True)
-        out = nn.l2_normalize_rows(a)
+        out = l2_normalize_rows(a)
         assert_allclose(out.data, [[0.0, 0.0], [0.6, 0.8]])
         backward(sum_all(out))
         assert_allclose(a.grad[0], [0.0, 0.0])
@@ -352,12 +352,12 @@ class TestFiniteDifferenceGradients:
         # keep inputs away from the relu/leaky kinks at zero
         base = self.rng.normal(size=(3, 3))
         base = np.where(np.abs(base) < 0.2, base + 0.5, base)
-        for op in (nn.relu, nn.leaky_relu, nn.sigmoid, nn.tanh, nn.identity):
+        for op in (relu, leaky_relu, sigmoid, tanh, identity):
             a = Tensor(base.copy(), requires_grad=True)
             coef = self.rng.normal(size=(3, 3))
 
             def forward():
-                return sum_all(nn.mul(op(a), coef))
+                return sum_all(mul(op(a), coef))
 
             backward(forward())
             fd_check(lambda: forward().item(), [a])
@@ -384,10 +384,10 @@ class TestFiniteDifferenceGradients:
         b2 = Tensor(np.zeros((1, 1)), requires_grad=True)
 
         def forward():
-            h = nn.tanh(add(nn.matmul(x, w1), b1))
-            p = nn.sigmoid(add(nn.matmul(h, w2), b2))
+            h = tanh(add(nn.matmul(x, w1), b1))
+            p = sigmoid(add(nn.matmul(h, w2), b2))
             d = sub(p, y)
-            return mean_all(nn.mul(d, d))
+            return mean_all(mul(d, d))
 
         backward(forward())
         fd_check(lambda: forward().item(), [w1, b1, w2, b2],
@@ -449,14 +449,13 @@ class TestScattersMatchAddAt:
 
     def check(self, seed, n, z, m, d, **kw):
         idx, w, (g_sum, g_gather) = scatter_case(seed, n, z, m, d, **kw)
-        values = Tensor(np.ones((m, d)), requires_grad=True)
-        out = nn.neighbor_sum(Tensor(w.reshape(-1, 1), requires_grad=True),
-                              values, every_cell(idx))
-        assert_bits_equal(out._vjp(g_sum)[1],
-                          add_at_neighbor_sum_vjp(w, m, idx, g_sum))
+        assert_bits_equal(
+            nn.neighbor_sum_transpose(w.reshape(-1, 1), g_sum,
+                                      every_cell(idx), m),
+            add_at_neighbor_sum_vjp(w, m, idx, g_sum))
 
         column = Tensor(np.ones((m, 1)), requires_grad=True)
-        (dv,) = nn.gather(column, every_cell(idx))._vjp(g_gather.reshape(-1, 1))
+        (dv,) = gather(column, every_cell(idx))._vjp(g_gather.reshape(-1, 1))
         assert_bits_equal(dv, add_at_gather_vjp(m, idx, g_gather))
 
     @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
@@ -561,7 +560,7 @@ class TestAdam:
             p = Tensor(np.array([[4.0, -1.0]]), requires_grad=True)
             opt = AdamState([p], lr=0.05)
             for _ in range(25):
-                loss = sum_all(nn.mul(p, p))
+                loss = sum_all(mul(p, p))
                 backward(loss)
                 opt.step()
             return p.data.copy()
@@ -574,6 +573,6 @@ class TestAdam:
         opt = AdamState([p], lr=0.1)
         for _ in range(400):
             d = sub(p, Tensor(target))
-            backward(sum_all(nn.mul(d, d)))
+            backward(sum_all(mul(d, d)))
             opt.step()
         assert_allclose(p.data, target, atol=1e-3)

@@ -144,6 +144,14 @@ class TestTrainLoop:
         with pytest.raises(TrainError, match="empty"):
             train(g, small_config(epochs=1), train_ids=[])
 
+    def test_repeated_training_id(self):
+        # a repeated id would repeat its over-sampled extras, and
+        # pick_rows, which assigns its gradient, would keep one of its
+        # batch rows' gradients
+        g = cluster_graph()
+        with pytest.raises(TrainError, match="repeats id 2"):
+            train(g, small_config(epochs=1), train_ids=[0, 1, 2, 3, 2])
+
     def test_unlabeled_training_record(self):
         records = make_two_cluster_records(10)
         records[3] = TransactionRecord(id=3, attrs=records[3].attrs,
