@@ -20,13 +20,13 @@ from .nn import Tensor
 from .tgraph import TransactionGraph
 
 # name -> (forward, vjp); the vjp takes the upstream gradient and the
-# forward's input and output
+# forward's output (relu's output is positive exactly where its input is)
 ACTIVATIONS = {
-    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0)),
-    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda g, y: g * (y > 0)),
+    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
     "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)),
-                lambda g, x, y: g * y * (1.0 - y)),
-    "identity": (lambda x: x, lambda g, x, y: g),
+                lambda g, y: g * y * (1.0 - y)),
+    "identity": (lambda x: x, lambda g, y: g),
 }
 
 LEAKY_SLOPE = 0.01  # of the LeakyReLU on attention scores
@@ -348,8 +348,7 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
         agg = agg * gate
     cat = np.concatenate([h if own is None else h[own], agg], axis=1)
     activate, activation_vjp = ACTIVATIONS[config.activation]
-    pre = cat @ W
-    post = activate(pre)
+    post = activate(cat @ W)
     norms = np.linalg.norm(post, axis=1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
     out = post / safe
@@ -357,7 +356,7 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     def vjp(g):
         dot = (g * out).sum(axis=1, keepdims=True)
         g = activation_vjp(np.where(norms > 0, (g - out * dot) / safe, 0.0),
-                           pre, post)
+                           post)
         dW = cat.T @ g
         if not h_prev.requires_grad and att is None:
             return None, dW

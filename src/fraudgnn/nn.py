@@ -177,17 +177,18 @@ def neighbor_sum(weights: np.ndarray, values: np.ndarray,
     ((n_entries,1),(m,d) -> (n,d)): A @ values for the sparse A whose row i
     holds row i's entries.
 
-    scipy's csr_matvecs kernel runs on the layout's arrays as they are, with
-    no matrix object; it adds a row's products in entry order from +0.0.
+    scipy's csr_matvecs kernel runs on the layout's index arrays
+    (sparse_index) and the weights, with no matrix object; it adds a row's
+    products in entry order from +0.0.
     """
     if weights.shape != (len(layout.nbr), 1):
         raise ShapeError(f"neighbor_sum expects {len(layout.nbr)} entry "
                          f"weights, got {weights.shape}")
-    out = np.zeros((layout.n_rows, values.shape[1]))
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.zeros((layout.n_rows, x.shape[1]))
     nbr, indptr = layout.sparse_index
-    _sparsetools.csr_matvecs(layout.n_rows, len(values), values.shape[1],
-                             indptr, nbr, weights.ravel(),
-                             np.ascontiguousarray(values).ravel(), out.ravel())
+    _sparsetools.csr_matvecs(layout.n_rows, len(x), x.shape[1], indptr, nbr,
+                             weights.ravel(), x.ravel(), out.ravel())
     return out
 
 
@@ -197,11 +198,11 @@ def neighbor_sum_transpose(weights: np.ndarray, g: np.ndarray,
     scipy's csc_matvecs on the same arrays: it walks the entries in order
     and equals numpy's add.at of the products bit for bit, including which
     NaN survives when two meet."""
-    out = np.zeros((m, g.shape[1]))
+    x = np.ascontiguousarray(g, dtype=np.float64)
+    out = np.zeros((m, x.shape[1]))
     nbr, indptr = layout.sparse_index
-    _sparsetools.csc_matvecs(m, layout.n_rows, g.shape[1], indptr, nbr,
-                             weights.ravel(), np.ascontiguousarray(g).ravel(),
-                             out.ravel())
+    _sparsetools.csc_matvecs(m, layout.n_rows, x.shape[1], indptr, nbr,
+                             weights.ravel(), x.ravel(), out.ravel())
     return out
 
 
