@@ -4,7 +4,7 @@ Pipeline: build a weighted multigraph over transaction records from
 configurable pair propositions, sample informative neighbors by edge weight
 and feature similarity, aggregate them with time-damped attention scaled by
 a label-diversity gate, and train a small two-logit classifier end to end
-on a hand-rolled reverse-mode numpy substrate.
+on plain numpy arrays with hand-written gradients.
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise
+them from more than one module."""
+
+import numpy as np
 
 
 class FraudGnnError(Exception):
@@ -14,7 +17,7 @@ class ConfigError(FraudGnnError, ValueError):
 
 
 class ShapeError(FraudGnnError, ValueError):
-    """Tensor shape mismatch; the message names both shapes."""
+    """Array shape mismatch; the message names both shapes."""
 
 
 class IngestError(FraudGnnError, ValueError):
@@ -38,3 +41,16 @@ def unreadable(what: str, path: str,
     """The error for an input file that cannot be opened or decoded."""
     reason = getattr(exc, "strerror", None) or exc
     return InputError(f"cannot read {what} {path}: {reason}")
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer that is not a bool."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))
+
+
+def check_count(what: str, value, least: int):
+    """ConfigError unless value is an integer (is_integer) >= least."""
+    if not is_integer(value):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{what} must be >= {least}, got {value}")

@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .errors import CheckpointError, ConfigError, ShapeError, unreadable
-from .nn import Tensor
+from .errors import (CheckpointError, ConfigError, ShapeError, check_count,
+                     unreadable)
 from .tgraph import TransactionGraph
 
 # name -> (forward, vjp); the vjp takes the upstream gradient and the
@@ -52,10 +52,8 @@ class ModelConfig:
     use_gate: bool = True
 
     def __post_init__(self):
-        if self.k_layers < 1:
-            raise ConfigError(f"k_layers must be >= 1, got {self.k_layers}")
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        check_count("k_layers", self.k_layers, 1)
+        check_count("hidden_dim", self.hidden_dim, 1)
         if not self.tau_seconds > 0:
             raise ConfigError(f"tau_seconds must be positive, got {self.tau_seconds}")
         if self.activation not in ACTIVATIONS:
@@ -77,16 +75,16 @@ class LayerParams:
     so attn has one entry per projected output of each endpoint.
     """
 
-    W: Tensor
-    attn: Tensor
+    W: np.ndarray
+    attn: np.ndarray
 
     @property
     def d_in(self) -> int:
-        return self.W.rows // 2
+        return self.W.shape[0] // 2
 
     @property
     def d_out(self) -> int:
-        return self.W.cols
+        return self.W.shape[1]
 
 
 @dataclass
@@ -94,24 +92,18 @@ class ModelParams:
     feature_dim: int
     config: ModelConfig
     layers: list[LayerParams] = field(default_factory=list)
-    head: Tensor | None = None
+    head: np.ndarray | None = None
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[np.ndarray]:
+        """The trainable arrays in slot order, the one order that stages,
+        nn.backward's gradients and nn.AdamState share: each layer's W and
+        attn, then the head."""
         out = []
         for layer in self.layers:
             out.append(layer.W)
             out.append(layer.attn)
         out.append(self.head)
         return out
-
-    def untraced(self) -> ModelParams:
-        """The same arrays as constants: a forward pass on them records no
-        tape, and gives the bits a traced pass gives."""
-        return ModelParams(
-            self.feature_dim, self.config,
-            [LayerParams(W=Tensor(layer.W.data), attn=Tensor(layer.attn.data))
-             for layer in self.layers],
-            Tensor(self.head.data))
 
 
 def init_params(feature_dim: int, config: ModelConfig, seed: int) -> ModelParams:
@@ -288,7 +280,7 @@ def attention_weights(h_prev: np.ndarray, nb: Neighborhoods,
     rows.
     """
     d_in, d_out = layer.d_in, layer.d_out
-    W, attn = layer.W.data, layer.attn.data
+    W, attn = layer.W, layer.attn
     # the blocks are copies, as the op chain's slices were, so BLAS gets
     # operands of the same alignment here and in the vjp
     proj = h_prev @ W[d_in:].copy()
@@ -315,9 +307,9 @@ def _placed(g: np.ndarray, key, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
+def layer_forward(h_prev: np.ndarray, nb: Neighborhoods, layer: LayerParams,
                   gates: np.ndarray | None, config: ModelConfig,
-                  own: np.ndarray | None = None) -> Tensor:
+                  own: np.ndarray | None = None):
     """One layer: weighted neighbor sum, gate, concat update, row normalize.
 
     The layer produces nb's rows, which are h_prev's rows at `own` (every
@@ -325,19 +317,19 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     is a column of constants, one per row of nb (no gradient flows through
     it); pass None to skip gating (treated as all ones).
 
-    The layer is one tape node over h_prev, W and attn. Its vjp gives the
-    floats of the chain of single ops in tests/reference.py
-    (chain_layer_forward), in that chain's order. Where a parent fed
-    several ops, its parts add up as nn.backward added them: h_prev's as
-    (own rows + neighbor sum) + projection, W's as update product + the
-    projection block, attn's as self block + neighbor block, each block
-    padded with zeros, which turns a -0.0 into +0.0.
+    Returns (out, vjp), a stage over the parameter slots W and attn (see
+    nn.Loss). The vjp gives the floats of the chain of single tape ops in
+    tests/reference.py (chain_layer_forward), in that chain's order. Where
+    an input fed several ops, its parts add up as the tape added them:
+    h_prev's as (own rows + neighbor sum) + projection, W's as update
+    product + the projection block, attn's as self block + neighbor block,
+    each block padded with zeros, which turns a -0.0 into +0.0.
     """
-    if h_prev.cols != layer.d_in:
+    h, W = h_prev, layer.W
+    if h.shape[1] != layer.d_in:
         raise ShapeError(
-            f"layer expects width {layer.d_in}, got {h_prev.cols}")
+            f"layer expects width {layer.d_in}, got {h.shape[1]}")
     d_in, d_out = layer.d_in, layer.d_out
-    h, W = h_prev.data, layer.W.data
     att = (attention_weights(h, nb, layer, config, own)
            if config.use_attention else None)
     weights = nb.uniform_column if att is None else att.weights
@@ -353,22 +345,22 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
     safe = np.where(norms > 0, norms, 1.0)
     out = post / safe
 
-    def vjp(g):
+    def vjp(g, need_input):
         dot = (g * out).sum(axis=1, keepdims=True)
         g = activation_vjp(np.where(norms > 0, (g - out * dot) / safe, 0.0),
                            post)
         dW = cat.T @ g
-        if not h_prev.requires_grad and att is None:
-            return None, dW
+        if not need_input and att is None:
+            return None, dW, None
         d_cat = g @ W.T
         d_agg = d_cat[:, d_in:] if gate is None else d_cat[:, d_in:] * gate
         dh = None
-        if h_prev.requires_grad:
+        if need_input:
             dh = (d_cat[:, :d_in] if own is None
                   else _placed(d_cat[:, :d_in], own, h.shape))
             dh = dh + nn.neighbor_sum_transpose(weights, d_agg, nb, len(h))
         if att is None:
-            return dh, dW
+            return dh, dW, None
         # time damping, softmax, LeakyReLU, then the scores' two sums
         d_alpha = (np.vecdot(d_agg[nb.src], h[nb.nbr])[:, None]
                    * nb.time_column(config))
@@ -381,7 +373,7 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
             d_self = _placed(d_self, own, (len(h), 1))
         d_neigh = np.bincount(nb.nbr, weights=d_raw[:, 0],
                               minlength=len(h)).reshape(-1, 1)
-        attn = layer.attn.data
+        attn = layer.attn
         d_proj = (d_self @ attn[:d_out].copy().T
                   + d_neigh @ attn[d_out:].copy().T)
         d_attn = (_placed(att.proj.T @ d_self, np.s_[:d_out], attn.shape)
@@ -391,8 +383,38 @@ def layer_forward(h_prev: Tensor, nb: Neighborhoods, layer: LayerParams,
         dW = dW + _placed(h.T @ d_proj, np.s_[d_in:], W.shape)
         return dh, dW, d_attn
 
-    parents = (h_prev, layer.W) + (() if att is None else (layer.attn,))
-    return nn.record(out, parents, vjp)
+    return out, vjp
+
+
+def head_forward(h: np.ndarray, head: np.ndarray,
+                 pick: np.ndarray | None = None):
+    """The output head: softmax of h @ head over the two logits, column 1
+    (the fraud probability), at rows `pick` (distinct rows of h) or at
+    every row when pick is None.
+
+    Returns (probs, vjp), a stage over the head's slot. The softmax shifts
+    each row by its largest finite logit, and a row whose exponentials sum
+    to no positive value divides by 1. Forward and vjp give the floats of
+    the tape chain matmul, softmax_rows, slice_cols and pick_rows in
+    tests/reference.py, in that chain's order.
+    """
+    logits = h @ head
+    top = logits.max(axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    e = np.exp(logits - top)
+    s = e.sum(axis=1, keepdims=True)
+    s[~(s > 0)] = 1.0
+    soft = np.divide(e, s, out=e)
+    at = np.s_[:] if pick is None else pick
+    probs = soft[at, 1:2].copy()
+
+    def vjp(g, need_input):
+        d_soft = np.zeros_like(soft)
+        d_soft[at, 1:2] = g
+        d_logits = soft * (d_soft - (d_soft * soft).sum(axis=1, keepdims=True))
+        return (d_logits @ head.T if need_input else None), h.T @ d_logits
+
+    return probs, vjp
 
 
 def receptive_rows(neighborhoods: list[Neighborhoods],
@@ -422,12 +444,15 @@ def receptive_rows(neighborhoods: list[Neighborhoods],
 
 def forward(params: ModelParams, features: np.ndarray,
             neighborhoods: list[Neighborhoods], gates: np.ndarray | None,
-            rows: np.ndarray | None = None) -> Tensor:
+            rows: np.ndarray | None = None,
+            stages: list | None = None) -> np.ndarray:
     """Fraud probabilities as a column: one per node, or with `rows`
     (distinct node rows) one per entry of rows, in their order.
 
     With rows, each layer's state holds its receptive_rows only, and every
-    product runs on those rows (README, determinism).
+    product runs on those rows (README, determinism). When stages is a
+    list, each layer's and then the head's (vjp, parameter slots) are
+    appended to it for nn.backward; otherwise no vjp outlives the pass.
     """
     if len(neighborhoods) != params.config.k_layers:
         raise ShapeError(
@@ -437,7 +462,8 @@ def forward(params: ModelParams, features: np.ndarray,
     if features.ndim != 2 or features.shape[1] != params.feature_dim:
         raise ShapeError(
             f"features must be (n, {params.feature_dim}), got {features.shape}")
-    h = Tensor(features)
+    slot = {id(p): i for i, p in enumerate(params.parameters())}
+    h = features
     below = None  # the rows of h, ascending; None: every node
     for layer, nb, field_rows in zip(params.layers, neighborhoods,
                                      receptive_rows(neighborhoods, rows)):
@@ -448,23 +474,26 @@ def forward(params: ModelParams, features: np.ndarray,
                    else np.searchsorted(below, field_rows))
             if gates is not None:
                 layer_gates = np.asarray(gates)[field_rows]
-        h = layer_forward(h, nb, layer, layer_gates, params.config, own)
+        h, vjp = layer_forward(h, nb, layer, layer_gates, params.config, own)
+        if stages is not None:
+            stages.append((vjp, (slot[id(layer.W)], slot[id(layer.attn)])))
         below = field_rows
-    logits = nn.matmul(h, params.head)
-    probs = nn.slice_cols(nn.softmax_rows(logits), 1, 2)
-    if rows is None:
-        return probs
-    return nn.pick_rows(probs, rows if below is None
-                        else np.searchsorted(below, rows))
+    pick = rows
+    if rows is not None and below is not None:
+        pick = np.searchsorted(below, rows)
+    probs, vjp = head_forward(h, params.head, pick)
+    if stages is not None:
+        stages.append((vjp, (slot[id(params.head)],)))
+    return probs
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _tensor_lines(name: str, t: Tensor) -> list[str]:
-    lines = [f"TENSOR {name} {t.rows} {t.cols}"]
-    for row in t.data:
+def _tensor_lines(name: str, a: np.ndarray) -> list[str]:
+    lines = [f"TENSOR {name} {a.shape[0]} {a.shape[1]}"]
+    for row in a:
         lines.append(" ".join(float(x).hex() for x in row))
     return lines
 
@@ -498,7 +527,8 @@ def _number(what: str, text: str, parse=int):
         raise CheckpointError(f"checkpoint {what}: malformed number {text!r}") from None
 
 
-def _read_tensor(lines: list[str], pos: int, expect_name: str) -> tuple[Tensor, int]:
+def _read_tensor(lines: list[str], pos: int,
+                 expect_name: str) -> tuple[np.ndarray, int]:
     if pos >= len(lines):
         raise CheckpointError(f"checkpoint truncated before {expect_name}")
     parts = lines[pos].split()
@@ -520,7 +550,10 @@ def _read_tensor(lines: list[str], pos: int, expect_name: str) -> tuple[Tensor, 
                 f"expected {cols}")
         data.append([_number(f"tensor {expect_name} row {r}", f, float.fromhex)
                      for f in fields])
-    return Tensor(np.array(data), requires_grad=True), pos + 1 + rows
+        if not np.isfinite(data[-1]).all():
+            raise CheckpointError(
+                f"tensor {expect_name}: row {r} holds a non-finite value")
+    return np.array(data), pos + 1 + rows
 
 
 def load_params(path: str) -> ModelParams:

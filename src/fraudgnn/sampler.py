@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .tgraph import TransactionGraph, pair_scores
 
 # exp(0.5): cosine >= 0.5 once pushed through the exponential similarity
@@ -44,13 +44,15 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not len(self.z_hat):
+            raise ConfigError("z_hat must give at least one layer")
+        for z in self.z_hat:
+            check_count("z_hat entry", z, 1)
         self.z_hat = tuple(int(z) for z in self.z_hat)
-        if not self.z_hat or any(z < 1 for z in self.z_hat):
-            raise ConfigError(f"z_hat must be positive per layer, got {self.z_hat}")
-        if self.oversample_count < 0:
-            raise ConfigError("oversample_count must be >= 0")
-        if self.similarity_floor < 0:
-            raise ConfigError("similarity_floor must be >= 0")
+        check_count("oversample_count", self.oversample_count, 0)
+        if not self.similarity_floor >= 0:
+            raise ConfigError(f"similarity_floor must be >= 0, got "
+                              f"{self.similarity_floor}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, is_integer
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +56,7 @@ class Proposition:
     window_seconds: int = 1800
 
     def __post_init__(self):
-        if type(self.weight) is bool or not isinstance(self.weight, (int, np.integer)):
+        if not is_integer(self.weight):
             raise ConfigError(f"proposition {self.name!r}: non-integer weight {self.weight!r}")
         if self.weight < 1:
             raise ConfigError(f"proposition {self.name!r}: weight must be >= 1, got {self.weight}")

@@ -5,9 +5,11 @@ view (ground truth on training nodes, current hard predictions elsewhere),
 derive diversity gates, then run seeded mini-batches, each a forward pass
 over the batch's receptive field (model.receptive_rows) with a mean binary
 cross-entropy loss on the batch rows and an Adam step. Gates and neighbor
-choices are constants to the gradient. The epoch ends with a forward pass
-over every node, whose hard predictions feed the next epoch's gates; it
-and predict's passes run on untraced parameters and record no tape.
+choices are constants to the gradient. A step's forward pass collects
+its stages (nn.Loss), nn.backward runs them in reverse and Adam updates
+the parameter arrays in place. The epoch ends with a forward pass over
+every node, whose hard predictions feed the next epoch's gates; it and
+predict's passes collect no stages, so they keep no vjp.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import numpy as np
 
 from . import model as model_mod, nn, sampler as sampler_mod
 from .datagen import SplitSpec, _split_ids
-from .errors import CheckpointError, ConfigError, TrainError
+from .errors import CheckpointError, ConfigError, TrainError, check_count
 from .model import ModelConfig, ModelParams, Neighborhoods
-from .nn import Tensor
 from .sampler import SamplerConfig, combine_seed
 from .tgraph import TransactionGraph, UNLABELED
 
@@ -52,12 +53,9 @@ class TrainConfig:
         _check_z_hat(self.sampler, self.model)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_count("batch_size", self.batch_size, 1)
+        check_count("epochs", self.epochs, 0)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -76,11 +74,13 @@ class TrainResult:
 
 def batch_loss(params: ModelParams, features: np.ndarray,
                neighborhoods: list[Neighborhoods], gates: np.ndarray | None,
-               rows: np.ndarray, y: np.ndarray) -> Tensor:
+               rows: np.ndarray, y: np.ndarray) -> nn.Loss:
     """Loss on the selected rows, from a forward pass over the layers'
-    receptive rows only."""
-    return nn.bce(model_mod.forward(params, features, neighborhoods, gates,
-                                    rows), y)
+    receptive rows only, with its stages: K layers, the head, the loss."""
+    stages = []
+    p = model_mod.forward(params, features, neighborhoods, gates, rows,
+                          stages)
+    return nn.bce(p, y, stages)
 
 
 def _sample_layers(graph: TransactionGraph, scfg: SamplerConfig, epoch: int,
@@ -167,21 +167,18 @@ def train(graph: TransactionGraph, config: TrainConfig,
             rows = train_rows[chunk]
             loss = batch_loss(params, features, neighborhoods, gates,
                               rows, labels[rows])
-            value = loss.item()
-            if not np.isfinite(value):
+            if not np.isfinite(loss.value):
                 raise TrainError(
-                    f"non-finite loss {value} at epoch {epoch}, "
+                    f"non-finite loss {loss.value} at epoch {epoch}, "
                     f"batch starting {start}")
-            nn.backward(loss)
-            opt.step()
-            del loss  # free this step's tape before the next forward
-            batch_losses.append(value)
+            opt.step(nn.backward(loss))
+            batch_losses.append(loss.value)
+            del loss  # free this step's stages before the next forward
         epoch_loss = float(np.mean(batch_losses))
         history.append(epoch_loss)
         log.info("epoch %d/%d loss %.6f", epoch, config.epochs, epoch_loss)
 
-        p_all = model_mod.forward(params.untraced(), features, neighborhoods,
-                                  gates).data
+        p_all = model_mod.forward(params, features, neighborhoods, gates)
         hard = (p_all.ravel() >= 0.5).astype(np.int64)
         labels_eff = np.where(in_train, np.maximum(labels, 0), hard)
 
@@ -227,16 +224,14 @@ def predict(graph: TransactionGraph, params: ModelParams,
 
     neighborhoods = _sample_layers(graph, sampler_cfg, 0)
 
-    constants = params.untraced()
     gates = _gates_for(params.config, labels_eff, neighborhoods[0])
-    p = model_mod.forward(constants, features, neighborhoods,
-                          gates).data.ravel()
+    p = model_mod.forward(params, features, neighborhoods, gates).ravel()
     if params.config.use_gate and not known.all():
         hard = (p >= 0.5).astype(np.int64)
         labels_eff = np.where(known, labels_eff, hard)
         gates = _gates_for(params.config, labels_eff, neighborhoods[0])
-        p = model_mod.forward(constants, features, neighborhoods,
-                              gates).data.ravel()
+        p = model_mod.forward(params, features, neighborhoods,
+                              gates).ravel()
 
     return [Prediction(node_id=v, p_fraud=p_v, label_pred=int(p_v >= 0.5))
             for v, p_v in zip(nodes, p[rows].tolist())]

@@ -27,6 +27,11 @@ The per-layer ops nn had before model.layer_forward became one tape node
 (mul, concat, slice_rows, gather, add_rows, softmax_entries, the
 activations, l2_normalize_rows, and neighbor_sum on a scipy matrix
 object) build chain_layer_forward, that op's bit oracle.
+The reverse-mode tape those ops ran on (Tensor, record, the DAG backward,
+Adam over tensors, and the head's matmul, softmax_rows, slice_cols and
+pick_rows) is kept here too: a training step on it (tape_batch_loss,
+backward, TapeAdam) is the bit oracle of model.forward's stage chain,
+nn.backward and nn.AdamState.
 """
 
 from __future__ import annotations
@@ -45,9 +50,11 @@ from fraudgnn import nn
 from fraudgnn.datagen import (_FIXED_COLUMNS, DOWNSAMPLE_SEED_TAG,
                               SPLIT_SEED_TAG, DataSchema, IngestResult,
                               SplitSpec)
-from fraudgnn.errors import (ConfigError, IngestError, InputError, ShapeError,
-                             unreadable)
-from fraudgnn.model import LEAKY_SLOPE, ModelConfig, Neighborhoods, forward
+from fraudgnn.errors import (ConfigError, FraudGnnError, IngestError,
+                             InputError, ShapeError, unreadable)
+from fraudgnn.model import (LEAKY_SLOPE, LayerParams, ModelConfig,
+                            ModelParams, Neighborhoods, forward,
+                            receptive_rows)
 from fraudgnn.sampler import SamplerConfig, _entry_keys, combine_seed
 from fraudgnn.tgraph import (UNLABELED, Proposition, TransactionGraph,
                              TransactionRecord, pair_scores)
@@ -380,15 +387,15 @@ def loop_edge_scores(g: TransactionGraph) -> np.ndarray:
     return probs
 
 
-def put_rows(a, rows, m: int) -> nn.Tensor:
+def put_rows(a, rows, m: int) -> Tensor:
     """(len(rows), d) -> (m, d): row i of a lands at distinct row rows[i]
-    and every other row is zero: the adjoint of nn.pick_rows, whose
+    and every other row is zero: the adjoint of pick_rows, whose
     gradient is this function's."""
-    a = nn._wrap(a)
+    a = _wrap(a)
     rows = np.asarray(rows, dtype=np.int64)
     out = np.zeros((m, a.cols))
     out[rows] = a.data
-    return nn.record(out, (a,), lambda g: (g[rows],))
+    return record(out, (a,), lambda g: (g[rows],))
 
 
 def add_at_gather_vjp(m: int, idx, g) -> np.ndarray:
@@ -523,10 +530,10 @@ def padded_scatter_rows(coef: np.ndarray, idx: np.ndarray, g: np.ndarray,
     return a.T @ g
 
 
-def padded_gather(values, idx) -> nn.Tensor:
+def padded_gather(values, idx) -> Tensor:
     """nn.gather on a padded table: a column vector (m,1) indexed with an
     (n,z) index matrix -> (n,z)."""
-    values = nn._wrap(values)
+    values = _wrap(values)
     if values.cols != 1:
         raise ShapeError(f"gather expects a column vector, got {values.shape}")
     idx = np.asarray(idx, dtype=np.int64)
@@ -536,13 +543,13 @@ def padded_gather(values, idx) -> nn.Tensor:
         dv = np.bincount(idx.ravel(), weights=g.ravel(), minlength=values.rows)
         return (dv.reshape(-1, 1),)
 
-    return nn.record(out, (values,), vjp)
+    return record(out, (values,), vjp)
 
 
-def padded_neighbor_sum(weights, values, idx) -> nn.Tensor:
+def padded_neighbor_sum(weights, values, idx) -> Tensor:
     """nn.neighbor_sum on a padded table:
     out[i] = sum_j weights[i,j] * values[idx[i,j]]  ((n,z),(m,d),(n,z) -> (n,d))."""
-    weights, values = nn._wrap(weights), nn._wrap(values)
+    weights, values = _wrap(weights), _wrap(values)
     idx = np.asarray(idx, dtype=np.int64)
     if weights.shape != idx.shape:
         raise ShapeError(f"neighbor_sum weights {weights.shape} vs idx {idx.shape}")
@@ -553,14 +560,14 @@ def padded_neighbor_sum(weights, values, idx) -> nn.Tensor:
         dw = np.einsum("nd,nzd->nz", g, gathered)
         return dw, padded_scatter_rows(weights.data, idx, g, values.rows)
 
-    return nn.record(out, (weights, values), vjp)
+    return record(out, (weights, values), vjp)
 
 
-def padded_softmax_rows(a, mask) -> nn.Tensor:
-    """nn.softmax_rows' masked form on a padded table: row-wise softmax
+def padded_softmax_rows(a, mask) -> Tensor:
+    """softmax_rows' masked form on a padded table: row-wise softmax
     over the entries of a padded table that mask marks; the rest get 0, and
     rows with no marked entry come out all zero."""
-    a = nn._wrap(a)
+    a = _wrap(a)
     x = a.data
     valid = np.asarray(mask, dtype=bool)
     if valid.shape != x.shape:
@@ -576,25 +583,25 @@ def padded_softmax_rows(a, mask) -> nn.Tensor:
         dot = (g * out).sum(axis=1, keepdims=True)
         return (out * (g - dot),)
 
-    return nn.record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def padded_attention_weights(h_prev, nb: Neighborhoods, layer,
-                             config) -> nn.Tensor:
+                             config) -> Tensor:
     """model.attention_weights on the padded table: every op runs on the
     whole (n, width) table and returns it."""
     t = rectangle(nb)
     d_in, d_out = layer.d_in, layer.d_out
-    proj = nn.matmul(h_prev, slice_rows(layer.W, d_in, 2 * d_in))
-    score_self = nn.matmul(proj, slice_rows(layer.attn, 0, d_out))
-    score_neigh = nn.matmul(proj, slice_rows(layer.attn, d_out, 2 * d_out))
+    proj = matmul(h_prev, slice_rows(layer.W, d_in, 2 * d_in))
+    score_self = matmul(proj, slice_rows(layer.attn, 0, d_out))
+    score_neigh = matmul(proj, slice_rows(layer.attn, d_out, 2 * d_out))
     raw = add(score_self, padded_gather(score_neigh, t.idx))
     alpha = padded_softmax_rows(leaky_relu(raw), t.mask)
     return mul(alpha, padded_time_factors(t, config))
 
 
 def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
-                         config) -> nn.Tensor:
+                         config) -> Tensor:
     """model.layer_forward on the padded table."""
     if h_prev.cols != layer.d_in:
         raise ShapeError(
@@ -603,11 +610,11 @@ def padded_layer_forward(h_prev, nb: Neighborhoods, layer, gates,
     if config.use_attention:
         weights = padded_attention_weights(h_prev, nb, layer, config)
     else:
-        weights = nn.Tensor(padded_uniform_weights(t))
+        weights = Tensor(padded_uniform_weights(t))
     h_agg = padded_neighbor_sum(weights, h_prev, t.idx)
     if config.use_gate and gates is not None:
         h_agg = mul(h_agg, np.asarray(gates).reshape(-1, 1))
-    combined = nn.matmul(concat(h_prev, h_agg), layer.W)
+    combined = matmul(concat(h_prev, h_agg), layer.W)
     activated = ACTIVATION_OPS[config.activation](combined)
     return l2_normalize_rows(activated)
 
@@ -762,19 +769,247 @@ def baseline_layer_forward(h_prev: np.ndarray, nb: Neighborhoods,
     return out / np.where(norms > 0, norms, 1.0)
 
 
-def sum_all(a) -> nn.Tensor:
+def sum_all(a) -> Tensor:
     """Scalar sum of every entry as a 1x1 nn tensor: a loss for gradient
     tests, which the model itself never takes."""
-    a = nn._wrap(a)
+    a = _wrap(a)
     out = np.array([[a.data.sum()]])
-    return nn.record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
+    return record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 def full_graph_batch_loss(params, features, neighborhoods, gates, rows, y):
     """train.batch_loss as it was before receptive-field batches: a forward
-    pass over every node, then the loss on the batch rows."""
-    p_all = forward(params, features, neighborhoods, gates)
-    return nn.bce(nn.pick_rows(p_all, rows), y)
+    pass over every node, a stage that picks the batch rows, then the
+    loss."""
+    stages = []
+    p_all = forward(params, features, neighborhoods, gates, None, stages)
+
+    def pick_vjp(g, need_input):
+        d = np.zeros_like(p_all)
+        d[rows] = g
+        return (d,)
+
+    stages.append((pick_vjp, ()))
+    return nn.bce(p_all[rows], y, stages)
+
+
+# The reverse-mode tape nn had before the stage chain: Tensor, record, the
+# DAG backward and Adam over tensors, with the output head's ops (matmul,
+# slice_cols, pick_rows, softmax_rows). tape_batch_loss, its backward and
+# TapeAdam make a training step on it, each layer the op chain
+# chain_layer_forward: the bit oracle of model.forward's stages,
+# nn.backward and nn.AdamState.
+
+class UsageError(FraudGnnError, RuntimeError):
+    """Autodiff misuse, e.g. backward() on a trace-free tensor."""
+
+
+def _as2d(data) -> np.ndarray:
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+    elif arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    elif arr.ndim != 2:
+        raise ShapeError(f"tensors are 2-D; got array of shape {arr.shape}")
+    return arr
+
+
+class Tensor:
+    """2-D float64 matrix; set requires_grad=True to make it a trainable leaf.
+    An op's result requires gradients, and is traced, when an input does."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as2d(data)
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self._parents: tuple[Tensor, ...] = ()
+        self._vjp = None
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.data.shape
+
+    def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
+        return float(self.data[0, 0])
+
+
+def _wrap(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def record(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """An op's result: traced, with vjp(g) giving one gradient (or None)
+    per parent, when a parent requires gradients."""
+    out = Tensor(out_data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._vjp = vjp
+    return out
+
+
+def backward(loss: Tensor):
+    """Populate .grad for every tensor reachable from a scalar loss."""
+    if loss.shape != (1, 1):
+        raise UsageError(f"backward expects a 1x1 loss, got {loss.shape}")
+    if loss._vjp is None:
+        raise UsageError("backward before forward: the loss records no trace")
+
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                stack.append((p, False))
+
+    loss.grad = np.ones((1, 1))
+    for node in reversed(topo):
+        if node._vjp is None or node.grad is None:
+            continue
+        grads = node._vjp(node.grad)
+        for parent, g in zip(node._parents, grads):
+            if g is None or not parent.requires_grad:
+                continue
+            parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
+    out = a.data @ b.data
+    da, db = a.requires_grad, b.requires_grad
+
+    def vjp(g):  # a constant operand gets no gradient
+        return (g @ b.data.T if da else None), (a.data.T @ g if db else None)
+
+    return record(out, (a, b), vjp)
+
+
+def _slice(a, key) -> Tensor:
+    a = _wrap(a)
+
+    def vjp(g):
+        da = np.zeros_like(a.data)
+        da[key] = g
+        return (da,)
+
+    return record(a.data[key].copy(), (a,), vjp)
+
+
+def slice_cols(a, c0: int, c1: int) -> Tensor:
+    return _slice(a, np.s_[:, c0:c1])
+
+
+def pick_rows(a, rows) -> Tensor:
+    """a[rows] for distinct rows. Its gradient is assigned into zeros,
+    with no scatter."""
+    return _slice(a, np.asarray(rows, dtype=np.int64))
+
+
+def softmax_rows(a) -> Tensor:
+    """Row-wise softmax, overflow-safe via per-row max subtraction."""
+    a = _wrap(a)
+    rowmax = a.data.max(axis=1, keepdims=True)
+    rowmax[~np.isfinite(rowmax)] = 0.0
+    e = np.exp(a.data - rowmax)
+    s = e.sum(axis=1, keepdims=True)
+    s[~(s > 0)] = 1.0
+    out = np.divide(e, s, out=e)
+    return record(out, (a,), lambda g: (
+        out * (g - (g * out).sum(axis=1, keepdims=True)),))
+
+
+def tape_head(h, head, rows=None) -> Tensor:
+    """The output head as tape ops: model.head_forward's bit oracle."""
+    probs = slice_cols(softmax_rows(matmul(h, head)), 1, 2)
+    return probs if rows is None else pick_rows(probs, rows)
+
+
+class TapeAdam:
+    """Adam with bias correction over tensors; step() consumes and zeroes
+    the gradients."""
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
+        self.params = list(params)
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.step_count += 1
+        b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            m_hat = self.m[i] / (1 - b1 ** self.step_count)
+            v_hat = self.v[i] / (1 - b2 ** self.step_count)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
+            p.grad = None
+
+
+def tape_params(params: ModelParams) -> ModelParams:
+    """A copy of params whose arrays are trainable tensors."""
+    def leaf(a):
+        return Tensor(a.copy(), requires_grad=True)
+
+    return ModelParams(params.feature_dim, params.config,
+                       [LayerParams(W=leaf(layer.W), attn=leaf(layer.attn))
+                        for layer in params.layers], leaf(params.head))
+
+
+def tape_forward(params: ModelParams, features, neighborhoods, gates,
+                 rows=None) -> Tensor:
+    """model.forward on the tape, on tape_params: each layer is
+    chain_layer_forward and the head is tape_head."""
+    h = Tensor(features)
+    below = None  # the rows of h, ascending; None: every node
+    for layer, nb, field_rows in zip(params.layers, neighborhoods,
+                                     receptive_rows(neighborhoods, rows)):
+        layer_gates, own = gates, None
+        if field_rows is not None:
+            nb = nb.take(field_rows, below)
+            own = (field_rows if below is None
+                   else np.searchsorted(below, field_rows))
+            if gates is not None:
+                layer_gates = np.asarray(gates)[field_rows]
+        h = chain_layer_forward(h, nb, layer, layer_gates, params.config, own)
+        below = field_rows
+    if rows is None:
+        return tape_head(h, params.head)
+    return tape_head(h, params.head, rows if below is None
+                     else np.searchsorted(below, rows))
+
+
+def tape_batch_loss(params: ModelParams, features, neighborhoods, gates,
+                    rows, y) -> Tensor:
+    """train.batch_loss on the tape: chain_bce of tape_forward."""
+    return chain_bce(tape_forward(params, features, neighborhoods, gates,
+                                  rows), y)
 
 
 # nn's ops from before model.layer_forward became one tape node: the links
@@ -790,8 +1025,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return g
 
 
-def mul(a, b) -> nn.Tensor:
-    a, b = nn._wrap(a), nn._wrap(b)
+def mul(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
     try:
         out = a.data * b.data
     except ValueError:
@@ -802,12 +1037,12 @@ def mul(a, b) -> nn.Tensor:
         return (_unbroadcast(g * b.data, a.shape) if da else None,
                 _unbroadcast(g * a.data, b.shape) if db else None)
 
-    return nn.record(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
-def concat(a, b) -> nn.Tensor:
+def concat(a, b) -> Tensor:
     """Column-wise concatenation: (n,p) || (n,q) -> (n,p+q)."""
-    a, b = nn._wrap(a), nn._wrap(b)
+    a, b = _wrap(a), _wrap(b)
     if a.rows != b.rows:
         raise ShapeError(f"concat needs equal row counts: {a.shape} || {b.shape}")
     out = np.concatenate([a.data, b.data], axis=1)
@@ -816,16 +1051,16 @@ def concat(a, b) -> nn.Tensor:
     def vjp(g):
         return g[:, :p], g[:, p:]
 
-    return nn.record(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
-def slice_rows(a, r0: int, r1: int) -> nn.Tensor:
-    return nn._slice(a, np.s_[r0:r1, :])
+def slice_rows(a, r0: int, r1: int) -> Tensor:
+    return _slice(a, np.s_[r0:r1, :])
 
 
-def gather(values, layout: nn.CompressedRows) -> nn.Tensor:
+def gather(values, layout: nn.CompressedRows) -> Tensor:
     """A column vector (m,1) read at every entry's neighbor row."""
-    values = nn._wrap(values)
+    values = _wrap(values)
     if values.cols != 1:
         raise ShapeError(f"gather expects a column vector, got {values.shape}")
 
@@ -835,19 +1070,19 @@ def gather(values, layout: nn.CompressedRows) -> nn.Tensor:
         dv = np.bincount(layout.nbr, weights=g[:, 0], minlength=values.rows)
         return (dv.reshape(-1, 1),)
 
-    return nn.record(values.data[layout.nbr], (values,), vjp)
+    return record(values.data[layout.nbr], (values,), vjp)
 
 
-def add_rows(col, x, layout: nn.CompressedRows) -> nn.Tensor:
+def add_rows(col, x, layout: nn.CompressedRows) -> Tensor:
     """col[i] + x[k] for each entry k of row i: ((n,1), entries) -> entries."""
-    col, x = nn._wrap(col), nn._wrap(x)
-    return nn.record(col.data[layout.src] + x.data, (col, x),
+    col, x = _wrap(col), _wrap(x)
+    return record(col.data[layout.src] + x.data, (col, x),
                      lambda g: (layout.row_sum(g[:, 0]).reshape(-1, 1), g))
 
 
-def softmax_entries(a, layout: nn.CompressedRows) -> nn.Tensor:
+def softmax_entries(a, layout: nn.CompressedRows) -> Tensor:
     """Softmax over each row's entries."""
-    a = nn._wrap(a)
+    a = _wrap(a)
     top = layout.row_max(a.data[:, 0])
     top[~np.isfinite(top)] = 0.0
     e = np.exp(a.data[:, 0] - top[layout.src])
@@ -859,7 +1094,7 @@ def softmax_entries(a, layout: nn.CompressedRows) -> nn.Tensor:
         dot = layout.row_sum((g * out)[:, 0])[layout.src, None]
         return (out * (g - dot),)
 
-    return nn.record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def sparse_rows(weights: np.ndarray, layout: nn.CompressedRows,
@@ -872,11 +1107,11 @@ def sparse_rows(weights: np.ndarray, layout: nn.CompressedRows,
          layout.indptr.astype(dtype)), shape=(layout.n_rows, m))
 
 
-def neighbor_sum(weights, values, layout: nn.CompressedRows) -> nn.Tensor:
+def neighbor_sum(weights, values, layout: nn.CompressedRows) -> Tensor:
     """nn.neighbor_sum as a tape op on a scipy matrix object: A @ values,
     with A.T @ g as the values gradient. nn's direct kernels must equal
     this pair bit for bit."""
-    weights, values = nn._wrap(weights), nn._wrap(values)
+    weights, values = _wrap(weights), _wrap(values)
     if weights.shape != (len(layout.nbr), 1):
         raise ShapeError(f"neighbor_sum expects {len(layout.nbr)} entry "
                          f"weights, got {weights.shape}")
@@ -887,46 +1122,46 @@ def neighbor_sum(weights, values, layout: nn.CompressedRows) -> nn.Tensor:
         return (np.vecdot(g[layout.src], values.data[layout.nbr])[:, None]
                 if dw else None), (a.T @ g if dv else None)
 
-    return nn.record(a @ values.data, (weights, values), vjp)
+    return record(a @ values.data, (weights, values), vjp)
 
 
-def relu(a) -> nn.Tensor:
-    a = nn._wrap(a)
+def relu(a) -> Tensor:
+    a = _wrap(a)
     out = np.maximum(a.data, 0.0)
-    return nn.record(out, (a,), lambda g: (g * (a.data > 0),))
+    return record(out, (a,), lambda g: (g * (a.data > 0),))
 
 
-def leaky_relu(a) -> nn.Tensor:
-    a = nn._wrap(a)
+def leaky_relu(a) -> Tensor:
+    a = _wrap(a)
     out = np.where(a.data > 0, a.data, LEAKY_SLOPE * a.data)
-    return nn.record(out, (a,), lambda g: (
+    return record(out, (a,), lambda g: (
         g * np.where(a.data > 0, 1.0, LEAKY_SLOPE),))
 
 
-def identity(a) -> nn.Tensor:
-    a = nn._wrap(a)
-    return nn.record(a.data.copy(), (a,), lambda g: (g,))
+def identity(a) -> Tensor:
+    a = _wrap(a)
+    return record(a.data.copy(), (a,), lambda g: (g,))
 
 
-def sigmoid(a) -> nn.Tensor:
-    a = nn._wrap(a)
+def sigmoid(a) -> Tensor:
+    a = _wrap(a)
     out = 1.0 / (1.0 + np.exp(-a.data))
-    return nn.record(out, (a,), lambda g: (g * out * (1.0 - out),))
+    return record(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def tanh(a) -> nn.Tensor:
-    a = nn._wrap(a)
+def tanh(a) -> Tensor:
+    a = _wrap(a)
     out = np.tanh(a.data)
-    return nn.record(out, (a,), lambda g: (g * (1.0 - out * out),))
+    return record(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 ACTIVATION_OPS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid,
                   "identity": identity}
 
 
-def l2_normalize_rows(a) -> nn.Tensor:
+def l2_normalize_rows(a) -> Tensor:
     """Scale each row to unit L2 norm; all-zero rows are left at zero."""
-    a = nn._wrap(a)
+    a = _wrap(a)
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
     out = a.data / safe
@@ -936,25 +1171,25 @@ def l2_normalize_rows(a) -> nn.Tensor:
         da = (g - out * dot) / safe
         return (np.where(norms > 0, da, 0.0),)
 
-    return nn.record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def chain_attention_weights(h_prev, nb: Neighborhoods, layer, config,
-                            own=None) -> nn.Tensor:
+                            own=None) -> Tensor:
     """model.attention_weights' coefficients as a chain of tape ops."""
     d_in, d_out = layer.d_in, layer.d_out
-    proj = nn.matmul(h_prev, slice_rows(layer.W, d_in, 2 * d_in))
-    score_self = nn.matmul(proj, slice_rows(layer.attn, 0, d_out))
-    score_neigh = nn.matmul(proj, slice_rows(layer.attn, d_out, 2 * d_out))
+    proj = matmul(h_prev, slice_rows(layer.W, d_in, 2 * d_in))
+    score_self = matmul(proj, slice_rows(layer.attn, 0, d_out))
+    score_neigh = matmul(proj, slice_rows(layer.attn, d_out, 2 * d_out))
     if own is not None:
-        score_self = nn.pick_rows(score_self, own)
+        score_self = pick_rows(score_self, own)
     raw = add_rows(score_self, gather(score_neigh, nb), nb)
     alpha = softmax_entries(leaky_relu(raw), nb)
     return mul(alpha, nb.time_column(config))
 
 
 def chain_layer_forward(h_prev, nb: Neighborhoods, layer, gates, config,
-                        own=None) -> nn.Tensor:
+                        own=None) -> Tensor:
     """model.layer_forward as the chain of single tape ops it replaced:
     its bit oracle, output and gradients both."""
     if h_prev.cols != layer.d_in:
@@ -965,50 +1200,50 @@ def chain_layer_forward(h_prev, nb: Neighborhoods, layer, gates, config,
     h_agg = neighbor_sum(weights, h_prev, nb)
     if config.use_gate and gates is not None:
         h_agg = mul(h_agg, np.asarray(gates).reshape(-1, 1))
-    h_self = h_prev if own is None else nn.pick_rows(h_prev, own)
-    combined = nn.matmul(concat(h_self, h_agg), layer.W)
+    h_self = h_prev if own is None else pick_rows(h_prev, own)
+    combined = matmul(concat(h_self, h_agg), layer.W)
     return l2_normalize_rows(ACTIVATION_OPS[config.activation](combined))
 
 
 # nn's elementwise ops from before nn.bce: glue for gradient tests and the
 # padded attention, and the links of chain_bce.
 
-def add(a, b) -> nn.Tensor:
-    a, b = nn._wrap(a), nn._wrap(b)
-    return nn.record(a.data + b.data, (a, b), lambda g: (
+def add(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    return record(a.data + b.data, (a, b), lambda g: (
         _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a, b) -> nn.Tensor:
-    a, b = nn._wrap(a), nn._wrap(b)
-    return nn.record(a.data - b.data, (a, b), lambda g: (
+def sub(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    return record(a.data - b.data, (a, b), lambda g: (
         _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
-def neg(a) -> nn.Tensor:
-    a = nn._wrap(a)
-    return nn.record(-a.data, (a,), lambda g: (-g,))
+def neg(a) -> Tensor:
+    a = _wrap(a)
+    return record(-a.data, (a,), lambda g: (-g,))
 
 
-def ln(a) -> nn.Tensor:
-    a = nn._wrap(a)
-    return nn.record(np.log(a.data), (a,), lambda g: (g / a.data,))
+def ln(a) -> Tensor:
+    a = _wrap(a)
+    return record(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def clamp(a, lo: float, hi: float) -> nn.Tensor:
-    a = nn._wrap(a)
+def clamp(a, lo: float, hi: float) -> Tensor:
+    a = _wrap(a)
     inside = (a.data > lo) & (a.data < hi)
-    return nn.record(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+    return record(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
 
 
-def mean_all(a) -> nn.Tensor:
-    a = nn._wrap(a)
+def mean_all(a) -> Tensor:
+    a = _wrap(a)
     n = a.data.size
-    return nn.record(np.array([[a.data.mean()]]), (a,),
+    return record(np.array([[a.data.mean()]]), (a,),
                       lambda g: (np.full_like(a.data, g[0, 0] / n),))
 
 
-def chain_bce(p, y) -> nn.Tensor:
+def chain_bce(p, y) -> Tensor:
     """The training loss as nine tape nodes, nn.bce's oracle: its loss and
     p's gradient are what nn.bce must give, bit for bit."""
     y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)

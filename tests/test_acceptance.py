@@ -23,7 +23,7 @@ from fraudgnn.model import (
     layer_forward,
     neighbor_diversity,
 )
-from fraudgnn.nn import Tensor, backward
+from fraudgnn.nn import backward
 from fraudgnn.sampler import SamplerConfig, sample_layer
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import TrainConfig, batch_loss, predict, train
@@ -180,8 +180,8 @@ def test_sampler_matches_sort_oracle(capsys):
 def scalar_layer(h_prev, nb, layer, gates, cfg):
     """layer_forward recomputed with python loops over floats."""
     n, d_in = h_prev.shape
-    W = layer.W.data
-    A = layer.attn.data
+    W = layer.W
+    A = layer.attn
     d_out = W.shape[1]
     out = np.zeros((n, d_out))
 
@@ -254,8 +254,8 @@ def test_layer_forward_matches_scalar_reference(capsys):
         ])
         dt = rng.uniform(0.0, 4000.0, size=(5, 3))
         nb = neighborhoods(idx, mask, dt)
-        layer = LayerParams(W=Tensor(rng.normal(size=(6, 4))),
-                            attn=Tensor(rng.normal(size=(8, 1))))
+        layer = LayerParams(W=rng.normal(size=(6, 4)),
+                            attn=rng.normal(size=(8, 1)))
         gates = rng.uniform(0.1, 0.9, size=5)
         variants = [
             (dict(activation="relu", time_mode="decay"), gates),
@@ -267,9 +267,9 @@ def test_layer_forward_matches_scalar_reference(capsys):
         for kw, gate_vec in variants:
             cfg = ModelConfig(k_layers=1, hidden_dim=4, tau_seconds=1800.0,
                               **kw)
-            got = layer_forward(Tensor(h_prev), nb, layer, gate_vec, cfg)
+            got, _ = layer_forward(h_prev, nb, layer, gate_vec, cfg)
             want = scalar_layer(h_prev, nb, layer, gate_vec, cfg)
-            assert np.max(np.abs(got.data - want)) <= 1e-9, kw
+            assert np.max(np.abs(got - want)) <= 1e-9, kw
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +297,30 @@ def test_gradients_match_finite_differences(capsys):
         rows = np.arange(n)
         y = rng.integers(0, 2, size=n).astype(np.float64)
 
-        loss = batch_loss(params, features, nbhds, gates, rows, y)
-        backward(loss)
-        analytic = [t.grad.copy() for t in params.parameters()]
+        grads = backward(batch_loss(params, features, nbhds, gates, rows, y))
+        analytic = [grads[i].copy() for i in range(len(params.parameters()))]
 
         def loss_value():
-            return batch_loss(params, features, nbhds, gates, rows, y).item()
+            return batch_loss(params, features, nbhds, gates, rows, y).value
 
         h = 1e-5
         checked = 0
         for t, grad in zip(params.parameters(), analytic):
-            for r in range(t.rows):
-                for c in range(t.cols):
-                    orig = t.data[r, c]
-                    t.data[r, c] = orig + h
+            for r in range(t.shape[0]):
+                for c in range(t.shape[1]):
+                    orig = t[r, c]
+                    t[r, c] = orig + h
                     up = loss_value()
-                    t.data[r, c] = orig - h
+                    t[r, c] = orig - h
                     down = loss_value()
-                    t.data[r, c] = orig
+                    t[r, c] = orig
                     fd = (up - down) / (2.0 * h)
                     a = grad[r, c]
                     err = abs(a - fd)
                     assert err <= 1e-6 or err <= 1e-3 * max(abs(a), abs(fd)), \
                         f"param {t.shape} entry ({r},{c}): {a} vs {fd}"
                     checked += 1
-        assert checked == sum(t.data.size for t in params.parameters())
+        assert checked == sum(t.size for t in params.parameters())
         assert time.perf_counter() - t0 < 60.0
 
 

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from fraudgnn.errors import ConfigError, ShapeError
 from fraudgnn.model import LayerParams, ModelConfig, layer_forward
-from fraudgnn.nn import Tensor
 from fraudgnn.tgraph import Proposition, build_graph
 
 from reference import (baseline_layer_forward, neighborhoods,
@@ -115,22 +114,22 @@ class TestAblatedModelMatchesBaseline:
         attn = rng.normal(size=(2 * d_out, 1))
         h_prev = rng.normal(size=(10, d_in))
 
-        layer = LayerParams(W=Tensor(W), attn=Tensor(attn))
+        layer = LayerParams(W=W, attn=attn)
         cfg = ModelConfig(activation=activation, use_attention=False,
                           use_gate=False)
-        ours = layer_forward(Tensor(h_prev), nb, layer, None, cfg)
+        ours, _ = layer_forward(h_prev, nb, layer, None, cfg)
         ref = baseline_layer_forward(h_prev, nb, W, activation=activation)
-        assert np.abs(ours.data - ref).max() <= 1e-9
+        assert np.abs(ours - ref).max() <= 1e-9
 
     def test_gate_column_ignored_when_toggle_off(self):
         g = small_graph(seed=4, n=6)
         rng = np.random.default_rng(18)
         nb = uniform_neighborhoods(g, 2, rng)
         W = rng.normal(size=(8, 5))
-        layer = LayerParams(W=Tensor(W), attn=Tensor(rng.normal(size=(10, 1))))
+        layer = LayerParams(W=W, attn=rng.normal(size=(10, 1)))
         h_prev = rng.normal(size=(6, 4))
         cfg = ModelConfig(use_attention=False, use_gate=False)
-        with_gates = layer_forward(Tensor(h_prev), nb, layer,
-                                   np.full(6, 0.123), cfg)
-        without = layer_forward(Tensor(h_prev), nb, layer, None, cfg)
-        assert_allclose(with_gates.data, without.data)
+        with_gates, _ = layer_forward(h_prev, nb, layer, np.full(6, 0.123),
+                                      cfg)
+        without, _ = layer_forward(h_prev, nb, layer, None, cfg)
+        assert_allclose(with_gates, without)

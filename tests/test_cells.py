@@ -11,19 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fraudgnn import model as model_mod, nn
+from fraudgnn import model as model_mod
 from fraudgnn.datagen import ScenarioConfig, generate
 from fraudgnn.model import (LayerParams, ModelConfig, Neighborhoods,
                             attention_weights, layer_forward,
                             neighbor_diversity, pack_rows, time_factors,
                             uniform_weights)
-from fraudgnn.nn import Tensor
 from fraudgnn.sampler import SamplerConfig
 from fraudgnn.tgraph import Proposition, build_graph
 from fraudgnn.train import TrainConfig, predict, train
 
-from reference import (Rectangle, mul, neighborhoods, padded,
-                       padded_attention_weights, padded_layer_forward,
+from reference import (Rectangle, Tensor, backward, mul, neighborhoods,
+                       padded, padded_attention_weights, padded_layer_forward,
                        padded_neighbor_diversity, padded_pack_rows,
                        padded_time_factors, padded_uniform_weights,
                        rectangle, sum_all)
@@ -73,14 +72,21 @@ def bits(a):
     return None if a is None else np.ascontiguousarray(a).view(np.int64)
 
 
-def run_layer(layer_fn, h, W, attn, coef):
-    """Output and every leaf gradient of sum(coef * layer_fn(h, layer))."""
+def run_tape(layer_fn, h, W, attn, coef):
+    """Output and every leaf gradient of sum(coef * layer_fn(h, layer)),
+    layer_fn a tape layer."""
     h_t = Tensor(h.copy(), requires_grad=True)
     W_t = Tensor(W.copy(), requires_grad=True)
     attn_t = Tensor(attn.copy(), requires_grad=True)
     out = layer_fn(h_t, LayerParams(W=W_t, attn=attn_t))
-    nn.backward(sum_all(mul(out, coef)))
+    backward(sum_all(mul(out, coef)))
     return out.data, h_t.grad, W_t.grad, attn_t.grad
+
+
+def run_stage(layer_fn, h, W, attn, coef):
+    """run_tape's four arrays from a stage's output and vjp."""
+    out, vjp = layer_fn(h.copy(), LayerParams(W=W.copy(), attn=attn.copy()))
+    return (out, *vjp(coef, True))
 
 
 def assert_all_close(names, got, want):
@@ -107,16 +113,17 @@ def assert_layer_matches_padded(nb, d_in, d_out, config_kw, seed=0,
     coef = rng.normal(size=(n, d_out))
     cfg = ModelConfig(tau_seconds=1800.0, **config_kw)
     names = ("output", "h grad", "W grad", "attn grad")
-    assert_all_close(names, run_layer(
-        lambda h_t, layer: layer_forward(h_t, nb, layer, gates, cfg),
-        h, W, attn, coef), run_layer(
+    assert_all_close(names, run_stage(
+        lambda h, layer: layer_forward(h, nb, layer, gates, cfg),
+        h, W, attn, coef), run_tape(
         lambda h_t, layer: padded_layer_forward(h_t, nb, layer, gates, cfg),
         h, W, attn, coef))
     if not cfg.use_attention:
         return
-    layer = LayerParams(W=Tensor(W), attn=Tensor(attn))
+    layer = LayerParams(W=W, attn=attn)
     got = attention_weights(h, nb, layer, cfg).weights
-    want = padded_attention_weights(Tensor(h), nb, layer, cfg).data
+    want = padded_attention_weights(
+        Tensor(h), nb, LayerParams(W=Tensor(W), attn=Tensor(attn)), cfg).data
     assert_allclose(padded(nb, got), want, rtol=1e-12, atol=1e-12)
 
 
@@ -196,14 +203,14 @@ class TestCellCache:
         monkeypatch.setattr(model_mod, "time_factors",
                             lambda *a: calls.append(1) or real(*a))
         rng = np.random.default_rng(1)
-        layer = LayerParams(W=Tensor(rng.normal(size=(10, 4))),
-                            attn=Tensor(rng.normal(size=(8, 1))))
-        h = Tensor(rng.normal(size=(nb.n_nodes, 5)))
-        first = layer_forward(h, nb, layer, None, ModelConfig())
+        layer = LayerParams(W=rng.normal(size=(10, 4)),
+                            attn=rng.normal(size=(8, 1)))
+        h = rng.normal(size=(nb.n_nodes, 5))
+        first, _ = layer_forward(h, nb, layer, None, ModelConfig())
         factors = nb.time_column(ModelConfig())
-        second = layer_forward(h, nb, layer, None, ModelConfig())
+        second, _ = layer_forward(h, nb, layer, None, ModelConfig())
         assert nb.time_column(ModelConfig()) is factors and len(calls) == 1
-        assert np.array_equal(first.data, second.data)
+        assert np.array_equal(first, second)
         layer_forward(h, nb, layer, None, ModelConfig(time_mode="interval"))
         assert len(calls) == 2
 

@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fraudgnn.config import (_RUN_KEYS, RunConfig, dump_run_config,
@@ -10,7 +11,50 @@ from fraudgnn.config import (_RUN_KEYS, RunConfig, dump_run_config,
                              load_scenario, parse_kv)
 from fraudgnn.errors import ConfigError
 from fraudgnn.model import ModelConfig
+from fraudgnn.sampler import SamplerConfig
 from fraudgnn.train import TrainConfig
+
+
+# (config class, field, a valid count) for every count a config holds
+COUNT_FIELDS = [
+    (SamplerConfig, "oversample_count", 3),
+    (ModelConfig, "k_layers", 2),
+    (ModelConfig, "hidden_dim", 4),
+    (TrainConfig, "batch_size", 8),
+    (TrainConfig, "epochs", 2),
+    (TrainConfig, "seed", 1),
+]
+
+
+class TestCountFields:
+    """Every count rejects a non-integer with ConfigError at construction.
+    Before, oversample_count=2.5 ended train in numpy's TypeError and
+    batch_size=2.5 was accepted."""
+
+    @pytest.mark.parametrize("cls, field, good", COUNT_FIELDS,
+                             ids=[f"{c.__name__}.{f}" for c, f, _ in COUNT_FIELDS])
+    def test_rejects_non_integers(self, cls, field, good):
+        assert getattr(cls(**{field: np.int64(good)}), field) == good
+        for bad in (good + 0.5, float(good), True, str(good), None):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                cls(**{field: bad})
+
+    def test_z_hat_entries(self):
+        """z_hat = (2.5,) was silently truncated to 2."""
+        assert SamplerConfig(z_hat=[np.int32(2), 3]).z_hat == (2, 3)
+        for bad in ((2.5,), (4, 2.0), (True,)):
+            with pytest.raises(ConfigError, match="z_hat entry must be an integer"):
+                SamplerConfig(z_hat=bad)
+        with pytest.raises(ConfigError, match="z_hat entry must be >= 1"):
+            SamplerConfig(z_hat=(3, 0))
+        with pytest.raises(ConfigError, match="at least one layer"):
+            SamplerConfig(z_hat=())
+
+    def test_similarity_floor_nan(self):
+        """A NaN floor dropped every fraud extra: sims >= nan is false."""
+        with pytest.raises(ConfigError, match="similarity_floor"):
+            SamplerConfig(similarity_floor=math.nan)
+        assert SamplerConfig(similarity_floor=math.inf).similarity_floor == math.inf
 
 
 def write(tmp_path, text, name="run.cfg"):

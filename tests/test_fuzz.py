@@ -6,6 +6,7 @@ exception escapes as a traceback. The graph builder is also fuzzed against
 the pairwise oracle.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,7 +107,12 @@ def ckpt_path(tmp_path_factory):
 def test_load_params_text(ckpt_path, text):
     with open(ckpt_path, "w") as fh:
         fh.write(text)
-    _raises_only_package_errors(load_params, ckpt_path)
+    try:
+        params = load_params(ckpt_path)
+    except FraudGnnError:
+        return
+    # a nan or inf field is refused, not loaded
+    assert all(np.isfinite(a).all() for a in params.parameters())
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,12 @@
-"""model.layer_forward as one tape node: output and gradients bit-equal to
-the chain of single ops it replaced (reference.chain_layer_forward), nn's
-direct sparse kernels bit-equal to scipy's matrix products, and the tape
-of a training step."""
+"""The stage chain against the tape it replaced, bit for bit:
+model.layer_forward against the chain of single tape ops
+(reference.chain_layer_forward), model.head_forward against the tape's
+head ops, a whole training step against reference.tape_step, and nn's
+direct sparse kernels against scipy's matrix products."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -12,13 +15,14 @@ import scipy.sparse
 from fraudgnn import model as model_mod, nn
 from fraudgnn.datagen import ScenarioConfig, generate
 from fraudgnn.model import (ACTIVATIONS, LayerParams, ModelConfig,
-                            Neighborhoods, layer_forward)
-from fraudgnn.nn import Tensor
+                            Neighborhoods, head_forward, layer_forward)
 from fraudgnn.sampler import SamplerConfig
 from fraudgnn.tgraph import Proposition, build_graph
-from fraudgnn.train import TrainConfig, _sample_layers, batch_loss
+from fraudgnn.train import TrainConfig, _gates_for, _sample_layers, batch_loss
 
-from reference import chain_layer_forward, mul, sparse_rows, sum_all
+from reference import (Tensor, TapeAdam, backward, chain_layer_forward, mul,
+                       sparse_rows, sum_all, tape_batch_loss, tape_head,
+                       tape_params)
 
 
 def bits(a):
@@ -46,14 +50,24 @@ def random_rows(rng, n, m, max_count=6, index_dtype=np.int64):
 GATES = ("on", "off", "none")
 
 
-def run(layer_fn, h, W, attn, nb, gates, cfg, own, coef, h_grad=True):
-    """Output and the h, W and attn gradients of sum(coef * layer)."""
+def run_tape(h, W, attn, nb, gates, cfg, own, coef, h_grad=True):
+    """Output and the h, W and attn gradients of sum(coef * layer), the
+    layer being chain_layer_forward on the tape."""
     h_t = Tensor(h.copy(), requires_grad=h_grad)
     layer = LayerParams(W=Tensor(W.copy(), requires_grad=True),
                         attn=Tensor(attn.copy(), requires_grad=True))
-    out = layer_fn(h_t, nb, layer, gates, cfg, own)
-    nn.backward(sum_all(mul(out, coef)))
+    out = chain_layer_forward(h_t, nb, layer, gates, cfg, own)
+    backward(sum_all(mul(out, coef)))
     return out.data, h_t.grad, layer.W.grad, layer.attn.grad
+
+
+def run(h, W, attn, nb, gates, cfg, own, coef, h_grad=True):
+    """run_tape's four arrays from layer_forward's stage: sum's gradient
+    is coef itself."""
+    out, vjp = layer_forward(h.copy(), nb, LayerParams(W=W.copy(),
+                                                       attn=attn.copy()),
+                             gates, cfg, own)
+    return (out, *vjp(coef, h_grad))
 
 
 def assert_layer_matches_chain(seed, attention, gate, activation, time_mode,
@@ -74,10 +88,8 @@ def assert_layer_matches_chain(seed, attention, gate, activation, time_mode,
                       use_attention=attention, use_gate=gate != "off",
                       tau_seconds=1800.0)
     with np.errstate(invalid="ignore", over="ignore"):
-        got = run(layer_forward, h, W, attn, nb, gates, cfg, own, coef,
-                  h_grad)
-        want = run(chain_layer_forward, h, W, attn, nb, gates, cfg, own,
-                   coef, h_grad)
+        got = run(h, W, attn, nb, gates, cfg, own, coef, h_grad)
+        want = run_tape(h, W, attn, nb, gates, cfg, own, coef, h_grad)
     for name, g, w in zip(("output", "h grad", "W grad", "attn grad"),
                           got, want):
         assert_bits_equal(name, g, w)
@@ -118,9 +130,9 @@ class TestLayerMatchesChain:
                            np.zeros(0, dtype=np.int64), np.zeros(0))
         h, coef = rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
         W, attn = rng.normal(size=(4, 3)), rng.normal(size=(6, 1))
-        got, want = (run(fn, h, W, attn, nb, np.full(4, 0.5), ModelConfig(),
-                         None, coef)
-                     for fn in (layer_forward, chain_layer_forward))
+        got, want = (run_fn(h, W, attn, nb, np.full(4, 0.5), ModelConfig(),
+                            None, coef)
+                     for run_fn in (run, run_tape))
         for name, g, w in zip(("output", "h grad", "W grad", "attn grad"),
                               got, want):
             assert_bits_equal(name, g, w)
@@ -134,56 +146,150 @@ def small_graph():
         name="dev", field="device", window_seconds=3600)])
 
 
-def training_step(graph, cfg, rows):
-    """Loss, and every parameter's gradient, of one two-layer step."""
-    params = model_mod.init_params(graph.features.shape[1], cfg.model, 0)
-    neighborhoods = _sample_layers(graph, cfg.sampler, 1)
-    gates = model_mod.diversity_stats(np.maximum(graph.labels, 0),
-                                      neighborhoods[0]).gate
-    loss = batch_loss(params, graph.features, neighborhoods, gates, rows,
-                      graph.labels[rows])
-    return loss, params
+GRAPH = small_graph()
+ROWS = np.arange(0, 60, 7)
 
 
-def tape(loss):
-    """Every tensor a backward pass from loss visits."""
-    seen, stack = {id(loss): loss}, [loss]
-    while stack:
-        for p in stack.pop()._parents:
-            if p.requires_grad and id(p) not in seen:
-                seen[id(p)] = p
-                stack.append(p)
-    return list(seen.values())
+def step_case(k, **model_kw):
+    """Initial parameters, k sampled layers and their gates on GRAPH."""
+    cfg = TrainConfig(model=ModelConfig(k_layers=k, hidden_dim=5, **model_kw),
+                      sampler=SamplerConfig(z_hat=(6, 4, 5)[:k]))
+    params = model_mod.init_params(GRAPH.features.shape[1], cfg.model, 0)
+    neighborhoods = _sample_layers(GRAPH, cfg.sampler, 1)
+    gates = _gates_for(cfg.model, np.maximum(GRAPH.labels, 0),
+                       neighborhoods[0])
+    return params, neighborhoods, gates
 
 
-STEP = TrainConfig(model=ModelConfig(k_layers=2, hidden_dim=5),
-                   sampler=SamplerConfig(z_hat=(6, 6)), batch_size=8)
+def chain_step(params, opt, neighborhoods, gates, rows):
+    """One training step through the stage chain: the loss and every
+    slot's gradient, the parameters updated in place."""
+    if rows is None:
+        stages = []
+        p = model_mod.forward(params, GRAPH.features, neighborhoods, gates,
+                              None, stages)
+        loss = nn.bce(p, GRAPH.labels, stages)
+    else:
+        loss = batch_loss(params, GRAPH.features, neighborhoods, gates, rows,
+                          GRAPH.labels[rows])
+    grads = nn.backward(loss)
+    opt.step(grads)
+    return loss, grads
 
 
 class TestTrainingStep:
-    def test_two_layer_step_records_at_most_12_tape_tensors(self):
-        # two layers, head matmul, softmax, slice, pick and bce, with the
-        # five parameters: 12 (the op chain recorded 47)
-        graph = small_graph()
-        loss, params = training_step(graph, STEP, np.arange(0, 60, 7))
-        nodes = tape(loss)
-        assert len(nodes) <= 12
-        assert all(any(p is t for t in nodes) for p in params.parameters())
+    """Two steps through the stage chain against the tape's (the loss,
+    the DAG backward, then TapeAdam): the loss, every slot's gradient, and
+    the parameters after each Adam step, bit for bit."""
 
-    def test_step_matches_the_chain(self, monkeypatch):
-        """A whole step on receptive rows: loss and every parameter's
-        gradient equal those of the op chain."""
-        graph = small_graph()
-        rows = np.arange(0, 60, 7)
-        got_loss, got = training_step(graph, STEP, rows)
-        nn.backward(got_loss)
-        monkeypatch.setattr(model_mod, "layer_forward", chain_layer_forward)
-        want_loss, want = training_step(graph, STEP, rows)
-        assert len(tape(want_loss)) > 40
-        nn.backward(want_loss)
-        assert_bits_equal("loss", got_loss.data, want_loss.data)
-        for i, (g, w) in enumerate(zip(got.parameters(), want.parameters())):
-            assert_bits_equal(f"parameter {i}", g.grad, w.grad)
+    def test_step_matches_the_chain(self):
+        """Every arm: attention and gate on and off, each activation and
+        time mode, K from 1 to 3, and forward's rows None or given."""
+        for attention, gate, activation, time_mode, k, rows in (
+                itertools.product((True, False), (True, False),
+                                  sorted(ACTIVATIONS), model_mod.TIME_MODES,
+                                  (1, 2, 3), (None, ROWS))):
+            params, nbs, gates = step_case(
+                k, use_attention=attention, use_gate=gate,
+                activation=activation, time_mode=time_mode)
+            tape = tape_params(params)
+            opt = nn.AdamState(params.parameters(), lr=0.05)
+            tape_opt = TapeAdam(tape.parameters(), lr=0.05)
+            y = GRAPH.labels if rows is None else GRAPH.labels[rows]
+            for step in range(2):
+                where = (f"{params.config}, rows given: {rows is not None}, "
+                         f"step {step}")
+                loss, grads = chain_step(params, opt, nbs, gates, rows)
+                want = tape_batch_loss(tape, GRAPH.features, nbs, gates,
+                                       rows, y)
+                backward(want)
+                assert_bits_equal(f"loss, {where}",
+                                  np.array([[loss.value]]), want.data)
+                for i, leaf in enumerate(tape.parameters()):
+                    assert_bits_equal(f"slot {i} gradient, {where}",
+                                      grads.get(i), leaf.grad)
+                tape_opt.step()
+                for i, (got, leaf) in enumerate(zip(params.parameters(),
+                                                    tape.parameters())):
+                    assert_bits_equal(f"slot {i} after Adam, {where}",
+                                      got, leaf.data)
+            if not attention:
+                assert all(2 * j + 1 not in grads for j in range(k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_step_has_k_plus_two_stages(self, k):
+        params, nbs, gates = step_case(k)
+        loss = batch_loss(params, GRAPH.features, nbs, gates, ROWS,
+                          GRAPH.labels[ROWS])
+        assert len(loss.stages) == k + 2
+        # each layer's W and attn, the head, then the loss's no slot
+        assert [slots for _, slots in loss.stages] == (
+            [(2 * j, 2 * j + 1) for j in range(k)] + [(2 * k,), ()])
+
+    @pytest.mark.parametrize("rows", [None, ROWS], ids=["every_row", "rows"])
+    def test_inference_forward_keeps_no_vjp(self, monkeypatch, rows):
+        """Without a stages list no vjp outlives forward; with one, the
+        list holds every vjp."""
+        vjps = []
+
+        def keep_ref(fn):
+            def spy(*args):
+                out, vjp = fn(*args)
+                vjps.append(weakref.ref(vjp))
+                return out, vjp
+            return spy
+
+        monkeypatch.setattr(model_mod, "layer_forward",
+                            keep_ref(model_mod.layer_forward))
+        monkeypatch.setattr(model_mod, "head_forward",
+                            keep_ref(model_mod.head_forward))
+        params, nbs, gates = step_case(2)
+        model_mod.forward(params, GRAPH.features, nbs, gates, rows)
+        gc.collect()
+        assert len(vjps) == 3 and all(ref() is None for ref in vjps)
+        stages = []
+        model_mod.forward(params, GRAPH.features, nbs, gates, rows, stages)
+        assert [vjp for vjp, _ in stages] == [ref() for ref in vjps[3:]]
+
+
+class TestHeadMatchesTheTape:
+    """head_forward's probabilities and its h and head gradients against
+    the tape's matmul, softmax_rows, slice_cols and pick_rows."""
+
+    def check(self, h, head, coef, pick=None):
+        got, vjp = head_forward(h.copy(), head.copy(), pick)
+        h_t = Tensor(h.copy(), requires_grad=True)
+        head_t = Tensor(head.copy(), requires_grad=True)
+        want = tape_head(h_t, head_t, pick)
+        backward(sum_all(mul(want, coef)))
+        assert_bits_equal("probabilities", got, want.data)
+        dh, d_head = vjp(coef, True)
+        assert_bits_equal("h gradient", dh, h_t.grad)
+        assert_bits_equal("head gradient", d_head, head_t.grad)
+        assert vjp(coef, False)[0] is None
+
+    @pytest.mark.parametrize("picked", [False, True])
+    def test_random(self, picked):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 40):
+            h, head = rng.normal(size=(n, 5)), rng.normal(size=(5, 2)) * 3
+            pick = rng.permutation(n)[:max(1, n // 2)] if picked else None
+            coef = rng.normal(size=(n if pick is None else len(pick), 1))
+            self.check(h, head, coef, pick)
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits(self, special):
+        """Rows whose logits hold NaN or +-inf, and a row whose shifted
+        exponentials underflow to zero."""
+        rng = np.random.default_rng(4)
+        h, head = rng.normal(size=(6, 3)), rng.normal(size=(3, 2))
+        h[1, 0] = special
+        h[3] = special
+        h[4] = 1e308
+        coef = rng.normal(size=(6, 1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.check(h, head, coef)
+            self.check(h, head, coef[:3], np.array([3, 1, 4]))
 
 
 class TestNeighborSumKernels:

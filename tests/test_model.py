@@ -13,7 +13,6 @@ from fraudgnn.model import (LayerParams, ModelConfig, aggregation_gate,
                             diversity_stats, forward, init_params,
                             layer_forward, load_params, neighbor_diversity,
                             time_factors, uniform_weights)
-from fraudgnn.nn import Tensor
 from fraudgnn.tgraph import Proposition, build_graph
 
 from reference import (SampledNeighborhood, neighborhoods,
@@ -27,8 +26,8 @@ def table_of(nb, entries):
 
 
 def random_layer(rng, d_in, d_out):
-    return LayerParams(W=Tensor(rng.normal(size=(2 * d_in, d_out)) * 0.5),
-                       attn=Tensor(rng.normal(size=(2 * d_out, 1)) * 0.5))
+    return LayerParams(W=rng.normal(size=(2 * d_in, d_out)) * 0.5,
+                       attn=rng.normal(size=(2 * d_out, 1)) * 0.5)
 
 
 class TestModelConfig:
@@ -69,8 +68,8 @@ class TestInitParams:
         b = init_params(3, cfg, seed=7)
         c = init_params(3, cfg, seed=8)
         for ta, tb in zip(a.parameters(), b.parameters()):
-            assert_array_equal(ta.data, tb.data)
-        assert not np.array_equal(a.head.data, c.head.data)
+            assert_array_equal(ta, tb)
+        assert not np.array_equal(a.head, c.head)
 
     def test_bad_feature_dim(self):
         with pytest.raises(ConfigError):
@@ -285,15 +284,15 @@ class TestLayerForward:
         """Gate 0 suppresses the neighbor message entirely."""
         rng = np.random.default_rng(5)
         layer = random_layer(rng, 3, 4)
-        h = Tensor(rng.normal(size=(4, 3)))
+        h = rng.normal(size=(4, 3))
         nb = neighborhoods(rng.integers(0, 4, size=(4, 2)),
                      np.ones((4, 2), dtype=bool), np.zeros((4, 2)))
         empty = neighborhoods(np.zeros((4, 1), dtype=int),
                         np.zeros((4, 1), dtype=bool), np.zeros((4, 1)))
         cfg = ModelConfig(activation="tanh")
-        gated = layer_forward(h, nb, layer, np.zeros(4), cfg)
-        isolated = layer_forward(h, empty, layer, None, cfg)
-        assert_allclose(gated.data, isolated.data, atol=1e-12)
+        gated, _ = layer_forward(h, nb, layer, np.zeros(4), cfg)
+        isolated, _ = layer_forward(h, empty, layer, None, cfg)
+        assert_allclose(gated, isolated, atol=1e-12)
 
     def test_output_rows_unit_or_zero(self):
         rng = np.random.default_rng(6)
@@ -302,9 +301,9 @@ class TestLayerForward:
         nb = neighborhoods(np.zeros((4, 1), dtype=int),
                      np.array([[1], [1], [1], [0]], dtype=bool),
                      np.zeros((4, 1)))
-        out = layer_forward(Tensor(h), nb, layer, None,
-                            ModelConfig(activation="relu"))
-        norms = np.linalg.norm(out.data, axis=1)
+        out, _ = layer_forward(h, nb, layer, None,
+                               ModelConfig(activation="relu"))
+        norms = np.linalg.norm(out, axis=1)
         assert ((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0)).all()
 
     def test_width_mismatch(self):
@@ -312,13 +311,13 @@ class TestLayerForward:
         layer = random_layer(rng, 3, 4)
         nb = neighborhoods([[0]], [[1]], [[0.0]])
         with pytest.raises(ShapeError, match="width"):
-            layer_forward(Tensor(np.zeros((1, 5))), nb, layer, None,
+            layer_forward(np.zeros((1, 5)), nb, layer, None,
                           ModelConfig())
 
     def test_neighbor_order_irrelevant(self):
         rng = np.random.default_rng(8)
         layer = random_layer(rng, 4, 4)
-        h = Tensor(rng.normal(size=(5, 4)))
+        h = rng.normal(size=(5, 4))
         perm_nb = neighborhoods([[1, 2, 3]], [[1, 1, 1]], [[10.0, 20.0, 30.0]])
         swapped = neighborhoods([[3, 1, 2]], [[1, 1, 1]], [[30.0, 10.0, 20.0]])
         pad = neighborhoods(np.zeros((4, 3), dtype=int), np.zeros((4, 3), dtype=bool),
@@ -328,9 +327,11 @@ class TestLayerForward:
             return neighborhoods(*(np.vstack([a, b]) for a, b in zip(
                 rectangle(nb0), rectangle(pad))))
 
-        a = layer_forward(h, with_first_row(perm_nb), layer, None, ModelConfig())
-        b = layer_forward(h, with_first_row(swapped), layer, None, ModelConfig())
-        assert_allclose(a.data, b.data, atol=1e-12)
+        a, _ = layer_forward(h, with_first_row(perm_nb), layer, None,
+                             ModelConfig())
+        b, _ = layer_forward(h, with_first_row(swapped), layer, None,
+                             ModelConfig())
+        assert_allclose(a, b, atol=1e-12)
 
     def test_matches_scalar_reference_on_random_graphs(self):
         """Vectorized layer vs the per-node scalar loop, ten seeded trials."""
@@ -351,13 +352,13 @@ class TestLayerForward:
             sampled = [SampledNeighborhood(node=r.id, selected=nbh[r.id])
                        for r in g.records]
             nb = pack_neighborhoods(g, sampled)
-            layer = LayerParams(W=Tensor(W), attn=Tensor(attn))
+            layer = LayerParams(W=W, attn=attn)
             gate_col = np.array([gates[r.id] for r in g.records])
-            ours = layer_forward(Tensor(h_prev), nb, layer, gate_col,
-                                 ModelConfig(activation="relu"))
+            ours, _ = layer_forward(h_prev, nb, layer, gate_col,
+                                    ModelConfig(activation="relu"))
             ref = reference_layer_forward(g, h_prev, nbh, W, attn, gates,
                                           tau=1800.0, activation="relu")
-            assert np.abs(ours.data - ref).max() <= 1e-9
+            assert np.abs(ours - ref).max() <= 1e-9
 
     def test_reference_agreement_without_gate(self):
         rng = np.random.default_rng(200)
@@ -371,10 +372,10 @@ class TestLayerForward:
         sampled = [SampledNeighborhood(node=r.id, selected=nbh[r.id])
                    for r in g.records]
         nb = pack_neighborhoods(g, sampled)
-        layer = LayerParams(W=Tensor(W), attn=Tensor(attn))
-        ours = layer_forward(Tensor(h_prev), nb, layer, None, ModelConfig())
+        layer = LayerParams(W=W, attn=attn)
+        ours, _ = layer_forward(h_prev, nb, layer, None, ModelConfig())
         ref = reference_layer_forward(g, h_prev, nbh, W, attn, None)
-        assert np.abs(ours.data - ref).max() <= 1e-9
+        assert np.abs(ours - ref).max() <= 1e-9
 
 
 class TestForward:
@@ -393,7 +394,7 @@ class TestForward:
     def test_output_shape_and_range(self):
         p = forward(self.params, self.g.features, self.nbs, None)
         assert p.shape == (8, 1)
-        assert (p.data > 0.0).all() and (p.data < 1.0).all()
+        assert (p > 0.0).all() and (p < 1.0).all()
 
     def test_layer_count_mismatch(self):
         with pytest.raises(ShapeError, match="neighborhood"):
@@ -404,9 +405,9 @@ class TestForward:
             forward(self.params, np.zeros((8, 3)), self.nbs, None)
 
     def test_zero_head_predicts_half(self):
-        self.params.head = Tensor(np.zeros((6, 2)), requires_grad=True)
+        self.params.head = np.zeros((6, 2))
         p = forward(self.params, self.g.features, self.nbs, None)
-        assert_allclose(p.data, np.full((8, 1), 0.5), atol=1e-12)
+        assert_allclose(p, np.full((8, 1), 0.5), atol=1e-12)
 
 
 class TestCheckpoint:
@@ -424,7 +425,7 @@ class TestCheckpoint:
         assert loaded.feature_dim == 3
         assert loaded.config == params.config
         for a, b in zip(params.parameters(), loaded.parameters()):
-            assert_array_equal(a.data, b.data)
+            assert_array_equal(a, b)
 
     def test_text_round_trip_stable(self, tmp_path):
         params, path = self.make(tmp_path)
@@ -432,9 +433,34 @@ class TestCheckpoint:
         assert checkpoint_text(loaded) == checkpoint_text(params)
 
     def test_loaded_params_are_trainable(self, tmp_path):
+        """Loaded parameters are writable float64 arrays that an Adam step
+        updates in place."""
         _, path = self.make(tmp_path)
         loaded = load_params(str(path))
-        assert all(t.requires_grad for t in loaded.parameters())
+        arrays = loaded.parameters()
+        assert all(a.dtype == np.float64 and a.flags.writeable
+                   for a in arrays)
+        before = [a.copy() for a in arrays]
+        nn.AdamState(arrays, lr=0.1).step(
+            {i: np.ones_like(a) for i, a in enumerate(arrays)})
+        assert all(not np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert all(a is b for a, b in zip(arrays, loaded.parameters()))
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
+    def test_rejects_non_finite_values(self, tmp_path, value):
+        """A NaN or inf weight used to load and only show up as NaN scores
+        at evaluate."""
+        _, path = self.make(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines.index(next(ln for ln in lines
+                               if ln.startswith("TENSOR layer1.attn"))) + 3
+        fields = lines[row].split()
+        fields[-1] = value
+        lines[row] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError,
+                           match="tensor layer1.attn: row 2 holds a non-finite"):
+            load_params(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

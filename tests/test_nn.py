@@ -1,4 +1,5 @@
-"""Autodiff substrate: op semantics, gradients against finite differences, Adam."""
+"""nn's loss, kernels and Adam, and the tape of tests/reference.py that
+is their oracle: op semantics, gradients against finite differences."""
 
 import math
 
@@ -8,19 +9,29 @@ from numpy.testing import assert_allclose
 
 from fraudgnn import nn
 from fraudgnn.errors import ShapeError
-from fraudgnn.nn import AdamState, Tensor, UsageError, backward
+from fraudgnn.nn import AdamState
 
-from reference import (add, add_at_gather_vjp, add_at_neighbor_sum_vjp,
-                       chain_bce, concat, fd_gradient, gather, identity,
-                       l2_normalize_rows, leaky_relu, mean_all, mul,
-                       neighbor_sum, put_rows, relu, sigmoid, slice_rows,
-                       softmax_entries, sub, sum_all, tanh)
+from reference import (Tensor, TapeAdam, UsageError, add, add_at_gather_vjp,
+                       add_at_neighbor_sum_vjp, backward, chain_bce, concat,
+                       fd_gradient, gather, identity, l2_normalize_rows,
+                       leaky_relu, matmul, mean_all, mul, neighbor_sum,
+                       pick_rows, put_rows, relu, sigmoid, slice_cols,
+                       slice_rows, softmax_entries, softmax_rows, sub,
+                       sum_all, tanh)
 
 
 def every_cell(idx):
     """Rows whose entries are every cell of an (n, width) table, in order."""
     n, width = idx.shape
     return nn.CompressedRows(np.arange(0, n * width + 1, width), idx.ravel())
+
+
+def bce_and_grad(p, y):
+    """nn.bce's value and p's gradient, from its stage."""
+    loss = nn.bce(p, y)
+    (vjp, _), = loss.stages
+    (dp,) = vjp(np.ones((1, 1)), True)
+    return loss.value, dp
 
 
 def fd_check(loss_fn, params, rel=1e-4, floor=1e-7):
@@ -56,7 +67,7 @@ class TestOpExamples:
     """Hand-checkable values for the nonlinearities."""
 
     def test_softmax_two_zeros(self):
-        out = nn.softmax_rows(Tensor([[0.0, 0.0]]))
+        out = softmax_rows(Tensor([[0.0, 0.0]]))
         assert_allclose(out.data, [[0.5, 0.5]], atol=1e-12)
 
     def test_leaky_relu_negative_one(self):
@@ -79,17 +90,17 @@ class TestOpExamples:
 
     def test_clamp_values(self):
         """bce reads p outside [1e-7, 1 - 1e-7] at the nearer bound."""
-        out = nn.bce(Tensor([[-1.0], [0.5], [2.0]]), [1, 1, 0])
-        assert_allclose(out.item(), -(2 * math.log(1e-7) + math.log(0.5)) / 3,
+        out = nn.bce(np.array([[-1.0], [0.5], [2.0]]), [1, 1, 0])
+        assert_allclose(out.value, -(2 * math.log(1e-7) + math.log(0.5)) / 3,
                         rtol=1e-8)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
-        out = nn.softmax_rows(Tensor(rng.normal(size=(5, 6))))
+        out = softmax_rows(Tensor(rng.normal(size=(5, 6))))
         assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_softmax_large_values_stable(self):
-        out = nn.softmax_rows(Tensor([[1000.0, 1000.0, 999.0]]))
+        out = softmax_rows(Tensor([[1000.0, 1000.0, 999.0]]))
         assert np.isfinite(out.data).all()
         assert_allclose(out.data.sum(), 1.0, atol=1e-12)
 
@@ -124,7 +135,7 @@ class TestCompressedRows:
 class TestShapeErrors:
     def test_matmul_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError) as e:
-            nn.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         assert "(2, 3)" in str(e.value)
 
     def test_mul_mismatch(self):
@@ -133,7 +144,7 @@ class TestShapeErrors:
 
     def test_bce_needs_one_label_per_row(self):
         with pytest.raises(ShapeError):
-            nn.bce(Tensor(np.full((3, 1), 0.5)), [1, 0])
+            nn.bce(np.full((3, 1), 0.5), [1, 0])
 
     def test_concat_row_mismatch(self):
         with pytest.raises(ShapeError):
@@ -181,9 +192,9 @@ class TestBackwardMechanics:
         c = Tensor(np.ones((2, 3)))
         w = Tensor(np.ones((3, 2)), requires_grad=True)
         g = np.ones((2, 2))
-        dc, dw = nn.matmul(c, w)._vjp(g)
+        dc, dw = matmul(c, w)._vjp(g)
         assert dc is None and dw.shape == (3, 2)
-        dh, dk = mul(nn.matmul(c, w), np.full((2, 1), 0.5))._vjp(g)
+        dh, dk = mul(matmul(c, w), np.full((2, 1), 0.5))._vjp(g)
         assert dk is None and dh.shape == (2, 2)
 
     def test_auto_wrap_of_raw_arrays(self):
@@ -199,7 +210,7 @@ class TestAnalyticGradients:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 3)))
         w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        loss = sum_all(nn.matmul(x, w))
+        loss = sum_all(matmul(x, w))
         backward(loss)
         expected = x.data.T @ np.ones((4, 5))
         assert_allclose(w.grad, expected, rtol=1e-12)
@@ -216,7 +227,7 @@ class TestAnalyticGradients:
         x_np = rng.normal(size=(4, 3))
         y_np = np.array([[1.0], [0.0], [1.0], [1.0]])
         w = Tensor(np.zeros((3, 1)), requires_grad=True)
-        loss = nn.bce(sigmoid(nn.matmul(Tensor(x_np), w)), y_np)
+        loss = chain_bce(sigmoid(matmul(Tensor(x_np), w)), y_np)
         assert_allclose(loss.item(), math.log(2.0), rtol=1e-12)
         backward(loss)
         expected = x_np.T @ (0.5 - y_np) / 4.0
@@ -235,9 +246,9 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(3, 2))
 
         def loss_fn():
-            return sum_all(mul(nn.matmul(a, b), coef)).item()
+            return sum_all(mul(matmul(a, b), coef)).item()
 
-        backward(sum_all(mul(nn.matmul(a, b), coef)))
+        backward(sum_all(mul(matmul(a, b), coef)))
         fd_check(loss_fn, [a, b])
 
     def test_concat_and_slices(self):
@@ -248,7 +259,7 @@ class TestFiniteDifferenceGradients:
         def forward():
             cat = concat(a, b)               # (3, 5)
             block = slice_rows(cat, 1, 3)    # (2, 5)
-            block = nn.slice_cols(block, 1, 3)  # (2, 2)
+            block = slice_cols(block, 1, 3)  # (2, 2)
             return sum_all(mul(block, coef))
 
         backward(forward())
@@ -260,11 +271,11 @@ class TestFiniteDifferenceGradients:
         coef = self.rng.normal(size=(5, 2))
         put = put_rows(a, rows, 5)
         assert np.array_equal(put.data[[1, 3]], np.zeros((2, 2)))
-        assert np.array_equal(nn.pick_rows(put, rows).data, a.data)
+        assert np.array_equal(pick_rows(put, rows).data, a.data)
 
         def forward():
             big = put_rows(a, rows, 5)
-            return sum_all(mul(nn.pick_rows(mul(big, coef), rows), coef[:3]))
+            return sum_all(mul(pick_rows(mul(big, coef), rows), coef[:3]))
 
         backward(forward())
         fd_check(lambda: forward().item(), [a])
@@ -363,16 +374,14 @@ class TestFiniteDifferenceGradients:
             fd_check(lambda: forward().item(), [a])
 
     def test_clamp_gradient_zero_outside(self):
-        a = Tensor(np.array([[-2.0], [0.5], [3.0]]), requires_grad=True)
-        backward(nn.bce(a, [1, 1, 1]))
-        assert_allclose(a.grad, [[0.0], [-2.0 / 3.0], [0.0]], rtol=1e-15)
+        _, dp = bce_and_grad(np.array([[-2.0], [0.5], [3.0]]), [1, 1, 1])
+        assert_allclose(dp, [[0.0], [-2.0 / 3.0], [0.0]], rtol=1e-15)
 
     def test_bce(self):
-        p = Tensor(self.rng.uniform(0.05, 0.95, size=(6, 1)),
-                   requires_grad=True)
+        p = Tensor(self.rng.uniform(0.05, 0.95, size=(6, 1)))
         y = np.array([1, 0, 0, 1, 1, 0])
-        backward(nn.bce(p, y))
-        fd_check(lambda: nn.bce(p, y).item(), [p])
+        p.grad = bce_and_grad(p.data, y)[1]
+        fd_check(lambda: nn.bce(p.data, y).value, [p])
 
     def test_two_layer_mlp_all_params(self):
         """Full small network: tanh hidden layer, sigmoid head, squared error."""
@@ -384,8 +393,8 @@ class TestFiniteDifferenceGradients:
         b2 = Tensor(np.zeros((1, 1)), requires_grad=True)
 
         def forward():
-            h = tanh(add(nn.matmul(x, w1), b1))
-            p = sigmoid(add(nn.matmul(h, w2), b2))
+            h = tanh(add(matmul(x, w1), b1))
+            p = sigmoid(add(matmul(h, w2), b2))
             d = sub(p, y)
             return mean_all(mul(d, d))
 
@@ -487,13 +496,11 @@ class TestBceMatchesTheChain:
 
     @staticmethod
     def both(p, y):
-        out = []
-        for loss_fn in (nn.bce, chain_bce):
-            t = Tensor(p, requires_grad=True)
-            loss = loss_fn(t, y)
-            backward(loss)
-            out.append((loss.data, t.grad))
-        return out
+        value, grad = bce_and_grad(p, y)
+        t = Tensor(p, requires_grad=True)
+        loss = chain_bce(t, y)
+        backward(loss)
+        return (np.array([[value]]), grad), (loss.data, t.grad)
 
     def test_edge_cases(self):
         p = np.repeat(self.EDGES, 2).reshape(-1, 1)
@@ -529,50 +536,64 @@ class TestGlorotInit:
         t1 = nn.glorot_uniform(20, 30, np.random.default_rng(5))
         t2 = nn.glorot_uniform(20, 30, np.random.default_rng(5))
         bound = math.sqrt(6.0 / 50)
-        assert np.abs(t1.data).max() <= bound
-        assert_allclose(t1.data, t2.data)
-        assert t1.requires_grad
+        assert t1.shape == (20, 30) and t1.dtype == np.float64
+        assert np.abs(t1).max() <= bound
+        assert_allclose(t1, t2)
 
 
 class TestAdam:
     def test_first_step_moves_by_about_lr(self):
         """With any constant gradient the first Adam update has magnitude ~lr."""
-        p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
-        p.grad = np.array([[0.5, -3.0]])
-        opt = AdamState([p], lr=0.01)
-        opt.step()
-        assert_allclose(p.data, [[1.0 - 0.01, -2.0 + 0.01]], atol=1e-9)
+        p = np.array([[1.0, -2.0]])
+        AdamState([p], lr=0.01).step({0: np.array([[0.5, -3.0]])})
+        assert_allclose(p, [[1.0 - 0.01, -2.0 + 0.01]], atol=1e-9)
 
     def test_zero_gradient_leaves_param_unchanged(self):
-        p = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        opt = AdamState([p], lr=0.1)
-        opt.step()
-        assert_allclose(p.data, [[1.0, 2.0]])
+        """A slot with no gradient moves as with a zero one: not at all."""
+        p, q = np.array([[1.0, 2.0]]), np.array([[-0.0, 3.0]])
+        AdamState([p, q], lr=0.1).step({1: np.zeros((1, 2))})
+        assert_allclose(p, [[1.0, 2.0]])
+        assert np.array_equal(np.signbit(q), [[True, False]])
 
     def test_gradients_cleared_after_step(self):
+        """The tape's Adam, the oracle of nn.AdamState, consumes the
+        gradients it steps on."""
         p = Tensor(np.array([[1.0]]), requires_grad=True)
         p.grad = np.array([[1.0]])
-        AdamState([p], lr=0.1).step()
+        TapeAdam([p], lr=0.1).step()
         assert p.grad is None
+
+    def test_matches_the_tape_adam(self):
+        """Arrays and slot gradients step bit for bit as the tape's Adam
+        steps tensors and their .grad, a slot left out included."""
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=shape) for shape in ((3, 2), (4, 1), (2, 2))]
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        opt, tape_opt = AdamState(arrays, lr=0.05), TapeAdam(tensors, lr=0.05)
+        for step in range(5):
+            grads = {i: rng.normal(size=a.shape) for i, a in enumerate(arrays)
+                     if i != step % 3}
+            for i, g in grads.items():
+                tensors[i].grad = g.copy()
+            opt.step(grads)
+            tape_opt.step()
+            for a, t in zip(arrays, tensors):
+                assert np.array_equal(a.view(np.int64), t.data.view(np.int64))
 
     def test_identical_setups_identical_trajectories(self):
         def run():
-            p = Tensor(np.array([[4.0, -1.0]]), requires_grad=True)
+            p = np.array([[4.0, -1.0]])
             opt = AdamState([p], lr=0.05)
             for _ in range(25):
-                loss = sum_all(mul(p, p))
-                backward(loss)
-                opt.step()
-            return p.data.copy()
+                opt.step({0: 2.0 * p})
+            return p.copy()
 
         assert_allclose(run(), run(), rtol=0, atol=0)
 
     def test_converges_on_quadratic(self):
         target = np.array([[2.0, -3.0, 0.5]])
-        p = Tensor(np.zeros((1, 3)), requires_grad=True)
+        p = np.zeros((1, 3))
         opt = AdamState([p], lr=0.1)
         for _ in range(400):
-            d = sub(p, Tensor(target))
-            backward(sum_all(mul(d, d)))
-            opt.step()
-        assert_allclose(p.data, target, atol=1e-3)
+            opt.step({0: 2.0 * (p - target)})
+        assert_allclose(p, target, atol=1e-3)

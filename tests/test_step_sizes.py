@@ -27,7 +27,5 @@ def test_sizes_on_the_tiny_workload():
     assert (size["workload"], size["nodes"]) == ("tiny", 200)
     # 60 training nodes in batches of 256, 2 epochs, 2 runs
     assert size["steps"] == 4
-    # two layers, head matmul, softmax, slice, pick, loss and 5 parameters
-    assert size["tape_tensors"] == 12
     assert all(size[f"{part}_ms"] > 0 for part in ("forward", "backward",
                                                    "adam"))

@@ -17,7 +17,6 @@ from fraudgnn.errors import (CheckpointError, ConfigError, InputError,
                               TrainError)
 from fraudgnn.model import (ACTIVATIONS, TIME_MODES, ModelConfig,
                             checkpoint_text, init_params, receptive_rows)
-from fraudgnn.nn import Tensor
 from fraudgnn.sampler import SamplerConfig, _fraud_extras, combine_seed
 from fraudgnn.tgraph import Proposition, TransactionRecord, build_graph
 from fraudgnn.train import (TrainConfig, _gates_for, _sample_layers,
@@ -56,7 +55,7 @@ def small_config(epochs=30, k=2, z=4, **kw):
 def bce_loss(y, p) -> float:
     """The trainer's loss on label and probability lists."""
     col = np.asarray(p, dtype=np.float64).reshape(-1, 1)
-    return nn.bce(Tensor(col), y).item()
+    return nn.bce(col, y).value
 
 
 class TestBceLoss:
@@ -132,7 +131,7 @@ class TestTrainLoop:
         assert result.loss_history == []
         fresh = init_params(4, cfg.model, cfg.seed)
         for a, b in zip(result.params.parameters(), fresh.parameters()):
-            assert_array_equal(a.data, b.data)
+            assert_array_equal(a, b)
 
     def test_single_class_training_split(self):
         g = cluster_graph()
@@ -146,8 +145,8 @@ class TestTrainLoop:
 
     def test_repeated_training_id(self):
         # a repeated id would repeat its over-sampled extras, and
-        # pick_rows, which assigns its gradient, would keep one of its
-        # batch rows' gradients
+        # the head's vjp, which assigns the rows' gradients, would keep
+        # one of its batch rows' gradients
         g = cluster_graph()
         with pytest.raises(TrainError, match="repeats id 2"):
             train(g, small_config(epochs=1), train_ids=[0, 1, 2, 3, 2])
@@ -181,21 +180,21 @@ class TestTrainLoop:
                   train_ids=[0, 1, 99999])
 
     def test_each_step_frees_the_previous_tape(self, monkeypatch):
-        """A step's tape, every node's gradient included, is gone before
+        """A step's stages, and the arrays their vjps hold, are gone before
         the next step's forward builds its own."""
-        losses = []  # weak references to each step's loss array
+        vjps = []  # weak references to each step's stage vjps
         traced_loss = batch_loss
 
         def spy(*args):
-            assert all(ref() is None for ref in losses)
+            assert all(ref() is None for ref in vjps)
             loss = traced_loss(*args)
-            losses.append(weakref.ref(loss.data))
+            vjps.extend(weakref.ref(vjp) for vjp, _ in loss.stages)
             return loss
 
         monkeypatch.setattr(train_mod, "batch_loss", spy)
         train(cluster_graph(), small_config(epochs=2, batch_size=8),
               train_ids=list(range(20)))
-        assert len(losses) == 6
+        assert len(vjps) == 6 * 4
 
     def test_train_ids_echoed_sorted(self):
         g = cluster_graph()
@@ -473,7 +472,7 @@ class TestPredict:
         g = cluster_graph()
         cfg = small_config(epochs=0)
         params = init_params(4, cfg.model, 0)
-        params.head = Tensor(np.zeros((8, 2)), requires_grad=True)
+        params.head = np.zeros((8, 2))
         preds = predict(g, params, SamplerConfig(z_hat=(4, 4)))
         assert all(p.p_fraud == 0.5 for p in preds)
         assert all(p.label_pred == 1 for p in preds)
@@ -553,17 +552,17 @@ class TestPredict:
         assert scores[0] == scores[1] == scores[2]
 
     def test_inference_passes_record_no_tape(self, monkeypatch):
-        """train's epoch-end pass and both of predict's passes run on
-        untraced parameters: their probabilities carry no tape and no
-        parameter is left with a gradient."""
+        """train's epoch-end pass and both of predict's passes collect no
+        stages, and the trained parameters are plain arrays."""
         passes = []
         traced_forward = model_mod.forward
 
-        def spy(params, features, neighborhoods, gates, rows=None):
-            out = traced_forward(params, features, neighborhoods, gates, rows)
+        def spy(params, features, neighborhoods, gates, rows=None,
+                stages=None):
             if rows is None:
-                passes.append(out)
-            return out
+                passes.append(stages)
+            return traced_forward(params, features, neighborhoods, gates,
+                                  rows, stages)
 
         monkeypatch.setattr(model_mod, "forward", spy)
         g = cluster_graph()
@@ -572,10 +571,8 @@ class TestPredict:
         predict(g, result.params, SamplerConfig(z_hat=(4, 4)),
                 known_ids=list(range(10)))
         assert len(passes) == 5
-        for out in passes:
-            assert out._parents == () and not out.requires_grad
-        assert all(p.grad is None for p in result.params.parameters())
-        assert all(p.requires_grad for p in result.params.parameters())
+        assert passes == [None] * 5
+        assert all(type(p) is np.ndarray for p in result.params.parameters())
 
     def test_known_labels_change_gates(self):
         """Telling predict the training labels shifts the diversity gates."""
@@ -648,18 +645,16 @@ class TestReceptiveFieldBatches:
         got = batch_loss(got_params, graph.features, nbs, gates, rows, y)
         want = full_graph_batch_loss(want_params, graph.features, nbs,
                                      gates, rows, y)
-        assert_allclose(got.data, want.data, **FIELD_TOL)
-        nn.backward(got)
-        nn.backward(want)
-        for g, w in zip(got_params.parameters(), want_params.parameters()):
-            assert (g.grad is None) == (w.grad is None)
-            if w.grad is not None:
-                assert_allclose(g.grad, w.grad, **FIELD_TOL)
+        assert_allclose(got.value, want.value, **FIELD_TOL)
+        got_grads, want_grads = nn.backward(got), nn.backward(want)
+        assert got_grads.keys() == want_grads.keys()
+        for slot, w in want_grads.items():
+            assert_allclose(got_grads[slot], w, **FIELD_TOL)
 
         p_rows = model_mod.forward(want_params, graph.features, nbs, gates,
                                    rows)
         p_all = model_mod.forward(want_params, graph.features, nbs, gates)
-        assert_allclose(p_rows.data, p_all.data[rows], **FIELD_TOL)
+        assert_allclose(p_rows, p_all[rows], **FIELD_TOL)
 
     def test_row_sets_grow_downwards_and_stop_above_half(self):
         graph, _, nbs, _ = field_case(0, 3, 3600, (3, 3, 3),

@@ -15,9 +15,7 @@ step is timed in three parts, each wrapped at its module attribute:
 - adam: `nn.AdamState.step`.
 
 Prints one JSON line: the source tree, the repeats, and per workload the
-node count, the steps timed, the median of each part in milliseconds and
-the tape of one step: the tensors a backward pass from its loss visits,
-parameters included.
+node count, the steps timed and the median of each part in milliseconds.
 
 --src times the package of another source tree (default: this checkout's
 src/), for example a parent commit unpacked with `git archive`.
@@ -42,17 +40,6 @@ from workloads import WORKLOADS  # noqa: E402
 PARTS = ("forward", "backward", "adam")
 
 
-def tape_size(loss) -> int:
-    """Tensors a backward pass from loss visits, the loss included."""
-    seen, stack = {id(loss)}, [loss]
-    while stack:
-        for p in stack.pop()._parents:
-            if p.requires_grad and id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return len(seen)
-
-
 def timed(times: list, fn):
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
@@ -73,17 +60,8 @@ def time_workload(pkg: dict, nn, name: str, repeats: int) -> dict:
     graph = tgraph.build_graph(records, pipeline.propositions(pkg))
     config = pipeline.train_config(pkg, wl)
     times = {part: [] for part in PARTS}
-    tapes = []
-
-    def counted_loss(*args, **kwargs):
-        loss = batch_loss(*args, **kwargs)
-        if not tapes:
-            tapes.append(tape_size(loss))
-        return loss
-
-    batch_loss = timed(times["forward"], train.batch_loss)
     saved = (train.batch_loss, nn.backward, nn.AdamState.step)
-    train.batch_loss = counted_loss
+    train.batch_loss = timed(times["forward"], train.batch_loss)
     nn.backward = timed(times["backward"], nn.backward)
     nn.AdamState.step = timed(times["adam"], nn.AdamState.step)
     try:
@@ -92,7 +70,7 @@ def time_workload(pkg: dict, nn, name: str, repeats: int) -> dict:
     finally:
         train.batch_loss, nn.backward, nn.AdamState.step = saved
     return {"workload": name, "nodes": graph.n_nodes,
-            "steps": len(times["adam"]), "tape_tensors": tapes[0],
+            "steps": len(times["adam"]),
             **{f"{part}_ms": round(statistics.median(times[part]) * 1e3, 4)
                for part in PARTS}}
 
