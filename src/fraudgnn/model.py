@@ -409,8 +409,7 @@ def head_forward(h: np.ndarray, head: np.ndarray,
     probs = soft[at, 1:2].copy()
 
     def vjp(g, need_input):
-        d_soft = np.zeros_like(soft)
-        d_soft[at, 1:2] = g
+        d_soft = _placed(g, (at, np.s_[1:2]), soft.shape)
         d_logits = soft * (d_soft - (d_soft * soft).sum(axis=1, keepdims=True))
         return (d_logits @ head.T if need_input else None), h.T @ d_logits
 
@@ -477,6 +476,7 @@ def forward(params: ModelParams, features: np.ndarray,
         h, vjp = layer_forward(h, nb, layer, layer_gates, params.config, own)
         if stages is not None:
             stages.append((vjp, (slot[id(layer.W)], slot[id(layer.attn)])))
+        del vjp  # else the next layer runs with this one's arrays alive
         below = field_rows
     pick = rows
     if rows is not None and below is not None:
